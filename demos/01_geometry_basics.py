@@ -46,7 +46,7 @@ print("\nskew segments")
 print("distance: ", result.distance)                        # exactly 1.0
 print("witness a:", tuple(map(float, result.witness_a)))    # (1, 0, 0)
 print("witness b:", tuple(map(float, result.witness_b)))    # (1, 0, 1)
-print("converged:", result.converged, "after", result.iterations, "iterations")
+print("iterations:", result.iterations)
 
 # The coefficients are a dict {input point index: convex weight}.  They sum
 # to one, and combining the inputs with them reproduces the witness:

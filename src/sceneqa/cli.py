@@ -76,7 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON configuration file")
         sp.add_argument("--seed", type=int, help="master seed override")
         sp.add_argument("--out", help="output directory override")
-        sp.add_argument("--jobs", type=int, help="worker processes for geometry")
+        sp.add_argument("--jobs", type=int,
+                        help="worker processes for per-scene synth and extract; "
+                             "outputs are identical for any value; one scene "
+                             "runs serially")
 
     sp = sub.add_parser("synth", help="write synthetic scenes with analytic ground truth")
     add_common(sp)

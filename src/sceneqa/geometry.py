@@ -118,7 +118,6 @@ class HullDistanceResult:
     distance: float
     witness_a: tuple[float, float, float]
     witness_b: tuple[float, float, float]
-    converged: bool
     iterations: int
     coeffs_a: dict[int, float]
     coeffs_b: dict[int, float]
@@ -221,6 +220,54 @@ def _solve_subset(ws, idxs):
     return lam, v, _dot(v, v)
 
 
+def _exact_affine_weights(ys):
+    """Weights of the min-norm point of the affine hull of the exact points
+    ``ys``, or None if they are affinely dependent."""
+    y0 = ys[0]
+    ds = [[y[c] - y0[c] for c in range(3)] for y in ys[1:]]
+    k = len(ds)
+    # Normal equations (D D^T) mu = -D y0, by Gauss-Jordan elimination.
+    rows = [[_dot(di, dj) for dj in ds] + [-_dot(di, y0)] for di in ds]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    mu = [rows[i][k] / rows[i][i] for i in range(k)]
+    return [1 - sum(mu), *mu]
+
+
+def _exact_min_norm(ws):
+    """Min-norm point of the hull of ``ws`` (at most 4 points), solved in
+    rational arithmetic over every subset and rounded once at the end.
+
+    Returns ``(idxs, lam, n2, v)`` like the float path.  It runs only when
+    that path stops making progress, so its cost does not matter.
+    :func:`_solve_subset` is not reused because its float constants and
+    clamping would round the rational values.
+    """
+    from fractions import Fraction
+
+    pts = [[Fraction(c) for c in w] for w in ws]
+    best = None
+    for m in range(1, len(pts) + 1):
+        for idxs in _SUBSETS_WITH_LAST[m]:
+            lam = _exact_affine_weights([pts[i] for i in idxs])
+            if lam is None or min(lam) < 0:
+                continue
+            v = [sum(l * pts[i][c] for l, i in zip(lam, idxs)) for c in range(3)]
+            n2 = _dot(v, v)
+            if best is None or n2 < best[0]:
+                best = (n2, idxs, lam, v)
+    _, idxs, lam, v = best
+    v = (float(v[0]), float(v[1]), float(v[2]))
+    return idxs, tuple(float(l) for l in lam), _dot(v, v), v
+
+
 def hull_distance(a, b, tol: float = DEFAULT_TOL,
                   max_iterations: int | None = None) -> HullDistanceResult:
     """Distance between the convex hulls of two point sets.
@@ -228,7 +275,11 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
     ``tol`` is relative to the bounding diagonal of the union of both sets.
     Raises :class:`NotConvergedError` if the iteration cap (default
     ``10 * (len(a) + len(b)) + 100``) is hit before the sandwich bound closes;
-    intersecting hulls return distance 0.0 with ``converged`` True.
+    intersecting hulls return distance 0.0.
+
+    Only the rows the solver touches (the first pair, each support pair and
+    the final simplex) are converted to Python floats, so the per-call Python
+    work does not grow with the number of points.
     """
     arr_a, arr_b = as_coords(a), as_coords(b)
     na, nb = arr_a.shape[0], arr_b.shape[0]
@@ -239,12 +290,8 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
     eps = tol * diag if diag > 0.0 else tol
     cap = max_iterations if max_iterations is not None else 10 * (na + nb) + 100
 
-    pts_a = [tuple(row) for row in arr_a]
-    pts_b = [tuple(row) for row in arr_b]
-
-    w0 = (pts_a[0][0] - pts_b[0][0],
-          pts_a[0][1] - pts_b[0][1],
-          pts_a[0][2] - pts_b[0][2])
+    pa, pb = arr_a[0].tolist(), arr_b[0].tolist()
+    w0 = (pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2])
     simplex_w = [w0]
     simplex_ij = [(0, 0)]
     lam = (1.0,)
@@ -262,7 +309,7 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
                 continue
             coeffs_a[ia] = coeffs_a.get(ia, 0.0) + l
             coeffs_b[ib] = coeffs_b.get(ib, 0.0) + l
-            pa, pb = pts_a[ia], pts_b[ib]
+            pa, pb = arr_a[ia].tolist(), arr_b[ib].tolist()
             for c in range(3):
                 wa[c] += l * pa[c]
                 wb[c] += l * pb[c]
@@ -270,7 +317,6 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
             distance=distance,
             witness_a=(wa[0], wa[1], wa[2]),
             witness_b=(wb[0], wb[1], wb[2]),
-            converged=True,
             iterations=iterations,
             coeffs_a=coeffs_a,
             coeffs_b=coeffs_b,
@@ -286,7 +332,7 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
         proj_b = arr_b @ v
         ia = int(np.argmin(proj_a))
         ib = int(np.argmax(proj_b))
-        pa, pb = pts_a[ia], pts_b[ib]
+        pa, pb = arr_a[ia].tolist(), arr_b[ib].tolist()
         w = (pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2])
 
         lb = _dot(v, w) / vn
@@ -296,29 +342,36 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
         if gap <= eps:
             return _result(vn, iteration)
 
+        # When the float solve below stops making progress, rounding in its
+        # closed forms may have left v slightly off the simplex's min-norm
+        # point, enough to keep the bound open when the hulls nearly touch.
+        # The simplex is then re-solved exactly; only if that does not move v
+        # is the solve given up.
         if (ia, ib) in simplex_ij:
-            # The best support point is already in the simplex: no further
-            # progress is possible, yet the bound has not closed.
-            raise NotConvergedError(
-                f"support stalled after {iteration} iterations (gap {gap:.3e})",
-                iterations=iteration, gap=gap,
-            )
-
-        simplex_w.append(w)
-        simplex_ij.append((ia, ib))
-        best = None
-        for idxs in _SUBSETS_WITH_LAST[len(simplex_w)]:
-            sol = _solve_subset(simplex_w, idxs)
-            if sol is None:
-                continue
-            cand_lam, cand_v, cand_n2 = sol
-            if best is None or cand_n2 < best[2]:
-                best = (idxs, cand_lam, cand_n2, cand_v)
-        if best is None or best[2] >= n2:
-            raise NotConvergedError(
-                f"no descent after {iteration} iterations (gap {gap:.3e})",
-                iterations=iteration, gap=gap,
-            )
+            best = _exact_min_norm(simplex_w)
+            if best[3] == v:
+                raise NotConvergedError(
+                    f"support stalled after {iteration} iterations (gap {gap:.3e})",
+                    iterations=iteration, gap=gap,
+                )
+        else:
+            simplex_w.append(w)
+            simplex_ij.append((ia, ib))
+            best = None
+            for idxs in _SUBSETS_WITH_LAST[len(simplex_w)]:
+                sol = _solve_subset(simplex_w, idxs)
+                if sol is None:
+                    continue
+                cand_lam, cand_v, cand_n2 = sol
+                if best is None or cand_n2 < best[2]:
+                    best = (idxs, cand_lam, cand_n2, cand_v)
+            if best is None or best[2] >= n2:
+                best = _exact_min_norm(simplex_w)
+                if best[3] == v:
+                    raise NotConvergedError(
+                        f"no descent after {iteration} iterations (gap {gap:.3e})",
+                        iterations=iteration, gap=gap,
+                    )
         idxs, lam, n2, v = best
         keep_w, keep_ij, keep_lam = [], [], []
         for i, l in zip(idxs, lam):
@@ -408,6 +461,11 @@ def hull_distance_oracle(a, b, tol: float = DEFAULT_TOL,
     simplices.  Completely separate algorithm and code path from
     :func:`hull_distance`; stops only when a support-plane certificate bounds
     the error below ``tol`` times the bounding diagonal.
+
+    Both clouds are first shifted by the centre of their common bounding box.
+    The distance is unchanged, but the gradient step ``1 / ||D||^2`` then
+    depends on the clouds' extent rather than on how far they sit from the
+    origin; uncentred clouds at room coordinates take tiny steps and stall.
     """
     arr_a, arr_b = as_coords(a), as_coords(b)
     m, n = arr_a.shape[0], arr_b.shape[0]
@@ -418,6 +476,8 @@ def hull_distance_oracle(a, b, tol: float = DEFAULT_TOL,
     if diag == 0.0:
         return 0.0
     atol = tol * diag
+    center = 0.5 * (lo + hi)
+    arr_a, arr_b = arr_a - center, arr_b - center
 
     D = np.concatenate([arr_a, -arr_b], axis=0)
     L = float(np.linalg.norm(D, 2)) ** 2

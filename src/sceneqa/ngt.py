@@ -13,7 +13,6 @@ them.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -84,26 +83,16 @@ def _measure_instance(inst) -> InstanceNgt:
     )
 
 
-def _pair_distance(task):
-    coords_a, coords_b, tol = task
-    try:
-        return geometry.hull_distance(coords_a, coords_b, tol=tol).distance, ""
-    except NotConvergedError as exc:
-        return float("nan"), f"not_converged: {exc}"
-
-
 def extract_ngt(
     scene: Scene,
     excluded_labels: Iterable[str] = DEFAULT_EXCLUDED_LABELS,
     tol: float = geometry.DEFAULT_TOL,
-    jobs: int = 1,
 ) -> NgtTable:
     """Measure one scene into an :class:`NgtTable`.
 
-    Instances are processed in sorted-id order and pair results are assembled
-    by index, so the output is identical for any ``jobs`` value.
-    Raises :class:`EmptyAfterFilterError` if label filtering removes every
-    instance.
+    Instances are processed in sorted-id order, so the output depends only on
+    the scene.  Raises :class:`EmptyAfterFilterError` if label filtering
+    removes every instance.
     """
     excluded = {str(lbl).strip().lower() for lbl in excluded_labels}
     retained = sorted(
@@ -118,25 +107,16 @@ def extract_ngt(
 
     measured = tuple(_measure_instance(inst) for inst in retained)
 
-    index_pairs = list(itertools.combinations(range(len(retained)), 2))
-    tasks = [
-        (retained[i].points.coords, retained[j].points.coords, tol)
-        for i, j in index_pairs
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_pair_distance, tasks, chunksize=64))
-    else:
-        outcomes = [_pair_distance(task) for task in tasks]
-
     pairs: dict[tuple[str, str], float] = {}
     skipped: list[tuple[str, str, str]] = []
-    for (i, j), (dist, reason) in zip(index_pairs, outcomes):
-        key = pair_key(retained[i].instance_id, retained[j].instance_id)
-        if reason:
-            skipped.append((key[0], key[1], reason))
-        else:
-            pairs[key] = dist
+    for inst_a, inst_b in itertools.combinations(retained, 2):
+        key = pair_key(inst_a.instance_id, inst_b.instance_id)
+        try:
+            pairs[key] = geometry.hull_distance(
+                inst_a.points.coords, inst_b.points.coords, tol=tol
+            ).distance
+        except NotConvergedError as exc:
+            skipped.append((key[0], key[1], f"not_converged: {exc}"))
 
     return NgtTable(scene.scene_id, measured, pairs, tuple(skipped))
 

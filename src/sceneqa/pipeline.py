@@ -3,9 +3,11 @@ command line exposes (synthesize scenes, extract ground truth, generate the
 dataset, score predictions, self-check).
 
 Every artifact is reproducible byte for byte from the seed: nothing written
-here embeds timestamps, hostnames, or worker-dependent ordering.  The
-``jobs`` knob only parallelizes geometry work whose results are reassembled
-in a fixed order, so changing it cannot change any output file.
+here embeds timestamps, hostnames, or worker-dependent ordering.  ``jobs`` is
+the number of worker processes for per-scene synth and extract; outputs are
+identical for any value; one scene runs serially.  Each scene draws from its
+own seed and writes its own files, and results come back in sorted scene
+order.
 """
 
 from __future__ import annotations
@@ -201,25 +203,53 @@ def load_config(path: str | Path) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
+def _map_scenes(fn, cfg: PipelineConfig, items: list) -> list:
+    """``[fn(cfg, item) for item in items]``, over ``min(jobs, len(items))``
+    worker processes when that is more than one.
+
+    ``fn`` handles one scene from start to finish (its own seed, its own
+    output files), so the results and every file written are the same for
+    any worker count; ``map`` returns them in the order of ``items``.
+    """
+    workers = min(cfg.jobs, len(items))
+    if workers <= 1:
+        return [fn(cfg, item) for item in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, [cfg] * len(items), items))
+
+
+def _synth_scene(cfg: PipelineConfig, scene_id: str) -> Path:
+    rng = np.random.default_rng(derive_seed(cfg.seed, f"synth:{scene_id}"))
+    spec = random_indoor_spec(scene_id, rng, n_boxes=cfg.synth_boxes,
+                              points_per_box=cfg.synth_points_per_box)
+    scene, truth = generate_synthetic_scene(
+        spec, seed=derive_seed(cfg.seed, f"noise:{scene_id}")
+    )
+    scene_path = cfg.synth_path / f"{scene_id}.scene.json"
+    write_scene(scene, scene_path)
+    write_json(truth_to_dict(truth), cfg.synth_path / f"{scene_id}.truth.json")
+    return scene_path
+
+
+def _extract_scene(cfg: PipelineConfig, path: str) -> Path:
+    scene = load_scene(path)
+    table = extract_ngt(scene, excluded_labels=frozenset(cfg.excluded_labels),
+                        tol=cfg.solver_tol)
+    target = cfg.ngt_path / f"{scene.scene_id}.ngt.json"
+    write_ngt(table, target)
+    return target
+
+
 def run_synth(cfg: PipelineConfig) -> list[Path]:
     """Write ``synth_scenes`` synthetic scenes (plus their analytic ground
     truth) under the scenes directory."""
-    out = cfg.synth_path
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i in range(cfg.synth_scenes):
-        scene_id = f"synth{i:04d}"
-        rng = np.random.default_rng(derive_seed(cfg.seed, f"synth:{scene_id}"))
-        spec = random_indoor_spec(scene_id, rng, n_boxes=cfg.synth_boxes,
-                                  points_per_box=cfg.synth_points_per_box)
-        scene, truth = generate_synthetic_scene(
-            spec, seed=derive_seed(cfg.seed, f"noise:{scene_id}")
-        )
-        scene_path = out / f"{scene_id}.scene.json"
-        write_scene(scene, scene_path)
-        write_json(truth_to_dict(truth), out / f"{scene_id}.truth.json")
-        paths.append(scene_path)
-    return paths
+    cfg.synth_path.mkdir(parents=True, exist_ok=True)
+    scene_ids = [f"synth{i:04d}" for i in range(cfg.synth_scenes)]
+    return _map_scenes(_synth_scene, cfg, scene_ids)
 
 
 def run_extract(cfg: PipelineConfig) -> list[Path]:
@@ -227,17 +257,8 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
     scene_paths = sorted(globlib.glob(cfg.scene_glob))
     if not scene_paths:
         raise FileNotFoundError(f"no scene files match {cfg.scene_glob!r}")
-    out = cfg.ngt_path
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for path in scene_paths:
-        scene = load_scene(path)
-        table = extract_ngt(scene, excluded_labels=frozenset(cfg.excluded_labels),
-                            tol=cfg.solver_tol, jobs=cfg.jobs)
-        target = out / f"{scene.scene_id}.ngt.json"
-        write_ngt(table, target)
-        written.append(target)
-    return written
+    cfg.ngt_path.mkdir(parents=True, exist_ok=True)
+    return _map_scenes(_extract_scene, cfg, scene_paths)
 
 
 def _load_tables(ngt_dir: Path) -> list[NgtTable]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -50,8 +51,29 @@ def stable_json_dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=False, ensure_ascii=False)
 
 
+def _write_replacing(path: str | Path, write):
+    """Call ``write(fh)`` on a temporary file beside ``path``, then rename it
+    over ``path``.
+
+    A reader sees the old file or the complete new one, never a truncated
+    one; if ``write`` raises, the temporary file is removed and ``path`` is
+    left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            result = write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return result
+
+
 def write_json(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(stable_json_dumps(obj) + "\n", encoding="utf-8")
+    text = stable_json_dumps(obj) + "\n"
+    _write_replacing(path, lambda fh: fh.write(text))
 
 
 def read_json(path: str | Path):
@@ -65,13 +87,16 @@ def read_json(path: str | Path):
 
 def write_jsonl(rows: Iterable[dict], path: str | Path) -> int:
     """Write one compact JSON object per line; returns the number of rows."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def write(fh) -> int:
+        n = 0
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=False))
             fh.write("\n")
             n += 1
-    return n
+        return n
+
+    return _write_replacing(path, write)
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:

@@ -62,11 +62,6 @@ class TestExtraction:
         with pytest.raises(EmptyAfterFilterError):
             extract_ngt(toy_scene, excluded_labels={"chair", "table", "object"})
 
-    def test_jobs_do_not_change_results(self, toy_scene):
-        t1 = extract_ngt(toy_scene, jobs=1)
-        t2 = extract_ngt(toy_scene, jobs=2)
-        assert ngt_to_dict(t1) == ngt_to_dict(t2)
-
     def test_label_counts(self, toy_scene):
         assert extract_ngt(toy_scene).label_counts() == {"chair": 2, "table": 1}
 

@@ -15,6 +15,8 @@ from sceneqa.pipeline import (
     apply_overrides,
     config_from_dict,
     load_config,
+    run_extract,
+    run_synth,
 )
 from sceneqa.rulegen import read_dataset
 from sceneqa.util import read_json, write_json, write_jsonl
@@ -240,6 +242,28 @@ class TestDeterminism:
             assert (parallel / name).read_bytes() == original, name
         for table in sorted(cli_run["ngt_dir"].glob("*.ngt.json")):
             assert (parallel / "ngt" / table.name).read_bytes() == table.read_bytes()
+
+    def test_scene_stages_are_byte_identical_for_any_jobs(self, tmp_path):
+        # 3 scenes: 2 workers do not divide them evenly, 4 exceed them.
+        outputs = {}
+        for jobs in (1, 2, 4):
+            cfg = PipelineConfig(seed=SEED, out_dir=str(tmp_path / f"jobs{jobs}"),
+                                 jobs=jobs, synth_scenes=3, synth_boxes=14,
+                                 synth_points_per_box=30)
+            scenes = run_synth(cfg)
+            tables = run_extract(cfg)
+            assert [p.name for p in scenes] == [
+                f"synth{i:04d}.scene.json" for i in range(3)]
+            assert [p.name for p in tables] == [
+                f"synth{i:04d}.ngt.json" for i in range(3)]
+            out = Path(cfg.out_dir)
+            outputs[jobs] = {
+                p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*.json"))
+            }
+        assert len(outputs[1]) == 9   # scene, truth and table per scene
+        assert outputs[2] == outputs[1]
+        assert outputs[4] == outputs[1]
 
 
 class TestCliErrors:

@@ -108,3 +108,17 @@ class TestJsonHelpers:
         path.write_text('{"ok": 1}\nnot json\n')
         with pytest.raises(MalformedFileError, match=r":2:"):
             list(read_jsonl(path))
+
+    def test_failed_jsonl_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl([{"i": 0}], path)
+        before = path.read_bytes()
+
+        def rows():
+            yield {"i": 1}
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_jsonl(rows(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
