@@ -32,6 +32,7 @@ from .rulegen import (
     build_balance_report,
     balance_violations,
     referent_values,
+    render_answer,
 )
 from .templates import (
     CAT_DISTANCE,
@@ -49,7 +50,6 @@ from .templates import (
     default_bank,
     evaluate_predicate,
 )
-from .util import render_count, render_decimal
 
 _VALID_TASKS = {TASK_FV, TASK_PM, TASK_NI}
 _NUMERIC = frozenset(NUMERIC_CATEGORIES)
@@ -113,10 +113,7 @@ def oracle_responses(records: Sequence[QaRecord],
                                        approx_band=approx_band)
             responses[record.qa_id] = ANSWER_YES if holds else ANSWER_NO
         elif record.task == TASK_NI:
-            if record.category == CAT_QUANTITY:
-                responses[record.qa_id] = render_count(values[0])
-            else:
-                responses[record.qa_id] = render_decimal(values[0])
+            responses[record.qa_id] = render_answer(record.category, values[0])
         else:
             responses[record.qa_id] = record.answer
     return responses
@@ -269,10 +266,7 @@ def _check_ni_display(records: Sequence[QaRecord]) -> list[str]:
             continue
         if record.gt_value is None:
             continue
-        if record.category == CAT_QUANTITY:
-            expected = render_count(record.gt_value)
-        else:
-            expected = render_decimal(record.gt_value)
+        expected = render_answer(record.category, record.gt_value)
         if gold_answer(record) != expected:
             failures.append(
                 f"{record.qa_id}: answer token {gold_answer(record)!r} does not "

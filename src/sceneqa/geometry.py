@@ -61,12 +61,6 @@ class Aabb:
             self.max_corner[2] - self.min_corner[2],
         )
 
-    def contains(self, point, slack: float = 0.0) -> bool:
-        return all(
-            self.min_corner[i] - slack <= point[i] <= self.max_corner[i] + slack
-            for i in range(3)
-        )
-
 
 def aabb(points) -> Aabb:
     arr = as_coords(points)
@@ -84,21 +78,6 @@ def centroid(points) -> tuple[float, float, float]:
     arr = as_coords(points)
     c = arr.mean(axis=0)
     return (float(c[0]), float(c[1]), float(c[2]))
-
-
-def support_value(points, direction) -> float:
-    """Value of the support function max_p <p, direction> over the point set."""
-    arr = as_coords(points)
-    d = np.asarray(direction, dtype=np.float64)
-    return float(np.max(arr @ d))
-
-
-def bounding_diagonal(a, b) -> float:
-    """Diagonal of the AABB enclosing both point sets; the tolerance scale."""
-    arr_a, arr_b = as_coords(a), as_coords(b)
-    lo = np.minimum(arr_a.min(axis=0), arr_b.min(axis=0))
-    hi = np.maximum(arr_a.max(axis=0), arr_b.max(axis=0))
-    return float(np.linalg.norm(hi - lo))
 
 
 # ---------------------------------------------------------------------------

@@ -263,16 +263,9 @@ class EchoStubClient:
                 d for d in _STUB_DISTRACTORS
                 if answer.lower() not in d.lower() and d.lower() not in answer.lower()
             ][: n_options - 1]
-            options = []
             slot = ord(label) - ord("A")
-            di = 0
-            for i in range(n_options):
-                letter = chr(ord("A") + i)
-                if i == slot:
-                    options.append(f"{letter}) {answer}")
-                else:
-                    options.append(f"{letter}) {distractors[di]}")
-                    di += 1
+            texts = distractors[:slot] + [answer] + distractors[slot:]
+            options = [f"{chr(ord('A') + i)}) {t}" for i, t in enumerate(texts)]
             text = (
                 f"{question} Answer using the correct option letter. "
                 + "  ".join(options)
@@ -298,12 +291,39 @@ class EchoStubClient:
         return json.dumps(payload)
 
 
+def _urllib_post(url: str, json: dict, timeout: float, headers: dict):
+    """POST ``json`` as the request body with the standard library; the reply
+    has ``status_code``, ``text`` and ``json()``."""
+    import json as jsonlib
+    import urllib.error
+    import urllib.request  # not at module level: it slows ``import sceneqa``
+    from types import SimpleNamespace
+
+    request = urllib.request.Request(
+        url, data=jsonlib.dumps(json).encode("utf-8"), method="POST",
+        headers={"Content-Type": "application/json", **headers},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as reply:
+            status, raw = reply.status, reply.read()
+    except urllib.error.HTTPError as exc:
+        status, raw = exc.code, exc.read()
+    text = raw.decode("utf-8", "replace")
+    return SimpleNamespace(status_code=status, text=text, json=lambda: jsonlib.loads(text))
+
+
+# client errors that a retry can fix: request timeout, rate limiting
+_RETRIABLE_4XX = (408, 429)
+
+
 class HttpServiceClient:
     """Chat-completion HTTP client with bounded retries.
 
-    ``transport`` is injectable for tests; it must behave like
-    ``requests.post``.  Raises :class:`ServiceUnavailableError` once retries
-    are exhausted.
+    ``transport(url, json=, timeout=, headers=)`` is injectable for tests; it
+    returns an object with ``status_code``, ``text`` and ``json()``.  Server
+    errors, 408, 429, transport errors and malformed bodies are retried; other
+    4xx responses fail at once.  Raises :class:`ServiceUnavailableError` once
+    retries are exhausted.
     """
 
     def __init__(self, endpoint: str, model: str, timeout: float = 30.0,
@@ -312,10 +332,6 @@ class HttpServiceClient:
                  headers: dict | None = None,
                  transport: Callable | None = None,
                  retry_wait: float = 1.0):
-        if transport is None:
-            import requests
-
-            transport = requests.post
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
@@ -324,7 +340,7 @@ class HttpServiceClient:
         self.max_tokens = max_tokens
         self.headers = dict(headers or {})
         self.retry_wait = retry_wait
-        self._post = transport
+        self._post = transport if transport is not None else _urllib_post
         self.call_count = 0
 
     def complete(self, system_prompt: str, user_prompt: str) -> str:
@@ -343,24 +359,25 @@ class HttpServiceClient:
 
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
+            if attempt and self.retry_wait > 0:
+                time.sleep(self.retry_wait)
             try:
                 response = self._post(
                     self.endpoint, json=payload, timeout=self.timeout,
                     headers=self.headers,
                 )
                 status = getattr(response, "status_code", 200)
-                if status >= 500:
-                    raise ServiceUnavailableError(f"server returned {status}")
-                if status >= 400:
-                    raise ServiceUnavailableError(
-                        f"request rejected with {status}: {getattr(response, 'text', '')[:200]}"
-                    )
-                body = response.json()
-                return body["choices"][0]["message"]["content"]
-            except Exception as exc:  # noqa: BLE001 - every failure is retriable here
+                if status < 400:
+                    body = response.json()
+                    return body["choices"][0]["message"]["content"]
+            except Exception as exc:  # noqa: BLE001 - transport errors and malformed bodies
                 last_error = exc
-                if attempt < self.retries and self.retry_wait > 0:
-                    time.sleep(self.retry_wait)
+                continue
+            if status < 500 and status not in _RETRIABLE_4XX:
+                raise ServiceUnavailableError(
+                    f"request rejected with {status}: {getattr(response, 'text', '')[:200]}"
+                )
+            last_error = ServiceUnavailableError(f"server returned {status}")
         raise ServiceUnavailableError(
             f"service unreachable after {self.retries + 1} attempts: {last_error}"
         ) from last_error
@@ -411,13 +428,22 @@ def parse_options(question: str) -> tuple[str, list[tuple[str, str]]] | None:
     return stem, options
 
 
-def validate_pm_response(text: str, job: RewriteJob) -> ValidationVerdict:
+def _parse_payload(text: str, keys: tuple[str, ...]) -> dict | ValidationVerdict:
+    """The response's JSON object, or the verdict rejecting it when it is
+    missing or lacks one of the string ``keys``."""
     payload = extract_json_object(text)
     if payload is None:
         return ValidationVerdict(False, (NOT_JSON,), "no JSON object found")
-    missing = [k for k in ("question", "Answer") if not isinstance(payload.get(k), str)]
+    missing = [k for k in keys if not isinstance(payload.get(k), str)]
     if missing:
         return ValidationVerdict(False, (MISSING_KEY,), f"missing keys {missing}", payload)
+    return payload
+
+
+def validate_pm_response(text: str, job: RewriteJob) -> ValidationVerdict:
+    payload = _parse_payload(text, ("question", "Answer"))
+    if isinstance(payload, ValidationVerdict):
+        return payload
 
     reasons: list[str] = []
     details: list[str] = []
@@ -457,19 +483,13 @@ def validate_pm_response(text: str, job: RewriteJob) -> ValidationVerdict:
                 reasons.append(ANSWER_LEAK)
                 details.append(f"option {letter} contains the answer")
                 break
-    if reasons:
-        return ValidationVerdict(False, tuple(reasons), "; ".join(details), payload)
-    return ValidationVerdict(True, (), "", payload)
+    return ValidationVerdict(not reasons, tuple(reasons), "; ".join(details), payload)
 
 
 def validate_fv_response(text: str, job: RewriteJob) -> ValidationVerdict:
-    payload = extract_json_object(text)
-    if payload is None:
-        return ValidationVerdict(False, (NOT_JSON,), "no JSON object found")
-    keys = ("question", "Answer", "cp_question", "cp_answer")
-    missing = [k for k in keys if not isinstance(payload.get(k), str)]
-    if missing:
-        return ValidationVerdict(False, (MISSING_KEY,), f"missing keys {missing}", payload)
+    payload = _parse_payload(text, ("question", "Answer", "cp_question", "cp_answer"))
+    if isinstance(payload, ValidationVerdict):
+        return payload
 
     reasons: list[str] = []
     details: list[str] = []
@@ -493,9 +513,7 @@ def validate_fv_response(text: str, job: RewriteJob) -> ValidationVerdict:
         if cp_answer == answer:
             reasons.append(CP_NOT_INVERTED)
             details.append("contrapositive answer equals the original answer")
-    if reasons:
-        return ValidationVerdict(False, tuple(reasons), "; ".join(details), payload)
-    return ValidationVerdict(True, (), "", payload)
+    return ValidationVerdict(not reasons, tuple(reasons), "; ".join(details), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +523,48 @@ def validate_fv_response(text: str, job: RewriteJob) -> ValidationVerdict:
 MAX_ATTEMPTS = 5
 
 
-def _attempt_loop(job: RewriteJob, client: ServiceClient, max_attempts: int,
-                  validate) -> tuple[dict, list[ValidationVerdict]]:
+def _llm_record(job: RewriteJob, task: str, qa_id: str, question: str,
+                answer: str, cp_link: str | None = None) -> QaRecord:
+    return QaRecord(
+        qa_id=qa_id, scene_id=job.saq.scene_id, task=task,
+        category=CAT_NON_NUMERIC, question=question, answer=answer,
+        gt_value=None, unit="", cp_link=cp_link, variant=VARIANT_PLAIN,
+        provenance=PROVENANCE_LLM, template_id=None, referents=(),
+    )
+
+
+def _pm_records(job: RewriteJob, payload: dict) -> tuple[QaRecord]:
+    return (_llm_record(job, TASK_PM, job.job_id, payload["question"], job.expected_label),)
+
+
+def _fv_records(job: RewriteJob, payload: dict) -> tuple[QaRecord, QaRecord]:
+    cp_id = f"{job.job_id}-cp"
+    return (
+        _llm_record(job, TASK_FV, job.job_id, payload["question"],
+                    payload["Answer"].strip().lower(), cp_link=cp_id),
+        _llm_record(job, TASK_FV, cp_id, payload["cp_question"],
+                    payload["cp_answer"].strip().lower(), cp_link=job.job_id),
+    )
+
+
+# kind -> (response validator, record builder)
+_KINDS = {
+    KIND_PM: (validate_pm_response, _pm_records),
+    KIND_FV: (validate_fv_response, _fv_records),
+}
+
+
+def _attempt_loop(job: RewriteJob, client: ServiceClient, max_attempts: int
+                  ) -> tuple[tuple[QaRecord, ...], list[ValidationVerdict]]:
+    """The job's records from the first valid response, with every verdict."""
+    validate, build = _KINDS[job.kind]
     verdicts: list[ValidationVerdict] = []
     for _ in range(max_attempts):
         text = client.complete(SYSTEM_PROMPT, render_prompt(job))
         verdict = validate(text, job)
         verdicts.append(verdict)
         if verdict.ok:
-            return verdict.payload, verdicts
+            return build(job, verdict.payload), verdicts
     raise ExhaustedAttemptsError(
         f"job {job.job_id}: all {max_attempts} attempts failed validation "
         f"(last: {verdicts[-1].reasons})",
@@ -521,48 +572,18 @@ def _attempt_loop(job: RewriteJob, client: ServiceClient, max_attempts: int,
     )
 
 
-def _pm_record(job: RewriteJob, payload: dict) -> QaRecord:
-    return QaRecord(
-        qa_id=job.job_id, scene_id=job.saq.scene_id, task=TASK_PM,
-        category=CAT_NON_NUMERIC, question=payload["question"],
-        answer=job.expected_label, gt_value=None, unit="", cp_link=None,
-        variant=VARIANT_PLAIN, provenance=PROVENANCE_LLM, template_id=None,
-        referents=(),
-    )
-
-
-def _fv_records(job: RewriteJob, payload: dict) -> tuple[QaRecord, QaRecord]:
-    base_id = job.job_id
-    cp_id = f"{base_id}-cp"
-    original = QaRecord(
-        qa_id=base_id, scene_id=job.saq.scene_id, task=TASK_FV,
-        category=CAT_NON_NUMERIC, question=payload["question"],
-        answer=payload["Answer"].strip().lower(), gt_value=None, unit="",
-        cp_link=cp_id, variant=VARIANT_PLAIN, provenance=PROVENANCE_LLM,
-        template_id=None, referents=(),
-    )
-    contrapositive = QaRecord(
-        qa_id=cp_id, scene_id=job.saq.scene_id, task=TASK_FV,
-        category=CAT_NON_NUMERIC, question=payload["cp_question"],
-        answer=payload["cp_answer"].strip().lower(), gt_value=None, unit="",
-        cp_link=base_id, variant=VARIANT_PLAIN, provenance=PROVENANCE_LLM,
-        template_id=None, referents=(),
-    )
-    return original, contrapositive
-
-
 def rewrite_pm(job: RewriteJob, client: ServiceClient,
                max_attempts: int = MAX_ATTEMPTS) -> QaRecord:
     """Rewrite one SAQ into a PM record; raises after ``max_attempts`` failures."""
-    payload, _ = _attempt_loop(job, client, max_attempts, validate_pm_response)
-    return _pm_record(job, payload)
+    (record,), _ = _attempt_loop(job, client, max_attempts)
+    return record
 
 
 def rewrite_fv(job: RewriteJob, client: ServiceClient,
                max_attempts: int = MAX_ATTEMPTS) -> tuple[QaRecord, QaRecord]:
     """Rewrite one SAQ into an FV original/contrapositive pair."""
-    payload, _ = _attempt_loop(job, client, max_attempts, validate_fv_response)
-    return _fv_records(job, payload)
+    records, _ = _attempt_loop(job, client, max_attempts)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -581,44 +602,33 @@ def load_saqs(path: str | Path) -> list[SaqItem]:
     return items
 
 
-def make_pm_jobs(saqs: Sequence[SaqItem], count: int,
-                 schedules: Schedules, n_options: int = 5,
-                 start_index: int = 0) -> list[RewriteJob]:
+def _cycle_saqs(saqs: Sequence[SaqItem], count: int, kind: str,
+                records_per_job: int) -> list[tuple[int, str, SaqItem]]:
+    """(schedule index, job id, SAQ) for ``count`` jobs, cycling the SAQs."""
     if count > 0 and not saqs:
         raise InsufficientCandidatesError(
-            "no SAQ items available for PM rewriting",
-            shortfalls={"pm/non-numeric": (count, 0)},
+            f"no SAQ items available for {kind.upper()} rewriting",
+            shortfalls={f"{kind}/{CAT_NON_NUMERIC}": (records_per_job * count, 0)},
         )
-    jobs = []
-    for offset in range(count):
-        k = start_index + offset
-        jobs.append(RewriteJob(
-            job_id=f"llm-pm-{k:05d}",
-            saq=saqs[k % len(saqs)],
-            kind=KIND_PM,
-            n_options=n_options,
-            expected_label=schedules.pm_letter(k, n_options),
-        ))
-    return jobs
+    return [(k, f"llm-{kind}-{k:05d}", saqs[k % len(saqs)]) for k in range(count)]
+
+
+def make_pm_jobs(saqs: Sequence[SaqItem], count: int,
+                 schedules: Schedules, n_options: int = 5) -> list[RewriteJob]:
+    return [
+        RewriteJob(job_id=job_id, saq=saq, kind=KIND_PM, n_options=n_options,
+                   expected_label=schedules.pm_letter(k, n_options))
+        for k, job_id, saq in _cycle_saqs(saqs, count, KIND_PM, 1)
+    ]
 
 
 def make_fv_jobs(saqs: Sequence[SaqItem], count: int,
-                 schedules: Schedules, start_index: int = 0) -> list[RewriteJob]:
-    if count > 0 and not saqs:
-        raise InsufficientCandidatesError(
-            "no SAQ items available for FV rewriting",
-            shortfalls={"fv/non-numeric": (2 * count, 0)},
-        )
-    jobs = []
-    for offset in range(count):
-        k = start_index + offset
-        jobs.append(RewriteJob(
-            job_id=f"llm-fv-{k:05d}",
-            saq=saqs[k % len(saqs)],
-            kind=KIND_FV,
-            boolean_indicator=schedules.fv_indicator(k),
-        ))
-    return jobs
+                 schedules: Schedules) -> list[RewriteJob]:
+    return [
+        RewriteJob(job_id=job_id, saq=saq, kind=KIND_FV,
+                   boolean_indicator=schedules.fv_indicator(k))
+        for k, job_id, saq in _cycle_saqs(saqs, count, KIND_FV, 2)
+    ]
 
 
 @dataclass
@@ -643,27 +653,13 @@ def run_rewrite_track(
     than aborting the batch; the caller decides whether a shortfall is fatal.
     """
     schedules = build_schedules(master_seed)
+    jobs = (make_pm_jobs(saqs, pm_count, schedules, n_options=n_options)
+            + make_fv_jobs(saqs, fv_count, schedules))
     result = RewriteTrackResult()
-    for job in make_pm_jobs(saqs, pm_count, schedules, n_options=n_options):
+    for job in jobs:
         try:
-            payload, verdicts = _attempt_loop(job, client, max_attempts,
-                                              validate_pm_response)
-            result.records.append(_pm_record(job, payload))
-            ok = True
-        except ExhaustedAttemptsError as exc:
-            verdicts = exc.verdicts
-            result.failed_jobs.append(job.job_id)
-            ok = False
-        result.log_rows.append({
-            "job_id": job.job_id, "kind": job.kind, "attempts": len(verdicts),
-            "ok": ok,
-            "reasons": sorted({r for v in verdicts for r in v.reasons}),
-        })
-    for job in make_fv_jobs(saqs, fv_count, schedules):
-        try:
-            payload, verdicts = _attempt_loop(job, client, max_attempts,
-                                              validate_fv_response)
-            result.records.extend(_fv_records(job, payload))
+            records, verdicts = _attempt_loop(job, client, max_attempts)
+            result.records.extend(records)
             ok = True
         except ExhaustedAttemptsError as exc:
             verdicts = exc.verdicts

@@ -172,7 +172,6 @@ class RulegenConfig:
     # smallest value a numeric answer may round-display; keeps the rendered
     # two-decimal answer inside the tightest scoring threshold
     min_display_value: float = 0.15
-    max_draw_attempts: int = 200
 
     def __post_init__(self):
         for name in ("fv_quantity", "fv_distance", "fv_volume",
@@ -272,6 +271,9 @@ def build_schedules(master_seed: int) -> Schedules:
 # Candidate pools
 # ---------------------------------------------------------------------------
 
+# random draws a pool tries before its seeded systematic scan
+_MAX_DRAW_ATTEMPTS = 200
+
 
 class _ValuePool:
     """Deterministic sampler over (key, value) items sorted by value.
@@ -282,13 +284,12 @@ class _ValuePool:
     """
 
     def __init__(self, items: Sequence[tuple], margin: float,
-                 band_in: float, band_out: float, max_attempts: int):
+                 band_in: float, band_out: float):
         self.items = sorted(items, key=lambda kv: (kv[1], kv[0]))
         self.values = [v for _, v in self.items]
         self.margin = margin
         self.band_in = band_in
         self.band_out = band_out
-        self.max_attempts = max_attempts
 
     def __len__(self) -> int:
         return len(self.items)
@@ -309,7 +310,7 @@ class _ValuePool:
         returned as (smaller, larger)."""
         n = len(self.items)
         if n >= 2:
-            for _ in range(self.max_attempts):
+            for _ in range(_MAX_DRAW_ATTEMPTS):
                 i, j = rng.integers(n), rng.integers(n)
                 if i != j and self._separated(i, j):
                     if self.values[i] > self.values[j]:
@@ -329,7 +330,7 @@ class _ValuePool:
         n = len(self.items)
         if n < 2:
             return None
-        for _ in range(self.max_attempts):
+        for _ in range(_MAX_DRAW_ATTEMPTS):
             i = int(rng.integers(n))
             if close:
                 lo, hi = self._band_range(self.values[i], self.band_in)
@@ -366,19 +367,14 @@ class _ValuePool:
         return None
 
 
-def _quantity_items(table: NgtTable) -> list[tuple[str, float]]:
-    return [(label, float(count)) for label, count in sorted(table.label_counts().items())]
-
-
-def _volume_items(table: NgtTable) -> list[tuple[str, float]]:
-    return [
-        (label, inst.volume)
-        for label, inst in sorted(table.unique_label_instances().items())
-    ]
-
-
-def _distance_items(table: NgtTable) -> list[tuple[tuple[str, str], float]]:
+def _candidate_items(table: NgtTable, category: str) -> list[tuple]:
+    """(key, value) referent candidates in key order: a label for quantity
+    and volume, a label pair for distance."""
+    if category == CAT_QUANTITY:
+        return [(label, float(count)) for label, count in sorted(table.label_counts().items())]
     unique = table.unique_label_instances()
+    if category == CAT_VOLUME:
+        return [(label, inst.volume) for label, inst in sorted(unique.items())]
     labels = sorted(unique)
     items = []
     for i, la in enumerate(labels):
@@ -387,6 +383,12 @@ def _distance_items(table: NgtTable) -> list[tuple[tuple[str, str], float]]:
             if table.has_pair(ia, ib):
                 items.append(((la, lb), table.distance(ia, ib)))
     return items
+
+
+def render_answer(category: str, value: float) -> str:
+    """The answer string of a numeric value: counts as integers, distances
+    and volumes with two decimals."""
+    return render_count(value) if category == CAT_QUANTITY else render_decimal(value)
 
 
 def referent_values(category: str, referents: Sequence[str], table: NgtTable) -> list[float]:
@@ -431,42 +433,29 @@ def gen_fv_numeric(
     rng: np.random.Generator,
     *,
     category: str,
-    count: int | None = None,
-    start_index: int = 0,
-    schedules: Schedules | None = None,
-    bank: Sequence[Template] | None = None,
+    count: int,
+    start_index: int,
+    schedules: Schedules,
+    bank: Sequence[Template],
 ) -> list[QaRecord]:
-    """Generate FV original/contrapositive pairs for one scene and category.
+    """Generate ``count`` FV original/contrapositive pairs (two records each)
+    for one scene and category.
 
-    ``count`` is the number of records (two per pair); ``start_index`` is the
-    absolute pair index of this scene's first pair within the global stratum,
-    which drives the balance schedules.  Raises
+    ``start_index`` is the absolute pair index of this scene's first pair
+    within the global stratum, which drives the balance schedules.  Raises
     :class:`InsufficientCandidatesError` when the scene cannot supply enough
     referent tuples.
     """
-    if category not in NUMERIC_CATEGORIES:
-        raise SceneQaError(f"FV generation needs a numeric category, got {category!r}")
-    bank = bank if bank is not None else default_bank()
-    schedules = schedules if schedules is not None else build_schedules(0)
-    total = cfg.fv_count(category) if count is None else count
-    if total % 2:
-        raise SceneQaError("FV record count must be even")
-    n_pairs = total // 2
-    if n_pairs == 0:
+    if count == 0:
         return []
 
-    items = {
-        CAT_QUANTITY: _quantity_items,
-        CAT_DISTANCE: _distance_items,
-        CAT_VOLUME: _volume_items,
-    }[category](table)
-    pool = _ValuePool(items, cfg.ambiguity_margin, cfg.approx_band_in,
-                      cfg.approx_band_out, cfg.max_draw_attempts)
+    pool = _ValuePool(_candidate_items(table, category), cfg.ambiguity_margin,
+                      cfg.approx_band_in, cfg.approx_band_out)
     pairs = fv_pairs(bank, category)
 
     records: list[QaRecord] = []
     produced = 0
-    for offset in range(n_pairs):
+    for offset in range(count):
         k = start_index + offset
         target = schedules.fv_target(category, k)
         group = pairs[schedules.fv_group(category, k)]
@@ -505,11 +494,11 @@ def gen_fv_numeric(
         ))
         produced += 1
 
-    if produced < n_pairs:
+    if produced < count:
         raise InsufficientCandidatesError(
             f"scene {table.scene_id}: fv/{category} produced {produced} of "
-            f"{n_pairs} pairs",
-            shortfalls={f"fv/{category}": (2 * n_pairs, 2 * produced)},
+            f"{count} pairs",
+            shortfalls={f"fv/{category}": (2 * count, 2 * produced)},
         )
     return records
 
@@ -525,58 +514,41 @@ def gen_ni(
     rng: np.random.Generator,
     *,
     category: str,
-    count: int | None = None,
-    start_index: int = 0,
-    schedules: Schedules | None = None,
-    bank: Sequence[Template] | None = None,
+    count: int,
+    start_index: int,
+    schedules: Schedules,
+    bank: Sequence[Template],
 ) -> list[QaRecord]:
-    """Generate NI records for one scene and category.
+    """Generate ``count`` NI records for one scene and category.
 
     Distance and volume referents must display at or above
     ``cfg.min_display_value`` so the two-decimal rendered answer stays within
     the tightest scoring threshold of the true value.
     """
-    if category not in NUMERIC_CATEGORIES:
-        raise SceneQaError(f"NI generation needs a numeric category, got {category!r}")
-    bank = bank if bank is not None else default_bank()
-    schedules = schedules if schedules is not None else build_schedules(0)
-    total = cfg.ni_count(category) if count is None else count
-    if total == 0:
+    if count == 0:
         return []
 
-    if category == CAT_QUANTITY:
-        items = _quantity_items(table)
-    elif category == CAT_DISTANCE:
-        items = [
-            (key, value) for key, value in _distance_items(table)
-            if value >= cfg.min_display_value
-        ]
-    else:
-        items = [
-            (key, value) for key, value in _volume_items(table)
-            if value >= cfg.min_display_value
-        ]
+    items = _candidate_items(table, category)
+    if category != CAT_QUANTITY:
+        items = [(key, value) for key, value in items if value >= cfg.min_display_value]
     if not items:
         raise InsufficientCandidatesError(
             f"scene {table.scene_id}: ni/{category} has no eligible referents",
-            shortfalls={f"ni/{category}": (total, 0)},
+            shortfalls={f"ni/{category}": (count, 0)},
         )
     ordered = templates_for(bank, TASK_NI, category)
 
     records: list[QaRecord] = []
-    for offset in range(total):
+    for offset in range(count):
         k = start_index + offset
         template = ordered[schedules.ni_template_index(category, k)]
         key, value = items[int(rng.integers(len(items)))]
         referents = key if isinstance(key, tuple) else (key,)
-        if category == CAT_QUANTITY:
-            answer = render_count(value)
-        else:
-            answer = render_decimal(value)
         records.append(QaRecord(
             qa_id=f"{table.scene_id}-ni-{category}-{k:05d}",
             scene_id=table.scene_id, task=TASK_NI, category=category,
-            question=instantiate(template, referents), answer=answer,
+            question=instantiate(template, referents),
+            answer=render_answer(category, value),
             gt_value=float(value), unit=template.unit, cp_link=None,
             variant=VARIANT_PLAIN, provenance=PROVENANCE_RULE,
             template_id=template.template_id, referents=referents,
@@ -758,12 +730,13 @@ def generate_rule_dataset(
         raise SceneQaError("no NGT tables supplied")
     n = len(ordered)
 
-    fv_quota = {cat: _split_quota(cfg.fv_count(cat) // 2, n) for cat in NUMERIC_CATEGORIES}
-    ni_quota = {cat: _split_quota(cfg.ni_count(cat), n) for cat in NUMERIC_CATEGORIES}
-    fv_twin = {cat: _twin_selector(cfg.fv_count(cat) // 2, cfg.cot_fraction)
-               for cat in NUMERIC_CATEGORIES}
-    ni_twin = {cat: _twin_selector(cfg.ni_count(cat), cfg.cot_fraction)
-               for cat in NUMERIC_CATEGORIES}
+    # (generator, records per schedule index, category, schedule indices in
+    # the stratum), in RNG draw order.  Built per call so the generators are
+    # read from the module at call time.
+    strata = [(gen_fv_numeric, 2, cat, cfg.fv_count(cat) // 2) for cat in NUMERIC_CATEGORIES]
+    strata += [(gen_ni, 1, cat, cfg.ni_count(cat)) for cat in NUMERIC_CATEGORIES]
+    quotas = [_split_quota(total, n) for *_, total in strata]
+    twins = [_twin_selector(total, cfg.cot_fraction) for *_, total in strata]
 
     records: list[QaRecord] = []
     shortfalls: dict[str, list[int]] = {}
@@ -773,12 +746,11 @@ def generate_rule_dataset(
         rng = np.random.default_rng(derive_seed(master_seed, f"rulegen:{table.scene_id}"))
         plain: list[QaRecord] = []
         cot: list[QaRecord] = []
-        for cat in NUMERIC_CATEGORIES:
-            pairs_here = fv_quota[cat][si]
-            start = sum(fv_quota[cat][:si])
+        for (generate, width, cat, _), quota, twin in zip(strata, quotas, twins):
+            start = sum(quota[:si])
             try:
-                chunk = gen_fv_numeric(
-                    table, cfg, rng, category=cat, count=2 * pairs_here,
+                chunk = generate(
+                    table, cfg, rng, category=cat, count=quota[si],
                     start_index=start, schedules=schedules, bank=bank,
                 )
             except InsufficientCandidatesError as exc:
@@ -789,29 +761,10 @@ def generate_rule_dataset(
                 details.append(str(exc))
                 continue
             plain.extend(chunk)
-            for offset in range(pairs_here):
-                if fv_twin[cat](start + offset):
-                    for rec in chunk[2 * offset: 2 * offset + 2]:
+            for offset in range(quota[si]):
+                if twin(start + offset):
+                    for rec in chunk[width * offset: width * offset + width]:
                         cot.append(gen_cot_variant(rec, table, cfg, bank))
-        for cat in NUMERIC_CATEGORIES:
-            count_here = ni_quota[cat][si]
-            start = sum(ni_quota[cat][:si])
-            try:
-                chunk = gen_ni(
-                    table, cfg, rng, category=cat, count=count_here,
-                    start_index=start, schedules=schedules, bank=bank,
-                )
-            except InsufficientCandidatesError as exc:
-                for stratum, (req, got) in exc.shortfalls.items():
-                    agg = shortfalls.setdefault(stratum, [0, 0])
-                    agg[0] += req
-                    agg[1] += got
-                details.append(str(exc))
-                continue
-            plain.extend(chunk)
-            for offset in range(count_here):
-                if ni_twin[cat](start + offset):
-                    cot.append(gen_cot_variant(chunk[offset], table, cfg, bank))
         records.extend(plain)
         records.extend(cot)
 

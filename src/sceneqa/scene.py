@@ -108,12 +108,6 @@ class Scene:
                 f"scene {self.scene_id!r}: duplicate instance ids {dupes}"
             )
 
-    def label_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for inst in self.instances:
-            counts[inst.label] = counts.get(inst.label, 0) + 1
-        return counts
-
 
 # ---------------------------------------------------------------------------
 # Native JSON interchange

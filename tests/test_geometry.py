@@ -16,11 +16,9 @@ from sceneqa.geometry import (
     Aabb,
     aabb,
     aabb_volume,
-    bounding_diagonal,
     centroid,
     hull_distance,
     hull_distance_oracle,
-    support_value,
 )
 from sceneqa.scene import PointSet
 
@@ -48,11 +46,6 @@ class TestAabbAndCentroid:
         ps = PointSet(self.CLOUD)
         assert aabb(ps) == aabb(self.CLOUD)
 
-    def test_contains(self):
-        box = aabb(self.CLOUD)
-        assert box.contains((1.0, 0.0, 0.0))
-        assert not box.contains((99.0, 0.0, 0.0))
-
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DegenerateInputError):
             aabb(np.zeros((0, 3)))
@@ -60,13 +53,6 @@ class TestAabbAndCentroid:
             centroid(np.array([[1.0, np.nan, 0.0]]))
         with pytest.raises(DegenerateInputError):
             aabb(np.zeros((3, 2)))
-
-    def test_support_value_is_max_projection(self):
-        assert support_value(self.CLOUD, np.array([1.0, 0.0, 0.0])) == 3.0
-
-    def test_bounding_diagonal(self):
-        pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
-        assert bounding_diagonal(pts, pts) == pytest.approx(3.0)
 
 
 class TestHullDistanceClosedForm:

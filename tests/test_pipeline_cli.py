@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from sceneqa.pipeline import (
     config_from_dict,
     load_config,
     run_extract,
+    run_generate,
     run_synth,
 )
 from sceneqa.rulegen import read_dataset
@@ -264,6 +266,49 @@ class TestDeterminism:
         assert len(outputs[1]) == 9   # scene, truth and table per scene
         assert outputs[2] == outputs[1]
         assert outputs[4] == outputs[1]
+
+    # sha256 of each generate artifact for the run below.  A change here
+    # means the records, their order or the RNG draw order moved: the
+    # other determinism tests only compare a run with itself.
+    PINNED = {
+        "dataset.jsonl":
+            "3f47a0d9c10f940ed59f677ac9cabdc154db3a64734c6a15fba644209ee86d49",
+        "manifest.json":
+            "291608a87e27e13c4044ee77069c060992cbb14bd921adb343a8f152a435ce8f",
+        "balance_report.json":
+            "4d62a1fe9dd27f231f6953aaf7866bade55508eca1b5300f8ce11022322b0479",
+        "run_log.jsonl":
+            "a8328fb500e27c4d68b2ff50882c0ab4d715cdc5523297dd509d7836cc7d0c51",
+    }
+
+    def test_generate_artifacts_match_pinned_digests(self, tmp_path):
+        saq_file = tmp_path / "saqs.jsonl"
+        write_jsonl([
+            {"question": "What material is the floor?", "answer": "oak",
+             "scene_id": "synth0000"},
+            {"question": "What color is the sofa?", "answer": "teal",
+             "scene_id": "synth0000"},
+            {"question": "What shape is the rug?", "answer": "oval",
+             "scene_id": "synth0001"},
+            {"question": "What is mounted over the desk?", "answer": "a shelf",
+             "scene_id": "synth0001"},
+            {"question": "Which lamp is switched on?",
+             "answer": "the reading lamp", "scene_id": "synth0001"},
+        ], saq_file)
+        cfg = PipelineConfig(
+            seed=SEED, out_dir=str(tmp_path / "out"), synth_scenes=2,
+            fv_quantity=40, fv_distance=40, fv_volume=40,
+            ni_quantity=16, ni_distance=16, ni_volume=16, cot_fraction=0.5,
+            rewrite_pm=20, rewrite_fv=10, stub_llm=True, saq_file=str(saq_file),
+        )
+        run_synth(cfg)
+        run_extract(cfg)
+        run_generate(cfg)
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in self.PINNED
+        }
+        assert digests == self.PINNED
 
 
 class TestCliErrors:

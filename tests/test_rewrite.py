@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import http.server
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +53,8 @@ from sceneqa.templates import CAT_NON_NUMERIC, TASK_FV, TASK_PM
 from sceneqa.util import write_jsonl
 
 from conftest import MASTER_SEED
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SAQ = SaqItem("What is the capital of France?", "Parris", scene_id="sc01")
 
@@ -489,6 +497,78 @@ class TestHttpClient:
         client = self.make_client(transport, retries=1)
         with pytest.raises(ServiceUnavailableError):
             client.complete("s", "u")
+
+    def test_client_errors_are_not_retried(self):
+        calls = []
+
+        def transport(url, **kwargs):
+            calls.append(1)
+            return FakeResponse(status_code=401, text="bad key")
+
+        client = self.make_client(transport, retries=2)
+        with pytest.raises(ServiceUnavailableError, match="401"):
+            client.complete("s", "u")
+        assert len(calls) == 1
+
+    def test_rate_limit_is_retried(self):
+        calls = []
+
+        def transport(url, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                return FakeResponse(status_code=429)
+            return FakeResponse(body=chat_body("ok"))
+
+        client = self.make_client(transport, retries=2)
+        assert client.complete("s", "u") == "ok"
+        assert len(calls) == 2
+
+    def test_default_transport_over_loopback(self, monkeypatch):
+        for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+            monkeypatch.delenv(var, raising=False)
+        statuses = [503, 200]
+        seen = []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers["Content-Length"])
+                seen.append((self.headers["Authorization"],
+                             json.loads(self.rfile.read(length))))
+                status = statuses.pop(0)
+                body = json.dumps(chat_body("pong") if status == 200 else {})
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body.encode())
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = HttpServiceClient(
+                f"http://127.0.0.1:{server.server_port}/v1/chat", "rewriter-1",
+                timeout=5.0, retries=1, retry_wait=0.0,
+                headers={"Authorization": "Bearer k"},
+            )
+            assert client.complete("sys", "ping") == "pong"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert len(seen) == 2
+        assert seen[0][0] == "Bearer k"
+        assert seen[1][1]["messages"][1] == {"role": "user", "content": "ping"}
+
+    def test_pipeline_import_leaves_urllib_request_unloaded(self):
+        code = ("import sys, sceneqa.pipeline; "
+                "sys.exit('urllib.request' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestLoadSaqs:

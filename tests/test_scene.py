@@ -83,9 +83,6 @@ class TestInstanceAndScene:
         with pytest.raises(SchemaViolationError, match="duplicate"):
             Scene("s", (Instance("a", "chair", p), Instance("a", "table", p)))
 
-    def test_label_counts_fold_case(self):
-        assert make_scene().label_counts() == {"chair": 2, "table": 1}
-
     def test_default_excluded_labels(self):
         assert DEFAULT_EXCLUDED_LABELS == {"item", "object"}
 
