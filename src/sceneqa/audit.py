@@ -24,6 +24,8 @@ from .ngt import NgtTable
 from .rulegen import (
     ANSWER_NO,
     ANSWER_YES,
+    INVERSE_ANSWER,
+    OPTION_LETTERS,
     PROVENANCE_LLM,
     PROVENANCE_RULE,
     QaRecord,
@@ -35,32 +37,21 @@ from .rulegen import (
     render_answer,
 )
 from .templates import (
-    CAT_DISTANCE,
+    BY_ID,
     CAT_NON_NUMERIC,
-    CAT_QUANTITY,
-    CAT_VOLUME,
+    DEFAULT_APPROX_BAND,
     NUMERIC_CATEGORIES,
     TASK_FV,
     TASK_NI,
     TASK_PM,
-    UNIT_COUNT,
-    UNIT_CUBIC_METERS,
-    UNIT_METERS,
-    bank_by_id,
-    default_bank,
+    TASKS,
+    UNITS,
     evaluate_predicate,
 )
 
-_VALID_TASKS = {TASK_FV, TASK_PM, TASK_NI}
 _NUMERIC = frozenset(NUMERIC_CATEGORIES)
 _VALID_VARIANTS = {VARIANT_PLAIN, VARIANT_COT}
 _VALID_PROVENANCE = {PROVENANCE_RULE, PROVENANCE_LLM}
-_PM_LETTERS = {"A", "B", "C", "D", "E"}
-_CATEGORY_UNITS = {
-    CAT_QUANTITY: UNIT_COUNT,
-    CAT_DISTANCE: UNIT_METERS,
-    CAT_VOLUME: UNIT_CUBIC_METERS,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +76,7 @@ def constant_responses(records: Sequence[QaRecord], token: str = ANSWER_YES,
 
 def oracle_responses(records: Sequence[QaRecord],
                      tables: Mapping[str, NgtTable],
-                     bank=None,
-                     approx_band: float = 0.10) -> dict[str, str]:
+                     approx_band: float = DEFAULT_APPROX_BAND) -> dict[str, str]:
     """Recompute every rule-generated answer from the ground-truth tables.
 
     This deliberately ignores the stored answers: yes/no is re-derived from
@@ -95,7 +85,6 @@ def oracle_responses(records: Sequence[QaRecord],
     be recomputed (no template, e.g. service-rewritten items) echo their
     stored answer.
     """
-    by_template = bank_by_id(bank if bank is not None else default_bank())
     responses: dict[str, str] = {}
     for record in records:
         if record.provenance != PROVENANCE_RULE or record.template_id is None:
@@ -108,7 +97,7 @@ def oracle_responses(records: Sequence[QaRecord],
             )
         values = referent_values(record.category, record.referents, table)
         if record.task == TASK_FV:
-            template = by_template[record.template_id]
+            template = BY_ID[record.template_id]
             holds = evaluate_predicate(template.predicate, values[0], values[1],
                                        approx_band=approx_band)
             responses[record.qa_id] = ANSWER_YES if holds else ANSWER_NO
@@ -173,7 +162,7 @@ def _check_schema(records: Sequence[QaRecord]) -> list[str]:
             failures.append(f"{rid}: duplicate qa_id")
             continue
         seen.add(rid)
-        if record.task not in _VALID_TASKS:
+        if record.task not in TASKS:
             failures.append(f"{rid}: unknown task {record.task!r}")
             continue
         if record.variant not in _VALID_VARIANTS:
@@ -189,7 +178,7 @@ def _check_schema(records: Sequence[QaRecord]) -> list[str]:
             if record.category not in _NUMERIC and record.category != CAT_NON_NUMERIC:
                 failures.append(f"{rid}: bad category {record.category!r}")
         elif record.task == TASK_PM:
-            if gold not in _PM_LETTERS:
+            if gold not in OPTION_LETTERS:
                 failures.append(f"{rid}: option letter expected, got {record.answer!r}")
             if record.category != CAT_NON_NUMERIC:
                 failures.append(f"{rid}: PM records are non-numeric, got {record.category!r}")
@@ -203,7 +192,7 @@ def _check_schema(records: Sequence[QaRecord]) -> list[str]:
         if record.provenance == PROVENANCE_RULE:
             if record.task != TASK_PM and not record.referents:
                 failures.append(f"{rid}: rule record without referents")
-            expected_unit = _CATEGORY_UNITS.get(record.category, "")
+            expected_unit = UNITS.get(record.category, "")
             if record.task == TASK_NI and record.unit != expected_unit:
                 failures.append(
                     f"{rid}: unit {record.unit!r}, expected {expected_unit!r}"
@@ -211,11 +200,9 @@ def _check_schema(records: Sequence[QaRecord]) -> list[str]:
     return failures
 
 
-def _check_cp_involution(records: Sequence[QaRecord], bank) -> list[str]:
+def _check_cp_involution(records: Sequence[QaRecord]) -> list[str]:
     failures: list[str] = []
     by_id = {r.qa_id: r for r in records}
-    by_template = bank_by_id(bank)
-    flip = {ANSWER_YES: ANSWER_NO, ANSWER_NO: ANSWER_YES}
     for record in records:
         if record.task != TASK_FV:
             if record.task == TASK_NI and record.cp_link is not None:
@@ -239,7 +226,7 @@ def _check_cp_involution(records: Sequence[QaRecord], bank) -> list[str]:
                     f"naming convention ({_expected_cp_id(record.qa_id)!r})"
                 )
             gold = gold_answer(record)
-            if gold_answer(partner) != flip.get(gold):
+            if gold_answer(partner) != INVERSE_ANSWER.get(gold):
                 failures.append(
                     f"{record.qa_id}: answers not inverted "
                     f"({gold!r} / {gold_answer(partner)!r})"
@@ -248,7 +235,7 @@ def _check_cp_involution(records: Sequence[QaRecord], bank) -> list[str]:
                 if getattr(record, attr) != getattr(partner, attr):
                     failures.append(f"{record.qa_id}: {attr} differs from its contrapositive")
             if record.template_id is not None:
-                template = by_template.get(record.template_id)
+                template = BY_ID.get(record.template_id)
                 if template is None:
                     failures.append(f"{record.qa_id}: unknown template {record.template_id!r}")
                 elif partner.template_id != template.cp_template_id:
@@ -303,9 +290,9 @@ def _check_self_scoring(records: Sequence[QaRecord]) -> list[str]:
 
 def _check_oracle_agreement(records: Sequence[QaRecord],
                             tables: Mapping[str, NgtTable],
-                            bank, approx_band: float) -> list[str]:
+                            approx_band: float) -> list[str]:
     failures: list[str] = []
-    oracle = oracle_responses(records, tables, bank=bank, approx_band=approx_band)
+    oracle = oracle_responses(records, tables, approx_band=approx_band)
     for record in records:
         if record.provenance != PROVENANCE_RULE or record.template_id is None:
             continue
@@ -320,25 +307,22 @@ def _check_oracle_agreement(records: Sequence[QaRecord],
 
 def selfcheck(records: Sequence[QaRecord],
               tables: Mapping[str, NgtTable] | None = None,
-              bank=None,
-              approx_band: float = 0.10,
+              approx_band: float = DEFAULT_APPROX_BAND,
               enforce_balance: bool = True) -> SelfCheckResult:
     """Run every dataset audit; ground-truth agreement runs only when the
     matching tables are supplied."""
-    if bank is None:
-        bank = default_bank()
     result = SelfCheckResult()
     result.add("schema", _check_schema(records))
     # downstream checks assume recognizable tasks/variants; anything else is
     # already reported by the schema check and would only crash them
     sound = [r for r in records
-             if r.task in _VALID_TASKS and r.variant in _VALID_VARIANTS]
-    result.add("cp_involution", _check_cp_involution(sound, bank))
+             if r.task in TASKS and r.variant in _VALID_VARIANTS]
+    result.add("cp_involution", _check_cp_involution(sound))
     result.add("ni_display", _check_ni_display(sound))
     result.add("self_scoring", _check_self_scoring(sound))
     if enforce_balance:
         result.add("balance", balance_violations(build_balance_report(sound)))
     if tables is not None:
         result.add("gt_agreement",
-                   _check_oracle_agreement(sound, tables, bank, approx_band))
+                   _check_oracle_agreement(sound, tables, approx_band))
     return result

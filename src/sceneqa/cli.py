@@ -161,7 +161,8 @@ def main(argv=None) -> int:
             ngt_dir = args.ngt_dir
             if ngt_dir is None and cfg.ngt_path.is_dir():
                 ngt_dir = cfg.ngt_path
-            result = run_selfcheck(_dataset_path(args, cfg), ngt_dir=ngt_dir)
+            result = run_selfcheck(_dataset_path(args, cfg), ngt_dir=ngt_dir,
+                                   approx_band=cfg.approx_band_in)
             for line in result.summary_lines():
                 print(line)
             if not result.ok:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SchemaViolationError
-from .rulegen import QaRecord, VARIANT_COT, VARIANT_PLAIN
+from .rulegen import INVERSE_ANSWER, QaRecord, VARIANT_COT, VARIANT_PLAIN
 from .templates import (
     CAT_DISTANCE,
     CAT_NON_NUMERIC,
@@ -267,9 +267,6 @@ class ConsistencyReport:
         }
 
 
-_INVERT = {"yes": "no", "no": "yes"}
-
-
 def consistency_report(records: Sequence[QaRecord],
                        predictions: Mapping[str, str]) -> ConsistencyReport:
     """Pair yes/no originals with their contrapositives and measure how often
@@ -294,7 +291,7 @@ def consistency_report(records: Sequence[QaRecord],
             scores.n_original_correct += 1
         if p_cp == gold_answer(partner):
             scores.n_cp_correct += 1
-        if p_ori is not None and p_cp is not None and p_cp == _INVERT[p_ori]:
+        if p_ori is not None and p_cp is not None and p_cp == INVERSE_ANSWER[p_ori]:
             scores.n_consistent += 1
     return report
 

@@ -60,9 +60,6 @@ class NgtTable:
             inst.label: inst for inst in self.instances if counts[inst.label] == 1
         }
 
-    def by_id(self) -> dict[str, InstanceNgt]:
-        return {inst.instance_id: inst for inst in self.instances}
-
     def distance(self, a: str, b: str) -> float:
         return self.pairs[pair_key(a, b)]
 

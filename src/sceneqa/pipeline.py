@@ -57,7 +57,7 @@ from .scene import (
     truth_to_dict,
     write_scene,
 )
-from .templates import TEMPLATE_BANK_VERSION
+from .templates import DEFAULT_APPROX_BAND, TEMPLATE_BANK_VERSION
 from .util import derive_seed, write_json, write_jsonl
 
 FORMAT_VERSION = "1.0.0"
@@ -87,7 +87,7 @@ class PipelineConfig:
     ni_volume: int = 0
     cot_fraction: float = 0.0
     ambiguity_margin: float = 0.05
-    approx_band_in: float = 0.10
+    approx_band_in: float = DEFAULT_APPROX_BAND
     approx_band_out: float = 0.30
     min_display_value: float = 0.15
 
@@ -374,9 +374,11 @@ def run_score(dataset_path: str | Path, predictions_path: str | Path,
 
 
 def run_selfcheck(dataset_path: str | Path,
-                  ngt_dir: str | Path | None = None) -> SelfCheckResult:
+                  ngt_dir: str | Path | None = None,
+                  approx_band: float = DEFAULT_APPROX_BAND) -> SelfCheckResult:
     """Audit a dataset; with a table directory the stored answers are also
-    re-derived from ground truth."""
+    re-derived from ground truth, using ``approx_band`` (the generating
+    ``approx_band_in``) for "approximately equal"."""
     records = read_dataset(dataset_path)
     tables = None
     if ngt_dir is not None:
@@ -390,7 +392,7 @@ def run_selfcheck(dataset_path: str | Path,
             raise FileNotFoundError(
                 f"no ground-truth table for scenes: {missing[:5]}"
             )
-    return selfcheck(records, tables=tables)
+    return selfcheck(records, tables=tables, approx_band=approx_band)
 
 
 def apply_overrides(cfg: PipelineConfig, **overrides) -> PipelineConfig:

@@ -32,6 +32,9 @@ from .errors import (
     ServiceUnavailableError,
 )
 from .rulegen import (
+    ANSWER_NO,
+    ANSWER_YES,
+    OPTION_LETTERS,
     PROVENANCE_LLM,
     QaRecord,
     Schedules,
@@ -161,14 +164,12 @@ class RewriteJob:
     n_options: int = 5
     expected_label: str | None = None
     boolean_indicator: bool | None = None
-    affirmative_word: str = "yes"
-    negative_word: str = "no"
 
     def __post_init__(self):
         if self.kind == KIND_PM:
             if not 2 <= self.n_options <= 5:
                 raise SceneQaError("PM jobs support 2 to 5 options")
-            labels = [chr(ord("A") + i) for i in range(self.n_options)]
+            labels = list(OPTION_LETTERS[:self.n_options])
             if self.expected_label not in labels:
                 raise SceneQaError(
                     f"expected_label must be one of {labels}, got {self.expected_label!r}"
@@ -193,8 +194,8 @@ def render_prompt(job: RewriteJob) -> str:
         question=job.saq.question,
         answer=job.saq.answer,
         indicator="true" if job.boolean_indicator else "false",
-        affirmative=job.affirmative_word,
-        negative=job.negative_word,
+        affirmative=ANSWER_YES,
+        negative=ANSWER_NO,
     )
 
 
@@ -263,9 +264,9 @@ class EchoStubClient:
                 d for d in _STUB_DISTRACTORS
                 if answer.lower() not in d.lower() and d.lower() not in answer.lower()
             ][: n_options - 1]
-            slot = ord(label) - ord("A")
+            slot = OPTION_LETTERS.index(label)
             texts = distractors[:slot] + [answer] + distractors[slot:]
-            options = [f"{chr(ord('A') + i)}) {t}" for i, t in enumerate(texts)]
+            options = [f"{letter}) {t}" for letter, t in zip(OPTION_LETTERS, texts)]
             text = (
                 f"{question} Answer using the correct option letter. "
                 + "  ".join(options)
@@ -454,7 +455,7 @@ def validate_pm_response(text: str, job: RewriteJob) -> ValidationVerdict:
         )
 
     parsed = parse_options(payload["question"])
-    expected_letters = [chr(ord("A") + i) for i in range(job.n_options)]
+    expected_letters = list(OPTION_LETTERS[:job.n_options])
     if parsed is None:
         return ValidationVerdict(
             False, tuple(reasons) + (WRONG_OPTION_COUNT,),
@@ -493,7 +494,7 @@ def validate_fv_response(text: str, job: RewriteJob) -> ValidationVerdict:
 
     reasons: list[str] = []
     details: list[str] = []
-    words = {job.affirmative_word, job.negative_word}
+    words = {ANSWER_YES, ANSWER_NO}
     answer = payload["Answer"].strip().lower()
     cp_answer = payload["cp_answer"].strip().lower()
     for name, value in (("Answer", answer), ("cp_answer", cp_answer)):
@@ -502,11 +503,11 @@ def validate_fv_response(text: str, job: RewriteJob) -> ValidationVerdict:
             details.append(f"{name} is {value!r}, expected one of {sorted(words)}")
     for name in ("question", "cp_question"):
         low = payload[name].lower()
-        if job.affirmative_word not in low or job.negative_word not in low:
+        if ANSWER_YES not in low or ANSWER_NO not in low:
             reasons.append(BAD_ANSWER_WORD)
             details.append(f"{name} lacks the answer-word instruction")
     if not reasons:
-        expected = job.affirmative_word if job.boolean_indicator else job.negative_word
+        expected = ANSWER_YES if job.boolean_indicator else ANSWER_NO
         if answer != expected:
             reasons.append(ANSWER_NOT_AT_EXPECTED_LABEL)
             details.append(f"Answer is {answer!r} but the indicator demands {expected!r}")

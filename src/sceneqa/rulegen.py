@@ -26,9 +26,11 @@ import numpy as np
 from .errors import InsufficientCandidatesError, SceneQaError, SchemaViolationError
 from .ngt import NgtTable
 from .templates import (
+    BY_ID,
     CAT_DISTANCE,
     CAT_QUANTITY,
     CAT_VOLUME,
+    DEFAULT_APPROX_BAND,
     NUMERIC_CATEGORIES,
     PRED_APPROX_EQUAL,
     PRED_GREATER,
@@ -40,9 +42,8 @@ from .templates import (
     TASK_NI,
     TASK_PM,
     Template,
-    bank_by_id,
-    default_bank,
     evaluate_predicate,
+    fill_text,
     fv_pairs,
     instantiate,
     templates_for,
@@ -56,6 +57,8 @@ PROVENANCE_LLM = "llm"
 
 ANSWER_YES = "yes"
 ANSWER_NO = "no"
+INVERSE_ANSWER = {ANSWER_YES: ANSWER_NO, ANSWER_NO: ANSWER_YES}
+OPTION_LETTERS = ("A", "B", "C", "D", "E")
 
 COT_SUFFIX = (
     "Please solve the problem step by step. Show each intermediate thought "
@@ -83,10 +86,6 @@ class QaRecord:
     @property
     def is_contrapositive(self) -> bool:
         return self.qa_id.endswith("-cp") or self.qa_id.endswith("-cp-cot")
-
-    @property
-    def is_cot(self) -> bool:
-        return self.qa_id.endswith("-cot")
 
     def to_dict(self) -> dict:
         return {
@@ -167,7 +166,7 @@ class RulegenConfig:
     ambiguity_margin: float = 0.05
     # ratio band for "approximately equal": yes inside 1-band_in, no outside
     # 1-band_out; the zone between is skipped entirely
-    approx_band_in: float = 0.10
+    approx_band_in: float = DEFAULT_APPROX_BAND
     approx_band_out: float = 0.30
     # smallest value a numeric answer may round-display; keeps the rendered
     # two-decimal answer inside the tightest scoring threshold
@@ -204,9 +203,6 @@ class RulegenConfig:
 # Global schedules: balance by absolute index
 # ---------------------------------------------------------------------------
 
-_LETTERS = ("A", "B", "C", "D", "E")
-
-
 @dataclass(frozen=True)
 class Schedules:
     """Seeded permutations consulted by absolute record index.
@@ -237,7 +233,7 @@ class Schedules:
         return self.ni_orders[category][k % 10]
 
     def pm_letter(self, k: int, n_options: int = 5) -> str:
-        allowed = _LETTERS[:n_options]
+        allowed = OPTION_LETTERS[:n_options]
         cycle = tuple(ch for ch in self.letter_order if ch in allowed)
         return cycle[k % n_options]
 
@@ -259,7 +255,7 @@ def build_schedules(master_seed: int) -> Schedules:
         fv_groups[category] = tuple(int(i) for i in rng.permutation(5))
         fv_member_offsets[category] = int(rng.integers(2))
         ni_orders[category] = tuple(int(i) for i in rng.permutation(10))
-    letter_order = tuple(_LETTERS[int(i)] for i in rng.permutation(5))
+    letter_order = tuple(OPTION_LETTERS[int(i)] for i in rng.permutation(5))
     indicators = [True, False]
     if rng.integers(2):
         indicators.reverse()
@@ -436,7 +432,6 @@ def gen_fv_numeric(
     count: int,
     start_index: int,
     schedules: Schedules,
-    bank: Sequence[Template],
 ) -> list[QaRecord]:
     """Generate ``count`` FV original/contrapositive pairs (two records each)
     for one scene and category.
@@ -451,7 +446,7 @@ def gen_fv_numeric(
 
     pool = _ValuePool(_candidate_items(table, category), cfg.ambiguity_margin,
                       cfg.approx_band_in, cfg.approx_band_out)
-    pairs = fv_pairs(bank, category)
+    pairs = fv_pairs(category)
 
     records: list[QaRecord] = []
     produced = 0
@@ -477,7 +472,6 @@ def gen_fv_numeric(
         bindings = _fv_bindings(category, first, second)
         base_id = f"{table.scene_id}-fv-{category}-{k:05d}"
         cp_id = f"{base_id}-cp"
-        flip = ANSWER_NO if target == ANSWER_YES else ANSWER_YES
         records.append(QaRecord(
             qa_id=base_id, scene_id=table.scene_id, task=TASK_FV,
             category=category, question=instantiate(t_orig, bindings),
@@ -488,7 +482,7 @@ def gen_fv_numeric(
         records.append(QaRecord(
             qa_id=cp_id, scene_id=table.scene_id, task=TASK_FV,
             category=category, question=instantiate(t_cp, bindings),
-            answer=flip, gt_value=None, unit="", cp_link=base_id,
+            answer=INVERSE_ANSWER[target], gt_value=None, unit="", cp_link=base_id,
             variant=VARIANT_PLAIN, provenance=PROVENANCE_RULE,
             template_id=t_cp.template_id, referents=bindings,
         ))
@@ -517,7 +511,6 @@ def gen_ni(
     count: int,
     start_index: int,
     schedules: Schedules,
-    bank: Sequence[Template],
 ) -> list[QaRecord]:
     """Generate ``count`` NI records for one scene and category.
 
@@ -536,7 +529,7 @@ def gen_ni(
             f"scene {table.scene_id}: ni/{category} has no eligible referents",
             shortfalls={f"ni/{category}": (count, 0)},
         )
-    ordered = templates_for(bank, TASK_NI, category)
+    ordered = templates_for(TASK_NI, category)
 
     records: list[QaRecord] = []
     for offset in range(count):
@@ -631,12 +624,7 @@ def _ni_chain(record: QaRecord, table: NgtTable) -> str:
     )
 
 
-def gen_cot_variant(
-    record: QaRecord,
-    table: NgtTable,
-    cfg: RulegenConfig | None = None,
-    bank: Sequence[Template] | None = None,
-) -> QaRecord:
+def gen_cot_variant(record: QaRecord, table: NgtTable, cfg: RulegenConfig) -> QaRecord:
     """Derive the chain-of-thought twin of a rule-generated record.
 
     The question keeps the template body but swaps the answer-format suffix
@@ -649,16 +637,8 @@ def gen_cot_variant(
         raise SceneQaError("chain-of-thought variants need a rule-generated record")
     if record.variant != VARIANT_PLAIN:
         raise SceneQaError(f"record {record.qa_id} already has variant {record.variant}")
-    cfg = cfg if cfg is not None else RulegenConfig()
-    bank = bank if bank is not None else default_bank()
-    template = bank_by_id(bank)[record.template_id]
-    body = instantiate(
-        Template(template.template_id, template.task, template.category,
-                 template.text, "", template.arity, template.unit,
-                 template.predicate, template.cp_template_id),
-        record.referents,
-    ).strip()
-    question = f"{body} {COT_SUFFIX}"
+    template = BY_ID[record.template_id]
+    question = f"{fill_text(template, record.referents)} {COT_SUFFIX}"
     if record.task == TASK_FV:
         values = referent_values(record.category, record.referents, table)
         answer = _fv_chain(record, template, values, cfg.approx_band_in)
@@ -713,7 +693,6 @@ def generate_rule_dataset(
     tables: Sequence[NgtTable],
     cfg: RulegenConfig,
     master_seed: int,
-    bank: Sequence[Template] | None = None,
 ) -> list[QaRecord]:
     """Generate the full rule-based dataset across scenes.
 
@@ -723,7 +702,6 @@ def generate_rule_dataset(
     ``cot_fraction`` share of each scene's stream.  All per-scene shortfalls
     are gathered into one :class:`InsufficientCandidatesError`.
     """
-    bank = bank if bank is not None else default_bank()
     schedules = build_schedules(master_seed)
     ordered = sorted(tables, key=lambda t: t.scene_id)
     if not ordered:
@@ -751,7 +729,7 @@ def generate_rule_dataset(
             try:
                 chunk = generate(
                     table, cfg, rng, category=cat, count=quota[si],
-                    start_index=start, schedules=schedules, bank=bank,
+                    start_index=start, schedules=schedules,
                 )
             except InsufficientCandidatesError as exc:
                 for stratum, (req, got) in exc.shortfalls.items():
@@ -764,7 +742,7 @@ def generate_rule_dataset(
             for offset in range(quota[si]):
                 if twin(start + offset):
                     for rec in chunk[width * offset: width * offset + width]:
-                        cot.append(gen_cot_variant(rec, table, cfg, bank))
+                        cot.append(gen_cot_variant(rec, table, cfg))
         records.extend(plain)
         records.extend(cot)
 

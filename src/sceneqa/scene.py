@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -668,18 +667,3 @@ def truth_to_dict(truth: AnalyticTruth) -> dict:
             {"a": a, "b": b, "distance": d} for (a, b), d in sorted(truth.box_gaps.items())
         ],
     }
-
-
-def truth_from_dict(data: Mapping) -> AnalyticTruth:
-    instances = {
-        row["instance_id"]: InstanceTruth(
-            row["instance_id"], row["label"], tuple(row["centroid"]),
-            tuple(row["aabb_min"]), tuple(row["aabb_max"]),
-            tuple(row["dims"]), float(row["volume"]),
-        )
-        for row in data["instances"]
-    }
-    gaps = {
-        (row["a"], row["b"]): float(row["distance"]) for row in data["box_gaps"]
-    }
-    return AnalyticTruth(instances, gaps)

@@ -1,4 +1,4 @@
-"""Question templates: a static, versioned bank plus instantiation helpers.
+"""Question templates: the fixed, versioned bank plus instantiation helpers.
 
 Fact-verification (FV) templates come in inverse pairs: each template names a
 comparison predicate and links to a partner template asking the logically
@@ -7,19 +7,18 @@ the template and flipping the answer.  Numeric-input (NI) templates simply ask
 for one number.  Prompt-matching (PM) items are produced by the rewrite track
 and carry no bank template.
 
-The bank is data: it can be serialized to JSON, edited, and loaded back, with
-structural validation (ten templates per task/category stratum, involutive
-partner links, placeholder/arity agreement).
+The bank is the module constant :data:`BANK`, identified in every manifest by
+:data:`TEMPLATE_BANK_VERSION`.  It is checked once at import (ten templates
+per task/category stratum, involutive partner links, placeholder/arity
+agreement), and :data:`BY_ID` indexes it by template id.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import ArityMismatchError, SchemaViolationError
-from .util import read_json, render_decimal, write_json
 
 TEMPLATE_BANK_VERSION = "1.0.0"
 
@@ -55,10 +54,19 @@ PREDICATE_INVERSE = {
 UNIT_COUNT = "count"
 UNIT_METERS = "meters"
 UNIT_CUBIC_METERS = "cubic meters"
+UNITS = {
+    CAT_QUANTITY: UNIT_COUNT,
+    CAT_DISTANCE: UNIT_METERS,
+    CAT_VOLUME: UNIT_CUBIC_METERS,
+}
+
+# "approximately equal" holds when the smaller-to-larger ratio is at least
+# 1 - band
+DEFAULT_APPROX_BAND = 0.10
 
 
 def evaluate_predicate(predicate: str, v1: float, v2: float,
-                       approx_band: float = 0.10) -> bool:
+                       approx_band: float = DEFAULT_APPROX_BAND) -> bool:
     """Truth value of ``v1 <predicate> v2`` for non-negative quantities.
 
     Approximate equality means the smaller-to-larger ratio is at least
@@ -94,46 +102,27 @@ class Template:
     predicate: str | None = None
     cp_template_id: str | None = None
 
-    @property
-    def question_format(self) -> str:
-        return f"{self.text} {self.suffix}"
+
+_PLACEHOLDER_RE = re.compile(r"<OBJ(\d+)>")
 
 
-_PLACEHOLDER_RE = re.compile(r"<(OBJ|VAL)(\d+)>")
-
-
-def instantiate(template: Template, bindings, values=()) -> str:
-    """Fill a template's ``<OBJn>``/``<VALn>`` slots.
-
-    ``bindings`` are referent labels (must match the template arity);
-    ``values`` are optional numbers or pre-rendered strings.
-    """
+def fill_text(template: Template, bindings) -> str:
+    """The template body with its ``<OBJn>`` slots filled from ``bindings``,
+    the referent labels, which must number exactly the template's arity."""
     bindings = list(bindings)
-    values = list(values)
     if len(bindings) != template.arity:
         raise ArityMismatchError(
             f"template {template.template_id}: expected {template.arity} referents, "
             f"got {len(bindings)}"
         )
+    return _PLACEHOLDER_RE.sub(lambda m: str(bindings[int(m.group(1)) - 1]),
+                               template.text)
 
-    def _sub(match: re.Match) -> str:
-        kind, num = match.group(1), int(match.group(2))
-        if kind == "OBJ":
-            if not 1 <= num <= len(bindings):
-                raise ArityMismatchError(
-                    f"template {template.template_id}: placeholder <OBJ{num}> "
-                    f"out of range for {len(bindings)} referents"
-                )
-            return str(bindings[num - 1])
-        if not 1 <= num <= len(values):
-            raise ArityMismatchError(
-                f"template {template.template_id}: placeholder <VAL{num}> "
-                f"out of range for {len(values)} values"
-            )
-        val = values[num - 1]
-        return val if isinstance(val, str) else render_decimal(float(val))
 
-    return _PLACEHOLDER_RE.sub(_sub, template.question_format)
+def instantiate(template: Template, bindings) -> str:
+    """The full question: the filled body followed by the answer-format
+    suffix."""
+    return f"{fill_text(template, bindings)} {template.suffix}"
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +246,11 @@ _NI_SUFFIXES = {
     CAT_DISTANCE: "Give a numerical response.",
     CAT_VOLUME: "Give a numerical response.",
 }
-_UNITS = {
-    CAT_QUANTITY: UNIT_COUNT,
-    CAT_DISTANCE: UNIT_METERS,
-    CAT_VOLUME: UNIT_CUBIC_METERS,
-}
 _FV_ARITY = {CAT_QUANTITY: 2, CAT_DISTANCE: 4, CAT_VOLUME: 2}
 _NI_ARITY = {CAT_QUANTITY: 1, CAT_DISTANCE: 2, CAT_VOLUME: 1}
 
 
-def _build_default_bank() -> tuple[Template, ...]:
+def _build_bank() -> tuple[Template, ...]:
     bank: list[Template] = []
     fv_sources = {
         CAT_QUANTITY: _FV_QUANTITY,
@@ -285,7 +269,7 @@ def _build_default_bank() -> tuple[Template, ...]:
                     text=text,
                     suffix=_FV_SUFFIXES[idx // 2],
                     arity=_FV_ARITY[category],
-                    unit=_UNITS[category],
+                    unit=UNITS[category],
                     predicate=predicate,
                     cp_template_id=f"fv-{category}-{partner:02d}",
                 )
@@ -305,58 +289,34 @@ def _build_default_bank() -> tuple[Template, ...]:
                     text=text,
                     suffix=_NI_SUFFIXES[category],
                     arity=_NI_ARITY[category],
-                    unit=_UNITS[category],
+                    unit=UNITS[category],
                 )
             )
     return tuple(bank)
 
 
-_DEFAULT_BANK: tuple[Template, ...] | None = None
-
-
-def default_bank() -> tuple[Template, ...]:
-    global _DEFAULT_BANK
-    if _DEFAULT_BANK is None:
-        bank = _build_default_bank()
-        validate_bank(bank)
-        _DEFAULT_BANK = bank
-    return _DEFAULT_BANK
-
-
-def bank_by_id(bank) -> dict[str, Template]:
-    return {t.template_id: t for t in bank}
-
-
-def templates_for(bank, task: str, category: str) -> list[Template]:
+def templates_for(task: str, category: str) -> list[Template]:
     return sorted(
-        (t for t in bank if t.task == task and t.category == category),
+        (t for t in BANK if t.task == task and t.category == category),
         key=lambda t: t.template_id,
     )
 
 
-def fv_pairs(bank, category: str) -> list[tuple[Template, Template]]:
-    """The five inverse-predicate template pairs of one FV category."""
-    rows = templates_for(bank, TASK_FV, category)
-    by_id = {t.template_id: t for t in rows}
-    pairs = []
-    seen: set[str] = set()
-    for t in rows:
-        if t.template_id in seen:
-            continue
-        partner = by_id[t.cp_template_id]
-        seen.update({t.template_id, partner.template_id})
-        pairs.append((t, partner))
-    return pairs
+def fv_pairs(category: str) -> list[tuple[Template, Template]]:
+    """The five inverse-predicate template pairs of one FV category, each
+    led by the member with the smaller id."""
+    return [(t, BY_ID[t.cp_template_id]) for t in templates_for(TASK_FV, category)
+            if t.template_id < t.cp_template_id]
 
 
-def validate_bank(bank) -> None:
+def validate_bank(templates) -> None:
     """Structural checks; raises :class:`SchemaViolationError` on any breach."""
-    ids = [t.template_id for t in bank]
+    ids = [t.template_id for t in templates]
     if len(set(ids)) != len(ids):
         raise SchemaViolationError("template bank: duplicate template ids")
-    by_id = bank_by_id(bank)
+    by_id = {t.template_id: t for t in templates}
     strata: dict[tuple[str, str], list[Template]] = {}
-    for t in bank:
+    for t in templates:
         strata.setdefault((t.task, t.category), []).append(t)
 
     for (task, category), rows in strata.items():
@@ -370,17 +330,16 @@ def validate_bank(bank) -> None:
                 f"templates, expected 10"
             )
         for t in rows:
-            placeholders = {
-                int(m.group(2)) for m in _PLACEHOLDER_RE.finditer(t.question_format)
-                if m.group(1) == "OBJ"
-            }
+            placeholders = {int(m.group(1)) for m in _PLACEHOLDER_RE.finditer(t.text)}
             if placeholders != set(range(1, t.arity + 1)):
                 raise SchemaViolationError(
                     f"template {t.template_id}: placeholders {sorted(placeholders)} "
                     f"do not cover arity {t.arity}"
                 )
-            if not t.suffix.strip():
-                raise SchemaViolationError(f"template {t.template_id}: empty suffix")
+            if not t.suffix.strip() or _PLACEHOLDER_RE.search(t.suffix):
+                raise SchemaViolationError(
+                    f"template {t.template_id}: suffix must be non-empty text without slots"
+                )
             if task == TASK_FV:
                 low = t.suffix.lower()
                 if "yes" not in low or "no" not in low:
@@ -416,56 +375,6 @@ def validate_bank(bank) -> None:
                     )
 
 
-# ---------------------------------------------------------------------------
-# Bank serialization
-# ---------------------------------------------------------------------------
-
-
-def save_bank(bank, path: str | Path, version: str = TEMPLATE_BANK_VERSION) -> None:
-    write_json(
-        {
-            "version": version,
-            "templates": [
-                {
-                    "template_id": t.template_id,
-                    "task": t.task,
-                    "category": t.category,
-                    "text": t.text,
-                    "suffix": t.suffix,
-                    "arity": t.arity,
-                    "unit": t.unit,
-                    "predicate": t.predicate,
-                    "cp_template_id": t.cp_template_id,
-                }
-                for t in bank
-            ],
-        },
-        path,
-    )
-
-
-def load_bank(path: str | Path) -> tuple[Template, ...]:
-    data = read_json(path)
-    if not isinstance(data, dict) or not isinstance(data.get("templates"), list):
-        raise SchemaViolationError(f"{path}: expected an object with 'templates'")
-    bank = []
-    for pos, row in enumerate(data["templates"]):
-        try:
-            bank.append(
-                Template(
-                    template_id=str(row["template_id"]),
-                    task=str(row["task"]),
-                    category=str(row["category"]),
-                    text=str(row["text"]),
-                    suffix=str(row["suffix"]),
-                    arity=int(row["arity"]),
-                    unit=str(row["unit"]),
-                    predicate=row.get("predicate"),
-                    cp_template_id=row.get("cp_template_id"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolationError(f"{path}: templates[{pos}] malformed: {exc}") from exc
-    result = tuple(bank)
-    validate_bank(result)
-    return result
+BANK = _build_bank()
+validate_bank(BANK)
+BY_ID = {t.template_id: t for t in BANK}

@@ -33,7 +33,8 @@ class TestExtraction:
 
     def test_measurements_match_hand_values(self, toy_scene):
         table = extract_ngt(toy_scene)
-        chair = table.by_id()["i2"]
+        chair = table.instances[2]
+        assert chair.instance_id == "i2"
         assert chair.aabb_min == (0.0, 0.0, 0.0)
         assert chair.aabb_max == (1.0, 1.0, 1.0)
         assert chair.dims == (1.0, 1.0, 1.0)

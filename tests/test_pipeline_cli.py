@@ -201,6 +201,20 @@ class TestCliEndToEnd:
         assert "selfcheck: PASSED" in out
         assert "gt_agreement: ok" in out
 
+    def test_selfcheck_uses_the_configured_approx_band(self, tmp_path, capsys):
+        # approx_band_in 0.25: two volume pairs at seed 1 are "approximately
+        # equal" under it but not under the 0.10 default
+        config = tmp_path / "config.json"
+        write_json({"seed": 1, "synth_scenes": 2, "fv_quantity": 40,
+                    "fv_distance": 40, "fv_volume": 40,
+                    "approx_band_in": 0.25, "approx_band_out": 0.4}, config)
+        common = ["--config", str(config), "--out", str(tmp_path / "out")]
+        for stage in ("synth", "extract", "generate"):
+            assert main([stage, *common]) == 0
+        capsys.readouterr()
+        assert main(["selfcheck", *common]) == 0
+        assert "gt_agreement: ok" in capsys.readouterr().out
+
     def test_score_with_gold_predictions(self, cli_run, capsys):
         records = read_dataset(cli_run["dataset"])
         predictions = cli_run["root"] / "predictions.jsonl"

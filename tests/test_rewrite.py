@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import http.server
 import json
 import os
@@ -30,6 +31,7 @@ from sceneqa.rewrite import (
     KIND_PM,
     MISSING_KEY,
     NOT_JSON,
+    SYSTEM_PROMPT,
     WRONG_OPTION_COUNT,
     EchoStubClient,
     HttpServiceClient,
@@ -125,6 +127,18 @@ class TestPromptRendering:
         assert "- Affirmative Word: yes" in prompt
         assert "- Negative Word: no" in prompt
         assert "cp_question" in prompt
+
+    def test_prompts_and_stub_replies_are_pinned(self):
+        # sha256 over the PM and FV prompt texts and the stub's reply to
+        # each; a change means PROMPT_VERSION needs a bump.
+        client = EchoStubClient()
+        digest = hashlib.sha256()
+        for job in (pm_job(), fv_job()):
+            prompt = render_prompt(job)
+            digest.update(prompt.encode())
+            digest.update(client.complete(SYSTEM_PROMPT, prompt).encode())
+        assert digest.hexdigest() == (
+            "e344a859f826ccb3f18bd1f58ed49a830ae51e10b4e439483212929e846602e8")
 
 
 class TestJsonExtraction:

@@ -37,6 +37,7 @@ from sceneqa.rulegen import (
     write_dataset,
 )
 from sceneqa.templates import (
+    BY_ID,
     CAT_DISTANCE,
     CAT_QUANTITY,
     CAT_VOLUME,
@@ -45,8 +46,6 @@ from sceneqa.templates import (
     PRED_NOT_APPROX_EQUAL,
     TASK_FV,
     TASK_NI,
-    bank_by_id,
-    default_bank,
     evaluate_predicate,
 )
 from sceneqa.util import render_count, render_decimal
@@ -203,7 +202,7 @@ class TestGeneratedDataset:
         for rec in records:
             assert _BASE_ID.match(rec.qa_id), rec.qa_id
             assert rec.qa_id.startswith(f"{rec.scene_id}-{rec.task}-{rec.category}-")
-            assert rec.is_cot == (rec.variant == VARIANT_COT)
+            assert rec.qa_id.endswith("-cot") == (rec.variant == VARIANT_COT)
             assert rec.provenance == PROVENANCE_RULE
 
     def test_fv_contrapositive_involution(self, dataset):
@@ -227,20 +226,19 @@ class TestGeneratedDataset:
     def test_cp_pairs_use_inverse_templates(self, dataset):
         records, _ = dataset
         by_id = {rec.qa_id: rec for rec in records}
-        templates = bank_by_id(default_bank())
         for rec in records:
             if rec.task != TASK_FV or rec.is_contrapositive:
                 continue
             partner = by_id[rec.cp_link]
-            assert templates[rec.template_id].cp_template_id == partner.template_id
-            assert templates[partner.template_id].cp_template_id == rec.template_id
+            assert BY_ID[rec.template_id].cp_template_id == partner.template_id
+            assert BY_ID[partner.template_id].cp_template_id == rec.template_id
 
     def test_cot_twins_share_everything_but_presentation(self, dataset):
         records, _ = dataset
         by_id = {rec.qa_id: rec for rec in records}
         twins = 0
         for rec in records:
-            if not rec.is_cot:
+            if rec.variant != VARIANT_COT:
                 continue
             twins += 1
             plain = by_id[rec.qa_id[: -len("-cot")]]
@@ -255,12 +253,11 @@ class TestGeneratedDataset:
 
     def test_fv_answers_match_recomputed_truth(self, dataset, tables):
         records, _ = dataset
-        templates = bank_by_id(default_bank())
         cfg = RulegenConfig()
         for rec in records:
             if rec.task != TASK_FV:
                 continue
-            tpl = templates[rec.template_id]
+            tpl = BY_ID[rec.template_id]
             values = referent_values(rec.category, rec.referents, tables[rec.scene_id])
             truth = evaluate_predicate(tpl.predicate, values[0], values[1],
                                        cfg.approx_band_in)
@@ -281,7 +278,6 @@ class TestGeneratedDataset:
 
     def test_strict_pairs_respect_ambiguity_margin(self, dataset, tables, dataset_cfg):
         records, _ = dataset
-        templates = bank_by_id(default_bank())
         approx = {PRED_APPROX_EQUAL, PRED_NOT_APPROX_EQUAL}
         checked_strict = checked_approx = 0
         for rec in records:
@@ -290,7 +286,7 @@ class TestGeneratedDataset:
             v1, v2 = referent_values(rec.category, rec.referents,
                                      tables[rec.scene_id])
             ratio = min(v1, v2) / max(v1, v2)
-            if templates[rec.template_id].predicate in approx:
+            if BY_ID[rec.template_id].predicate in approx:
                 checked_approx += 1
                 inside = ratio >= (1.0 - dataset_cfg.approx_band_in) - 1e-12
                 outside = ratio < (1.0 - dataset_cfg.approx_band_out) + 1e-12
@@ -300,6 +296,18 @@ class TestGeneratedDataset:
                 assert v1 != v2
                 assert abs(v1 - v2) >= dataset_cfg.ambiguity_margin * max(v1, v2) - 1e-12
         assert checked_strict > 0 and checked_approx > 0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "Schedules tie each FV template to one answer: the target follows k % 2, "
+        "the group k % 5, and the member flips every 5 indices"))
+    def test_each_fv_template_gets_both_answers(self, dataset):
+        records, _ = dataset
+        answers: dict[str, set[str]] = {}
+        for rec in records:
+            if rec.task == TASK_FV and rec.variant == VARIANT_PLAIN:
+                answers.setdefault(rec.template_id, set()).add(rec.answer)
+        assert len(answers) == 30
+        assert sorted(t for t, seen in answers.items() if len(seen) < 2) == []
 
     def test_ni_display_floor_respected(self, dataset, dataset_cfg):
         records, _ = dataset
@@ -369,9 +377,9 @@ class TestShortfall:
 class TestCotVariantFunction:
     def test_requires_plain_rule_record(self, dataset, tables):
         records, _ = dataset
-        cot = next(r for r in records if r.is_cot)
+        cot = next(r for r in records if r.variant == VARIANT_COT)
         with pytest.raises(SceneQaError, match="already has variant"):
-            gen_cot_variant(cot, tables[cot.scene_id])
+            gen_cot_variant(cot, tables[cot.scene_id], RulegenConfig())
 
     def test_twin_of_twin_ids_never_appear(self, dataset):
         records, _ = dataset

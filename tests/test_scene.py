@@ -29,8 +29,6 @@ from sceneqa.scene import (
     read_ply_vertices,
     scene_from_dict,
     scene_to_dict,
-    truth_from_dict,
-    truth_to_dict,
     write_scene,
 )
 
@@ -316,11 +314,6 @@ class TestSyntheticScenes:
             generate_synthetic_scene(SyntheticSpec(
                 scene_id="x", spheres=(SphereSpec("a", (0, 0, 0), 0.0),)
             ), seed=0)
-
-    def test_truth_round_trip(self):
-        _, truth = generate_synthetic_scene(self.SPEC, seed=11)
-        again = truth_from_dict(truth_to_dict(truth))
-        assert again == truth
 
 
 class TestRandomIndoorSpec:

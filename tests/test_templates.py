@@ -6,6 +6,7 @@ import pytest
 
 from sceneqa.errors import ArityMismatchError, SchemaViolationError
 from sceneqa.templates import (
+    BANK,
     CAT_DISTANCE,
     CAT_QUANTITY,
     CAT_VOLUME,
@@ -19,13 +20,9 @@ from sceneqa.templates import (
     PREDICATE_INVERSE,
     TASK_FV,
     TASK_NI,
-    bank_by_id,
-    default_bank,
     evaluate_predicate,
     fv_pairs,
     instantiate,
-    load_bank,
-    save_bank,
     templates_for,
     validate_bank,
 )
@@ -63,18 +60,16 @@ class TestPredicates:
 
 class TestBankStructure:
     def test_default_bank_validates(self):
-        validate_bank(default_bank())
+        validate_bank(BANK)
 
     def test_ten_templates_per_numeric_stratum(self):
-        bank = default_bank()
         for task in (TASK_FV, TASK_NI):
             for category in NUMERIC_CATEGORIES:
-                assert len(templates_for(bank, task, category)) == 10
+                assert len(templates_for(task, category)) == 10
 
     def test_fv_pairs_are_five_inverse_couples(self):
-        bank = default_bank()
         for category in NUMERIC_CATEGORIES:
-            pairs = fv_pairs(bank, category)
+            pairs = fv_pairs(category)
             assert len(pairs) == 5
             for original, partner in pairs:
                 assert partner.cp_template_id == original.template_id
@@ -83,31 +78,30 @@ class TestBankStructure:
                 assert partner.category == original.category
 
     def test_fv_suffixes_instruct_yes_or_no(self):
-        for t in templates_for(default_bank(), TASK_FV, CAT_QUANTITY):
+        for t in templates_for(TASK_FV, CAT_QUANTITY):
             low = t.suffix.lower()
             assert "yes" in low and "no" in low
 
     def test_ni_templates_ask_for_a_number(self):
-        bank = default_bank()
         for category in NUMERIC_CATEGORIES:
-            for t in templates_for(bank, TASK_NI, category):
+            for t in templates_for(TASK_NI, category):
                 assert t.predicate is None
                 low = t.suffix.lower()
                 assert "number" in low or "numerical" in low
 
     def test_distance_fv_templates_take_four_referents(self):
-        for t in templates_for(default_bank(), TASK_FV, CAT_DISTANCE):
+        for t in templates_for(TASK_FV, CAT_DISTANCE):
             assert t.arity == 4
 
     def test_validate_rejects_broken_partner_links(self):
-        bank = list(default_bank())
+        bank = list(BANK)
         victim = next(t for t in bank if t.task == TASK_FV and t.cp_template_id)
         bank[bank.index(victim)] = dataclasses.replace(victim, cp_template_id=victim.template_id)
         with pytest.raises(SchemaViolationError):
             validate_bank(tuple(bank))
 
     def test_validate_rejects_duplicate_ids(self):
-        bank = list(default_bank())
+        bank = list(BANK)
         bank.append(bank[0])
         with pytest.raises(SchemaViolationError, match="duplicate"):
             validate_bank(tuple(bank))
@@ -115,34 +109,19 @@ class TestBankStructure:
 
 class TestInstantiation:
     def test_object_slots_are_filled(self):
-        t = templates_for(default_bank(), TASK_NI, CAT_VOLUME)[0]
+        t = templates_for(TASK_NI, CAT_VOLUME)[0]
         text = instantiate(t, ["bed"])
         assert "<OBJ" not in text
         assert "bed" in text
 
     def test_arity_mismatch_raises(self):
-        t = templates_for(default_bank(), TASK_FV, CAT_QUANTITY)[0]
+        t = templates_for(TASK_FV, CAT_QUANTITY)[0]
         with pytest.raises(ArityMismatchError):
             instantiate(t, ["chair"])  # needs two referents
 
     def test_four_referent_distance_comparison(self):
-        t = templates_for(default_bank(), TASK_FV, CAT_DISTANCE)[0]
+        t = templates_for(TASK_FV, CAT_DISTANCE)[0]
         text = instantiate(t, ["chair", "table", "bed", "lamp"])
         for label in ("chair", "table", "bed", "lamp"):
             assert label in text
 
-
-class TestBankSerialization:
-    def test_round_trip(self, tmp_path):
-        bank = default_bank()
-        path = tmp_path / "bank.json"
-        save_bank(bank, path)
-        loaded = load_bank(path)
-        assert loaded == bank
-        assert bank_by_id(loaded).keys() == bank_by_id(bank).keys()
-
-    def test_malformed_bank_rejected(self, tmp_path):
-        path = tmp_path / "bank.json"
-        path.write_text('{"version": "1.0.0", "templates": [{"template_id": "x"}]}')
-        with pytest.raises(SchemaViolationError):
-            load_bank(path)
