@@ -16,8 +16,7 @@ from sceneqa.scene import box_gap
 # ---------------------------------------------------------------------------
 # Build a scene from a random specification
 # ---------------------------------------------------------------------------
-# A spec lists labelled boxes (and optionally spheres) with dimensions and
-# centers.  `random_indoor_spec` produces a furniture-like layout: one floor
+# A spec lists labelled boxes with dimensions and centers.  `random_indoor_spec` produces a furniture-like layout: one floor
 # "object" plus ~40 labelled items resting on the floor, with duplicate
 # labels (several chairs) so counting questions have something to count.
 

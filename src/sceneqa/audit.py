@@ -264,11 +264,11 @@ def _check_ni_display(records: Sequence[QaRecord]) -> list[str]:
 
 def _check_self_scoring(records: Sequence[QaRecord]) -> list[str]:
     failures: list[str] = []
-    report = score_records(records, echo_responses(records), TA_THRESHOLDS)
+    report = score_records(records, echo_responses(records))
     for key in sorted(report.strata):
         scores = report.strata[key]
         if scores.task == TASK_NI:
-            for threshold in report.thresholds:
+            for threshold in TA_THRESHOLDS:
                 value = scores.ta_at(threshold)
                 if value != 1.0:
                     failures.append(
@@ -307,8 +307,7 @@ def _check_oracle_agreement(records: Sequence[QaRecord],
 
 def selfcheck(records: Sequence[QaRecord],
               tables: Mapping[str, NgtTable] | None = None,
-              approx_band: float = DEFAULT_APPROX_BAND,
-              enforce_balance: bool = True) -> SelfCheckResult:
+              approx_band: float = DEFAULT_APPROX_BAND) -> SelfCheckResult:
     """Run every dataset audit; ground-truth agreement runs only when the
     matching tables are supplied."""
     result = SelfCheckResult()
@@ -320,8 +319,7 @@ def selfcheck(records: Sequence[QaRecord],
     result.add("cp_involution", _check_cp_involution(sound))
     result.add("ni_display", _check_ni_display(sound))
     result.add("self_scoring", _check_self_scoring(sound))
-    if enforce_balance:
-        result.add("balance", balance_violations(build_balance_report(sound)))
+    result.add("balance", balance_violations(build_balance_report(sound)))
     if tables is not None:
         result.add("gt_agreement",
                    _check_oracle_agreement(sound, tables, approx_band))

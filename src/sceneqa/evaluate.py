@@ -152,7 +152,6 @@ class StratumScores:
 
 @dataclass
 class EvalReport:
-    thresholds: tuple[float, ...]
     strata: dict[str, StratumScores] = field(default_factory=dict)
 
     def stratum(self, task: str, category: str, variant: str) -> StratumScores:
@@ -163,23 +162,23 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
-            "thresholds": list(self.thresholds),
+            "thresholds": list(TA_THRESHOLDS),
             "strata": {key: self.strata[key].to_dict() for key in sorted(self.strata)},
         }
 
 
 def score_records(records: Sequence[QaRecord],
-                  predictions: Mapping[str, str],
-                  thresholds: Sequence[float] = TA_THRESHOLDS) -> EvalReport:
+                  predictions: Mapping[str, str]) -> EvalReport:
     """Score raw model outputs against a dataset, stratified by
-    task/category/variant.  Missing and unparseable outputs count as misses.
+    task/category/variant.  Missing and unparseable outputs count as misses;
+    numeric outputs are scored at each of ``TA_THRESHOLDS``.
     """
-    report = EvalReport(thresholds=tuple(thresholds))
+    report = EvalReport()
     for record in records:
         scores = report.stratum(record.task, record.category, record.variant)
         scores.n_records += 1
         if record.task == TASK_NI:
-            for t in report.thresholds:
+            for t in TA_THRESHOLDS:
                 scores.ta_hits.setdefault(t, 0)
         output = predictions.get(record.qa_id)
         if output is None:
@@ -201,7 +200,7 @@ def score_records(records: Sequence[QaRecord],
                 raise SchemaViolationError(
                     f"{record.qa_id}: numeric record lacks a parseable ground truth"
                 )
-            for t in report.thresholds:
+            for t in TA_THRESHOLDS:
                 if ta_hit(gt, pred, t):
                     scores.ta_hits[t] += 1
         else:
@@ -321,7 +320,7 @@ def format_report_table(report: EvalReport, variant: str = VARIANT_PLAIN) -> str
     rows.append(["pm accuracy"] + [
         cell(TASK_PM, c, lambda s: s.accuracy) for c in _TABLE_CATEGORIES
     ])
-    for threshold in report.thresholds:
+    for threshold in TA_THRESHOLDS:
         rows.append([f"ni ta@{round(threshold * 100):d}"] + [
             cell(TASK_NI, c, lambda s, t=threshold: s.ta_at(t))
             for c in _TABLE_CATEGORIES

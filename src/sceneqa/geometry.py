@@ -25,21 +25,65 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DegenerateInputError, NotConvergedError
+from .errors import DegenerateInputError, NotConvergedError, SchemaViolationError
 
 DEFAULT_TOL = 1e-9
 
 
-def as_coords(points) -> np.ndarray:
-    """Coerce a PointSet-like object or array to a validated (n, 3) float64 array."""
-    coords = getattr(points, "coords", points)
-    arr = np.ascontiguousarray(coords, dtype=np.float64)
+def _check_coords(arr: np.ndarray, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``arr`` is an (n, 3) block of finite values, n >= 1."""
     if arr.ndim != 2 or arr.shape[1] != 3:
-        raise DegenerateInputError(f"expected (n, 3) coordinates, got shape {arr.shape}")
+        raise error(f"point set must have shape (n, 3), got {arr.shape}")
     if arr.shape[0] < 1:
-        raise DegenerateInputError("point set is empty")
+        raise error("point set must contain at least one point")
     if not np.all(np.isfinite(arr)):
-        raise DegenerateInputError("coordinates contain non-finite values")
+        raise error("point set contains non-finite coordinates")
+
+
+class PointSet:
+    """An immutable (n, 3) block of finite float64 coordinates, n >= 1.
+
+    This is the one checked form of a point cloud: the functions below take
+    its coordinates as they are and check only inputs of any other type.
+    """
+
+    __slots__ = ("_coords",)
+
+    def __init__(self, coords):
+        arr = np.array(coords, dtype=np.float64, order="C")
+        _check_coords(arr, SchemaViolationError)
+        arr.setflags(write=False)
+        self._coords = arr
+
+    @property
+    def coords(self) -> np.ndarray:
+        return self._coords
+
+    def __len__(self) -> int:
+        return self._coords.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return np.array_equal(self._coords, other._coords)
+
+    def __hash__(self):  # pragma: no cover - mutability guard only
+        return hash((self._coords.shape[0], self._coords.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"PointSet(n={len(self)})"
+
+
+def as_coords(points) -> np.ndarray:
+    """The (n, 3) float64 coordinates of a :class:`PointSet` or an array.
+
+    A :class:`PointSet` was checked when it was built and is returned as is;
+    any other input is checked here and raises :class:`DegenerateInputError`.
+    """
+    if isinstance(points, PointSet):
+        return points.coords
+    arr = np.ascontiguousarray(points, dtype=np.float64)
+    _check_coords(arr, DegenerateInputError)
     return arr
 
 
@@ -391,14 +435,14 @@ def _certificate(arr_a: np.ndarray, arr_b: np.ndarray, x: np.ndarray):
     return ub, lb
 
 
-def _polish(D: np.ndarray, m: int, z: np.ndarray, active_tol: float = 1e-10):
+def _polish(D: np.ndarray, m: int, z: np.ndarray):
     """Equality-constrained least-squares refit on the current active set.
 
-    Solves the KKT system restricted to coordinates with meaningful weight; if
+    Solves the KKT system restricted to coordinates with weight above 1e-10; if
     the refit stays (nearly) feasible it is clamped back onto the simplices
     and returned, else None.
     """
-    active = np.flatnonzero(z > active_tol)
+    active = np.flatnonzero(z > 1e-10)
     ka = int(np.sum(active < m))
     if ka == 0 or ka == active.shape[0]:
         return None
@@ -432,8 +476,7 @@ def _polish(D: np.ndarray, m: int, z: np.ndarray, active_tol: float = 1e-10):
 
 
 def hull_distance_oracle(a, b, tol: float = DEFAULT_TOL,
-                         max_iterations: int = 20000,
-                         check_every: int = 25) -> float:
+                         max_iterations: int = 20000) -> float:
     """Hull distance via accelerated projected gradient; cross-check oracle.
 
     Minimizes ``||A^T lam - B^T mu||`` over the product of probability
@@ -484,7 +527,9 @@ def hull_distance_oracle(a, b, tol: float = DEFAULT_TOL,
         y = z_new + ((t_mom - 1.0) / t_new) * (z_new - z)
         z, t_mom = z_new, t_new
 
-        if iteration % check_every == 0 or iteration == max_iterations:
+        # The certificate and the polish cost more than a gradient step, so
+        # they run every 25 steps.
+        if iteration % 25 == 0 or iteration == max_iterations:
             x = D.T @ z
             ub, lb = _certificate(arr_a, arr_b, x)
             if ub <= atol or ub - lb <= atol:

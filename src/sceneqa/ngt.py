@@ -110,7 +110,7 @@ def extract_ngt(
         key = pair_key(inst_a.instance_id, inst_b.instance_id)
         try:
             pairs[key] = geometry.hull_distance(
-                inst_a.points.coords, inst_b.points.coords, tol=tol
+                inst_a.points, inst_b.points, tol=tol
             ).distance
         except NotConvergedError as exc:
             skipped.append((key[0], key[1], f"not_converged: {exc}"))

@@ -555,35 +555,33 @@ _KINDS = {
 }
 
 
-def _attempt_loop(job: RewriteJob, client: ServiceClient, max_attempts: int
+def _attempt_loop(job: RewriteJob, client: ServiceClient
                   ) -> tuple[tuple[QaRecord, ...], list[ValidationVerdict]]:
     """The job's records from the first valid response, with every verdict."""
     validate, build = _KINDS[job.kind]
     verdicts: list[ValidationVerdict] = []
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         text = client.complete(SYSTEM_PROMPT, render_prompt(job))
         verdict = validate(text, job)
         verdicts.append(verdict)
         if verdict.ok:
             return build(job, verdict.payload), verdicts
     raise ExhaustedAttemptsError(
-        f"job {job.job_id}: all {max_attempts} attempts failed validation "
+        f"job {job.job_id}: all {MAX_ATTEMPTS} attempts failed validation "
         f"(last: {verdicts[-1].reasons})",
         verdicts=verdicts,
     )
 
 
-def rewrite_pm(job: RewriteJob, client: ServiceClient,
-               max_attempts: int = MAX_ATTEMPTS) -> QaRecord:
-    """Rewrite one SAQ into a PM record; raises after ``max_attempts`` failures."""
-    (record,), _ = _attempt_loop(job, client, max_attempts)
+def rewrite_pm(job: RewriteJob, client: ServiceClient) -> QaRecord:
+    """Rewrite one SAQ into a PM record; raises after ``MAX_ATTEMPTS`` failures."""
+    (record,), _ = _attempt_loop(job, client)
     return record
 
 
-def rewrite_fv(job: RewriteJob, client: ServiceClient,
-               max_attempts: int = MAX_ATTEMPTS) -> tuple[QaRecord, QaRecord]:
+def rewrite_fv(job: RewriteJob, client: ServiceClient) -> tuple[QaRecord, QaRecord]:
     """Rewrite one SAQ into an FV original/contrapositive pair."""
-    records, _ = _attempt_loop(job, client, max_attempts)
+    records, _ = _attempt_loop(job, client)
     return records
 
 
@@ -646,7 +644,6 @@ def run_rewrite_track(
     client: ServiceClient,
     master_seed: int,
     n_options: int = 5,
-    max_attempts: int = MAX_ATTEMPTS,
 ) -> RewriteTrackResult:
     """Run PM then FV rewrite jobs sequentially, logging attempts per job.
 
@@ -659,7 +656,7 @@ def run_rewrite_track(
     result = RewriteTrackResult()
     for job in jobs:
         try:
-            records, verdicts = _attempt_loop(job, client, max_attempts)
+            records, verdicts = _attempt_loop(job, client)
             result.records.extend(records)
             ok = True
         except ExhaustedAttemptsError as exc:

@@ -207,10 +207,11 @@ class RulegenConfig:
 class Schedules:
     """Seeded permutations consulted by absolute record index.
 
-    ``fv_target`` alternates the original item's answer, ``fv_group`` cycles
-    the five inverse template pairs, and ``fv_member`` flips which pair member
-    is the original each full cycle — so template usage per stratum stays
-    within one of N/10 for any N.
+    ``fv_target`` alternates the original item's answer and ``fv_group``
+    cycles the five inverse template pairs, so ``k % 10`` fixes both.
+    ``fv_member`` flips which pair member is the original every ten indices,
+    so each template sees both answers equally often, and template usage per
+    stratum stays within one of N/10 for any N.
     """
 
     fv_targets: dict[str, tuple[str, str]]
@@ -227,7 +228,7 @@ class Schedules:
         return self.fv_groups[category][k % 5]
 
     def fv_member(self, category: str, k: int) -> int:
-        return (self.fv_member_offsets[category] + k // 5) % 2
+        return (self.fv_member_offsets[category] + k // 10) % 2
 
     def ni_template_index(self, category: str, k: int) -> int:
         return self.ni_orders[category][k % 10]
@@ -854,7 +855,6 @@ def balance_violations(report: BalanceReport) -> list[str]:
 
 def assemble_dataset(
     streams: Iterable[Iterable[QaRecord]],
-    enforce_balance: bool = True,
 ) -> tuple[list[QaRecord], BalanceReport]:
     """Concatenate record streams, check id uniqueness and balance tolerances."""
     records: list[QaRecord] = []
@@ -866,10 +866,7 @@ def assemble_dataset(
             seen.add(rec.qa_id)
             records.append(rec)
     report = build_balance_report(records)
-    if enforce_balance:
-        problems = balance_violations(report)
-        if problems:
-            raise SceneQaError(
-                "balance tolerances breached: " + "; ".join(problems[:8])
-            )
+    problems = balance_violations(report)
+    if problems:
+        raise SceneQaError("balance tolerances breached: " + "; ".join(problems[:8]))
     return records, report

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
+from .geometry import PointSet
 from .errors import (
     InconsistentTripletError,
     InvalidSpecError,
@@ -30,44 +31,6 @@ from .errors import (
 from .util import read_json, write_json
 
 DEFAULT_EXCLUDED_LABELS = frozenset({"item", "object"})
-
-
-class PointSet:
-    """An immutable (n, 3) block of finite float64 coordinates, n >= 1."""
-
-    __slots__ = ("_coords",)
-
-    def __init__(self, coords):
-        arr = np.asarray(coords, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise SchemaViolationError(
-                f"point set must have shape (n, 3), got {arr.shape}"
-            )
-        if arr.shape[0] < 1:
-            raise SchemaViolationError("point set must contain at least one point")
-        if not np.all(np.isfinite(arr)):
-            raise SchemaViolationError("point set contains non-finite coordinates")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self._coords = arr
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._coords
-
-    def __len__(self) -> int:
-        return self._coords.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PointSet):
-            return NotImplemented
-        return np.array_equal(self._coords, other._coords)
-
-    def __hash__(self):  # pragma: no cover - mutability guard only
-        return hash((self._coords.shape[0], self._coords.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"PointSet(n={len(self)})"
 
 
 @dataclass(frozen=True)
@@ -381,25 +344,12 @@ class BoxSpec:
     center: tuple[float, float, float]
     dims: tuple[float, float, float]
     n_points: int = 24
-    instance_id: str | None = None
-
-
-@dataclass(frozen=True)
-class SphereSpec:
-    """Ball: points are the 6 axis poles plus mirrored interior pairs."""
-
-    label: str
-    center: tuple[float, float, float]
-    radius: float
-    n_points: int = 18
-    instance_id: str | None = None
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     scene_id: str
     boxes: tuple[BoxSpec, ...] = ()
-    spheres: tuple[SphereSpec, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -424,13 +374,8 @@ class AnalyticTruth:
 def _validate_spec(spec: SyntheticSpec) -> None:
     if not spec.scene_id:
         raise InvalidSpecError("scene_id must be non-empty")
-    if not spec.boxes and not spec.spheres:
-        raise InvalidSpecError(f"{spec.scene_id}: spec contains no objects")
-    explicit = [
-        s.instance_id for s in (*spec.boxes, *spec.spheres) if s.instance_id is not None
-    ]
-    if len(set(explicit)) != len(explicit):
-        raise InvalidSpecError(f"{spec.scene_id}: duplicate explicit instance ids")
+    if not spec.boxes:
+        raise InvalidSpecError(f"{spec.scene_id}: spec contains no boxes")
     for box in spec.boxes:
         if any(d <= 0 for d in box.dims):
             raise InvalidSpecError(f"{spec.scene_id}: box dims must be positive")
@@ -440,29 +385,6 @@ def _validate_spec(spec: SyntheticSpec) -> None:
             )
         if not box.label.strip():
             raise InvalidSpecError(f"{spec.scene_id}: empty box label")
-    for sph in spec.spheres:
-        if sph.radius <= 0:
-            raise InvalidSpecError(f"{spec.scene_id}: sphere radius must be positive")
-        if sph.n_points < 6:
-            raise InvalidSpecError(
-                f"{spec.scene_id}: a sphere needs n_points >= 6 for its poles"
-            )
-        if not sph.label.strip():
-            raise InvalidSpecError(f"{spec.scene_id}: empty sphere label")
-
-
-def _mirrored_pairs(rng: np.random.Generator, center: np.ndarray,
-                    samples: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Interleave samples with their reflections through ``center``.
-
-    Reflections are clipped back into [lo, hi] so the sampled AABB can never
-    exceed the declared one by a final rounding ulp.
-    """
-    mirrored = np.clip(2.0 * center - samples, lo, hi)
-    out = np.empty((2 * samples.shape[0], 3), dtype=np.float64)
-    out[0::2] = samples
-    out[1::2] = mirrored
-    return out
 
 
 def _box_points(rng: np.random.Generator, box: BoxSpec) -> np.ndarray:
@@ -476,28 +398,14 @@ def _box_points(rng: np.random.Generator, box: BoxSpec) -> np.ndarray:
     pairs = rest // 2
     blocks = [corners]
     if pairs:
+        # Each sample is followed by its reflection through the center.  The
+        # reflections are clipped back into [lo, hi] so the sampled AABB can
+        # never exceed the declared one by a final rounding ulp.
         samples = rng.uniform(lo, hi, size=(pairs, 3))
-        blocks.append(_mirrored_pairs(rng, center, samples, lo, hi))
-    if rest % 2:
-        blocks.append(center[None, :])
-    return np.concatenate(blocks, axis=0)
-
-
-def _sphere_points(rng: np.random.Generator, sph: SphereSpec) -> np.ndarray:
-    center = np.asarray(sph.center, dtype=np.float64)
-    r = float(sph.radius)
-    lo, hi = center - r, center + r
-    eye = np.eye(3)
-    poles = np.concatenate([center + r * eye, center - r * eye], axis=0)
-    rest = sph.n_points - 6
-    pairs = rest // 2
-    blocks = [poles]
-    if pairs:
-        dirs = rng.normal(size=(pairs, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = r * (1.0 - 1e-12) * np.cbrt(rng.uniform(size=pairs))
-        samples = np.clip(center + dirs * radii[:, None], lo, hi)
-        blocks.append(_mirrored_pairs(rng, center, samples, lo, hi))
+        mirrored = np.empty((2 * pairs, 3), dtype=np.float64)
+        mirrored[0::2] = samples
+        mirrored[1::2] = np.clip(2.0 * center - samples, lo, hi)
+        blocks.append(mirrored)
     if rest % 2:
         blocks.append(center[None, :])
     return np.concatenate(blocks, axis=0)
@@ -516,12 +424,12 @@ def generate_synthetic_scene(
 ) -> tuple[Scene, AnalyticTruth]:
     """Sample a scene from ``spec`` deterministically.
 
-    Draw order is fixed: boxes in spec order, then spheres in spec order, one
-    block of random draws per object.  Construction guarantees, exactly in
-    floating point: the sampled AABB of every object equals its declared AABB,
-    and (to symmetric-rounding noise ~1e-16) the sample centroid sits on the
-    declared center.  ``AnalyticTruth.box_gaps`` holds closed-form hull
-    distances for every box-box pair.
+    Draw order is fixed: boxes in spec order, one block of random draws per
+    box, and the k-th box gets instance id ``o{k:03d}``.  Construction
+    guarantees, exactly in floating point: the sampled AABB of every box
+    equals its declared AABB, and (to symmetric-rounding noise ~1e-16) the
+    sample centroid sits on the declared center.  ``AnalyticTruth.box_gaps``
+    holds closed-form hull distances for every box pair.
     """
     _validate_spec(spec)
     rng = np.random.default_rng(seed)
@@ -529,46 +437,18 @@ def generate_synthetic_scene(
     truth_instances: dict[str, InstanceTruth] = {}
     box_ids: list[tuple[str, np.ndarray, np.ndarray]] = []
 
-    auto = 0
-    used_ids = {
-        s.instance_id for s in (*spec.boxes, *spec.spheres) if s.instance_id is not None
-    }
-
-    def next_id(explicit: str | None) -> str:
-        nonlocal auto
-        if explicit is not None:
-            return explicit
-        while True:
-            candidate = f"o{auto:03d}"
-            auto += 1
-            if candidate not in used_ids:
-                return candidate
-
-    for box in spec.boxes:
-        iid = next_id(box.instance_id)
-        pts = _box_points(rng, box)
+    for k, box in enumerate(spec.boxes):
+        inst = Instance(f"o{k:03d}", box.label, PointSet(_box_points(rng, box)))
         center = np.asarray(box.center, dtype=np.float64)
         half = np.asarray(box.dims, dtype=np.float64) / 2.0
         lo, hi = center - half, center + half
-        bbox = geometry.aabb(pts)
-        instances.append(Instance(iid, box.label, PointSet(pts)))
-        truth_instances[iid] = InstanceTruth(
-            iid, box.label.strip().lower(), tuple(center), tuple(lo), tuple(hi),
+        bbox = geometry.aabb(inst.points)
+        instances.append(inst)
+        truth_instances[inst.instance_id] = InstanceTruth(
+            inst.instance_id, inst.label, tuple(center), tuple(lo), tuple(hi),
             tuple(bbox.extents), geometry.aabb_volume(bbox),
         )
-        box_ids.append((iid, lo, hi))
-
-    for sph in spec.spheres:
-        iid = next_id(sph.instance_id)
-        pts = _sphere_points(rng, sph)
-        center = np.asarray(sph.center, dtype=np.float64)
-        lo, hi = center - sph.radius, center + sph.radius
-        bbox = geometry.aabb(pts)
-        instances.append(Instance(iid, sph.label, PointSet(pts)))
-        truth_instances[iid] = InstanceTruth(
-            iid, sph.label.strip().lower(), tuple(center), tuple(lo), tuple(hi),
-            tuple(bbox.extents), geometry.aabb_volume(bbox),
-        )
+        box_ids.append((inst.instance_id, lo, hi))
 
     gaps: dict[tuple[str, str], float] = {}
     for (id_a, lo_a, hi_a), (id_b, lo_b, hi_b) in itertools.combinations(box_ids, 2):
@@ -601,13 +481,12 @@ def random_indoor_spec(
     rng: np.random.Generator,
     n_boxes: int = 41,
     points_per_box: int = 24,
-    include_uninformative: bool = True,
 ) -> SyntheticSpec:
     """Build a random room-like spec: disjoint boxes on a jittered grid.
 
     Boxes are placed one per grid cell (cell pitch 2 m, dims <= 1.3 m), so all
     hull gaps are strictly positive and comfortably above display resolution.
-    One box may carry the non-informative label "object" to exercise label
+    One box carries the non-informative label "object" to exercise label
     filtering downstream.
     """
     if n_boxes < sum(_DUP_COUNTS) + 2:
@@ -620,12 +499,11 @@ def random_indoor_spec(
     bank = [bank[i] for i in perm]
     for k, count in enumerate(_DUP_COUNTS):
         labels.extend([bank[k]] * count)
-    n_unique = n_boxes - len(labels) - (1 if include_uninformative else 0)
+    n_unique = n_boxes - len(labels) - 1
     if n_unique > len(bank) - len(_DUP_COUNTS):
         raise InvalidSpecError(f"{scene_id}: label bank too small for {n_boxes} boxes")
     labels.extend(bank[len(_DUP_COUNTS):len(_DUP_COUNTS) + n_unique])
-    if include_uninformative:
-        labels.append("object")
+    labels.append("object")
 
     side = int(np.ceil(np.sqrt(n_boxes)))
     cells = [(i, j) for i in range(side) for j in range(side)]

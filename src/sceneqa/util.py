@@ -22,14 +22,13 @@ def derive_seed(master_seed: int, name: str) -> int:
     return (int(master_seed) ^ int.from_bytes(digest[:8], "big")) & _SEED_MASK
 
 
-def render_decimal(value: float, places: int = 2) -> str:
-    """Render ``value`` with ``places`` decimals, rounding halves up.
+def render_decimal(value: float) -> str:
+    """Render ``value`` with two decimals, rounding halves up.
 
     ``Decimal(repr(value))`` keeps the shortest decimal form of the float, so
     1.035 renders as "1.04" rather than falling into binary round-to-even.
     """
-    quantum = Decimal(1).scaleb(-places)
-    return str(Decimal(repr(float(value))).quantize(quantum, rounding=ROUND_HALF_UP))
+    return str(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def render_count(value: float) -> str:

@@ -127,17 +127,15 @@ class TestSelfCheckCorruptions:
         assert result.checks["cp_involution"]
         assert result.checks["self_scoring"]   # orphans break self-scoring
 
-    def test_balance_can_be_waived(self, dataset):
+    def test_unbalanced_records_trip_balance(self, dataset):
         records, _ = dataset
         yes_only = [r for r in records
                     if r.task == TASK_FV and r.variant == VARIANT_PLAIN
                     and r.answer == ANSWER_YES][:6]
-        strict = selfcheck(yes_only)
-        assert strict.checks["balance"]
-        waived = selfcheck(yes_only, enforce_balance=False)
-        assert "balance" not in waived.checks
-        # the records themselves are sound, so everything else passes
-        assert waived.checks["schema"] == []
+        result = selfcheck(yes_only)
+        assert result.checks["balance"]
+        # the records themselves are sound
+        assert result.checks["schema"] == []
 
     def test_failure_summary_mentions_the_check(self, dataset):
         records, _ = dataset

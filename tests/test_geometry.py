@@ -16,6 +16,7 @@ from sceneqa.geometry import (
     Aabb,
     aabb,
     aabb_volume,
+    as_coords,
     centroid,
     hull_distance,
     hull_distance_oracle,
@@ -45,6 +46,7 @@ class TestAabbAndCentroid:
     def test_accepts_point_sets_and_arrays(self):
         ps = PointSet(self.CLOUD)
         assert aabb(ps) == aabb(self.CLOUD)
+        assert as_coords(ps) is ps.coords  # checked once, when it was built
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DegenerateInputError):

@@ -286,13 +286,25 @@ class TestDeterminism:
     # other determinism tests only compare a run with itself.
     PINNED = {
         "dataset.jsonl":
-            "3f47a0d9c10f940ed59f677ac9cabdc154db3a64734c6a15fba644209ee86d49",
+            "36017929cc1e245132f905ff6338a3261e92e0f7d65e72c7dd1e6ff7c80abbdd",
         "manifest.json":
             "291608a87e27e13c4044ee77069c060992cbb14bd921adb343a8f152a435ce8f",
         "balance_report.json":
             "4d62a1fe9dd27f231f6953aaf7866bade55508eca1b5300f8ce11022322b0479",
         "run_log.jsonl":
             "a8328fb500e27c4d68b2ff50882c0ab4d715cdc5523297dd509d7836cc7d0c51",
+        "scenes/synth0000.scene.json":
+            "a3ceaf93b4f5dede0e0e1b5a25fc59403fde03bfecb90b204e7c4ac01513ac60",
+        "scenes/synth0001.scene.json":
+            "7412342fe3c9424002c35585f0a55c24331a8b038eea605a688c67691e5a2ec7",
+        "scenes/synth0000.truth.json":
+            "f1178fc09d43aad7d05b5deb3fbfc523277f0c2e564fc459d60b86a51eb8af56",
+        "scenes/synth0001.truth.json":
+            "98330ac1ab415bfe5c952b17703df41eea91429a314a774c4a10958ca4055ac7",
+        "ngt/synth0000.ngt.json":
+            "68881886359bdf6a86765d8330490a688f26d93ad3da35557b5c7e04d68533a5",
+        "ngt/synth0001.ngt.json":
+            "32ba011c9296e42ee0d183267c33434617a2130158546bbd28f3fdb924b3e85c",
     }
 
     def test_generate_artifacts_match_pinned_digests(self, tmp_path):

@@ -29,6 +29,7 @@ from sceneqa.rewrite import (
     DUPLICATE_OPTIONS,
     KIND_FV,
     KIND_PM,
+    MAX_ATTEMPTS,
     MISSING_KEY,
     NOT_JSON,
     SYSTEM_PROMPT,
@@ -393,14 +394,13 @@ class TestEchoStub:
         saqs = [SaqItem("Q?", "ans")]
         (track_fv_job,) = make_fv_jobs(saqs, 1, build_schedules(MASTER_SEED))
         good_fv = EchoStubClient().complete("s", render_prompt(track_fv_job))
-        client = stub_client("garbage", "garbage", good_fv)
-        # one PM job fails both attempts; the FV job still succeeds
-        track = run_rewrite_track(saqs, 1, 1, client, MASTER_SEED,
-                                  max_attempts=2)
+        client = stub_client(*["garbage"] * MAX_ATTEMPTS, good_fv)
+        # one PM job fails every attempt; the FV job still succeeds
+        track = run_rewrite_track(saqs, 1, 1, client, MASTER_SEED)
         assert track.failed_jobs == ["llm-pm-00000"]
         assert len(track.records) == 2
         pm_row, fv_row = track.log_rows
-        assert pm_row["ok"] is False and pm_row["attempts"] == 2
+        assert pm_row["ok"] is False and pm_row["attempts"] == MAX_ATTEMPTS
         assert pm_row["reasons"] == [NOT_JSON]
         assert fv_row["ok"] is True
 

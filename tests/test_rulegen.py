@@ -118,10 +118,15 @@ class TestSchedules:
     def test_fv_member_flips_every_full_cycle(self):
         sched = build_schedules(MASTER_SEED)
         for cat in NUMERIC_CATEGORIES:
-            members = [sched.fv_member(cat, k) for k in range(20)]
-            assert members[:5] != members[5:10]
-            assert members[:10] == members[10:20]
-            assert set(members) == {0, 1}
+            members = [sched.fv_member(cat, k) for k in range(40)]
+            assert len(set(members[:10])) == 1
+            assert members[:10] != members[10:20]
+            assert members[:20] == members[20:40]
+            # k % 10 fixes target and group, so each template sees both answers
+            for k in range(5):
+                assert sched.fv_member(cat, k) == sched.fv_member(cat, k + 5)
+                assert sched.fv_target(cat, k) != sched.fv_target(cat, k + 5)
+                assert sched.fv_group(cat, k) == sched.fv_group(cat, k + 5)
 
     def test_ni_template_order_is_a_permutation(self):
         sched = build_schedules(MASTER_SEED)
@@ -297,9 +302,6 @@ class TestGeneratedDataset:
                 assert abs(v1 - v2) >= dataset_cfg.ambiguity_margin * max(v1, v2) - 1e-12
         assert checked_strict > 0 and checked_approx > 0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "Schedules tie each FV template to one answer: the target follows k % 2, "
-        "the group k % 5, and the member flips every 5 indices"))
     def test_each_fv_template_gets_both_answers(self, dataset):
         records, _ = dataset
         answers: dict[str, set[str]] = {}
@@ -432,14 +434,6 @@ class TestAssembleDataset:
                   and r.answer == ANSWER_YES]
         with pytest.raises(SceneQaError, match="balance tolerances breached"):
             assemble_dataset([fv_yes[:4]])
-
-    def test_enforcement_can_be_disabled(self, dataset):
-        records, _ = dataset
-        fv_yes = [r for r in records
-                  if r.task == TASK_FV and r.answer == ANSWER_YES]
-        got, report = assemble_dataset([fv_yes[:4]], enforce_balance=False)
-        assert len(got) == 4
-        assert balance_violations(report)
 
 
 class TestReferentValues:

@@ -19,7 +19,6 @@ from sceneqa.scene import (
     Instance,
     PointSet,
     Scene,
-    SphereSpec,
     SyntheticSpec,
     box_gap,
     generate_synthetic_scene,
@@ -55,10 +54,11 @@ class TestPointSet:
             PointSet([[np.nan, 0.0, 0.0]])
 
     def test_coords_are_read_only_and_copied(self):
-        src = np.ones((2, 3))
+        src = np.asfortranarray(np.ones((2, 3)))
         ps = PointSet(src)
         src[0, 0] = 99.0
         assert ps.coords[0, 0] == 1.0
+        assert ps.coords.flags.c_contiguous
         with pytest.raises(ValueError):
             ps.coords[0, 0] = 5.0
 
@@ -266,7 +266,6 @@ class TestSyntheticScenes:
             BoxSpec("bed", center=(1.0, 2.0, 0.415), dims=(1.98, 2.32, 0.83)),
             BoxSpec("Desk", center=(5.0, 5.0, 0.5), dims=(1.0, 2.0, 1.0), n_points=9),
         ),
-        spheres=(SphereSpec("lamp", center=(-2.0, 0.0, 1.0), radius=0.3),),
     )
 
     def test_sampled_aabb_equals_declared_exactly(self):
@@ -309,10 +308,6 @@ class TestSyntheticScenes:
         with pytest.raises(InvalidSpecError, match="dims"):
             generate_synthetic_scene(SyntheticSpec(
                 scene_id="x", boxes=(BoxSpec("a", (0, 0, 0), (1.0, -1.0, 1.0)),)
-            ), seed=0)
-        with pytest.raises(InvalidSpecError, match="radius"):
-            generate_synthetic_scene(SyntheticSpec(
-                scene_id="x", spheres=(SphereSpec("a", (0, 0, 0), 0.0),)
             ), seed=0)
 
 
