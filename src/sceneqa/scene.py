@@ -15,6 +15,7 @@ the object's surface or volume.  Scenes arrive three ways:
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .errors import (
     MalformedFileError,
     SchemaViolationError,
 )
-from .util import read_json, write_json
+from .util import read_json, write_chunks
 
 DEFAULT_EXCLUDED_LABELS = frozenset({"item", "object"})
 
@@ -76,18 +77,29 @@ class Scene:
 # ---------------------------------------------------------------------------
 
 
-def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "scene_id": scene.scene_id,
-        "instances": [
-            {
-                "instance_id": inst.instance_id,
-                "label": inst.label,
-                "points": inst.points.coords.tolist(),
-            }
-            for inst in scene.instances
-        ],
-    }
+# One point as ``json.dumps(indent=2)`` lays it out inside an instance, and
+# the encoding of ids and labels that ``ensure_ascii=False`` gives.
+_POINT_ROW = "        [\n          %r,\n          %r,\n          %r\n        ]"
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+_ROW_TYPES = (list, tuple)
+_NUMBER_TYPES = (int, float)
+
+
+def _all_points_are_xyz(points: list) -> bool:
+    """True when every row is a list or tuple of three non-bool numbers.
+
+    Subclasses count (``np.float64`` rows passed through the dict API, say).
+    The checks map builtins over the rows and test each distinct coordinate
+    type once, so a dense cloud costs a few C-level passes, not a Python loop.
+    """
+    if not all(map(isinstance, points, itertools.repeat(_ROW_TYPES))):
+        return False
+    if set(map(len, points)) != {3}:
+        return False
+    return all(
+        issubclass(t, _NUMBER_TYPES) and not issubclass(t, bool)
+        for t in set(map(type, itertools.chain.from_iterable(points)))
+    )
 
 
 def scene_from_dict(data, source: str = "<dict>") -> Scene:
@@ -118,17 +130,14 @@ def scene_from_dict(data, source: str = "<dict>") -> Scene:
             raise SchemaViolationError(
                 f"{source}: instance {iid!r}: 'points' must be a non-empty list"
             )
-        for row in points:
-            if (
-                not isinstance(row, (list, tuple))
-                or len(row) != 3
-                or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in row)
-            ):
-                raise SchemaViolationError(
-                    f"{source}: instance {iid!r}: every point must be [x, y, z] numbers"
-                )
+        if not _all_points_are_xyz(points):
+            raise SchemaViolationError(
+                f"{source}: instance {iid!r}: every point must be [x, y, z] numbers"
+            )
+        # The rows are checked, so one flat pass fills the array.
+        flat = np.fromiter(itertools.chain.from_iterable(points), np.float64, 3 * len(points))
         try:
-            instances.append(Instance(iid, label, PointSet(points)))
+            instances.append(Instance(iid, label, PointSet(flat.reshape(-1, 3))))
         except SchemaViolationError as exc:
             raise SchemaViolationError(f"{source}: {exc}") from exc
     try:
@@ -143,7 +152,31 @@ def load_scene(path: str | Path) -> Scene:
 
 
 def write_scene(scene: Scene, path: str | Path) -> None:
-    write_json(scene_to_dict(scene), path)
+    """Write ``scene`` as native JSON, replacing ``path`` only once complete.
+
+    The bytes are exactly ``json.dumps(doc, indent=2, ensure_ascii=False)``
+    plus a newline, where ``doc`` is ``{"scene_id", "instances":
+    [{"instance_id", "label", "points"}, ...]}``.  Coordinates are finite
+    float64 and ``%r`` of a float is the ``float.__repr__`` the encoder emits,
+    so each instance's points are one ``%`` on a row template instead of a
+    walk through the pure-Python indenting encoder.
+    """
+
+    def chunks():
+        yield '{\n  "scene_id": ' + _encode_scalar(scene.scene_id) + ',\n  "instances": [\n'
+        for pos, inst in enumerate(scene.instances):
+            coords = inst.points.coords
+            yield (
+                ("    {\n" if pos == 0 else ",\n    {\n")
+                + '      "instance_id": ' + _encode_scalar(inst.instance_id)
+                + ',\n      "label": ' + _encode_scalar(inst.label)
+                + ',\n      "points": [\n'
+            )
+            yield ",\n".join([_POINT_ROW] * len(coords)) % tuple(coords.ravel().tolist())
+            yield "\n      ]\n    }"
+        yield "\n  ]\n}\n"
+
+    write_chunks(chunks(), path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Scene model, file interchange, scan-triplet import, and synthetic scenes."""
 
 import json
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sceneqa import geometry
 from sceneqa.errors import (
@@ -27,9 +32,62 @@ from sceneqa.scene import (
     random_indoor_spec,
     read_ply_vertices,
     scene_from_dict,
-    scene_to_dict,
     write_scene,
 )
+
+
+def scene_doc(scene):
+    """The scene document that ``write_scene`` must serialise."""
+    return {
+        "scene_id": scene.scene_id,
+        "instances": [
+            {
+                "instance_id": inst.instance_id,
+                "label": inst.label,
+                "points": inst.points.coords.tolist(),
+            }
+            for inst in scene.instances
+        ],
+    }
+
+
+def reference_bytes(scene):
+    return (json.dumps(scene_doc(scene), indent=2, ensure_ascii=False) + "\n").encode()
+
+
+def written_bytes(scene):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.scene.json"
+        write_scene(scene, path)
+        return path.read_bytes()
+
+
+# Ids and labels with JSON escapes, control characters and non-ASCII text.
+_TRICKY_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é漢🙂'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-05, 1e16, 1e300, -1e300,
+                     1.0, -3.0, 1e22, 123456789.0, 0.1, 2.5e-7]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**53), 2**53).map(float),
+)
+_ROWS = st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=6)
+
+
+@st.composite
+def scenes(draw):
+    ids = draw(st.lists(_TRICKY_TEXT, min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(
+        _TRICKY_TEXT.filter(lambda t: t.strip()), min_size=len(ids), max_size=len(ids)))
+    return Scene(draw(_TRICKY_TEXT), tuple(
+        Instance(iid, label, PointSet(draw(_ROWS))) for iid, label in zip(ids, labels)
+    ))
 
 
 def make_scene():
@@ -85,6 +143,37 @@ class TestInstanceAndScene:
         assert DEFAULT_EXCLUDED_LABELS == {"item", "object"}
 
 
+class Count(int):
+    pass
+
+
+def rows_are_xyz(points):
+    """The row-by-row check that ``scene_from_dict`` must agree with."""
+    return all(
+        isinstance(row, (list, tuple))
+        and len(row) == 3
+        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in row)
+        for row in points
+    )
+
+
+_NOT_A_NUMBER = st.sampled_from(
+    [True, False, None, "1.0", [1, 2, 3], (), {}, np.int64(1), np.float32(2)])
+_ANY_COORD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([np.float64(2.5), Count(4)]),
+    _NOT_A_NUMBER,
+)
+_ANY_ROW = st.one_of(
+    st.lists(_ANY_COORD, min_size=2, max_size=4),
+    st.tuples(_ANY_COORD, _ANY_COORD, _ANY_COORD),
+    _NOT_A_NUMBER,
+)
+NOT_XYZ = "every point must be [x, y, z] numbers"
+NO_POINTS = "'points' must be a non-empty list"
+
+
 class TestSceneInterchange:
     def test_round_trip_preserves_everything(self, tmp_path):
         scene = make_scene()
@@ -102,11 +191,80 @@ class TestSceneInterchange:
         with pytest.raises(SchemaViolationError, match="f.json"):
             scene_from_dict({"scene_id": "s", "instances": [{}]}, source="f.json")
 
-    def test_dict_form_is_plain_json(self):
-        payload = scene_to_dict(make_scene())
-        json.dumps(payload)  # must not raise
-        assert payload["scene_id"] == "toy"
-        assert len(payload["instances"]) == 3
+    @pytest.mark.parametrize("points, message", [
+        ([[True, 0.0, 0.0]], NOT_XYZ),
+        ([[0.0, 1.0, False]], NOT_XYZ),
+        ([[0.0, "1.0", 0.0]], NOT_XYZ),
+        ([[0.0, 0.0, None]], NOT_XYZ),
+        ([[0.0, 1.0]], NOT_XYZ),
+        ([[0.0, 1.0, 2.0, 3.0]], NOT_XYZ),
+        ([[0.0, 0.0, 0.0], [[1, 2, 3]]], NOT_XYZ),
+        ([[[1, 2, 3], 0.0, 0.0]], NOT_XYZ),
+        ([[0.0, 0.0, 0.0], "xyz"], NOT_XYZ),
+        ([{"x": 0, "y": 0, "z": 0}], NOT_XYZ),
+        ([{1.0: 0, 2.0: 0, 3.0: 0}], NOT_XYZ),
+        ([np.array([1.0, 2.0, 3.0])], NOT_XYZ),
+        ([7], NOT_XYZ),
+        ([], NO_POINTS),
+        ((0.0, 0.0, 0.0), NO_POINTS),
+        (None, NO_POINTS),
+    ])
+    def test_bad_points_name_the_source_and_instance(self, points, message):
+        doc = {"scene_id": "s", "instances": [
+            {"instance_id": "ok", "label": "chair", "points": [[0, 0, 0]]},
+            {"instance_id": "bad", "label": "table", "points": points},
+        ]}
+        with pytest.raises(SchemaViolationError) as info:
+            scene_from_dict(doc, source="f.json")
+        assert str(info.value) == f"f.json: instance 'bad': {message}"
+
+    def test_number_subclasses_and_tuple_rows_are_accepted(self):
+        scene = scene_from_dict({"scene_id": "s", "instances": [
+            {"instance_id": "a", "label": "chair",
+             "points": [(np.float64(0.5), 1, 2.0), [Count(3), 4.0, np.float64(5)]]},
+        ]})
+        assert scene.instances[0].points == PointSet([[0.5, 1, 2], [3, 4, 5]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ANY_ROW, min_size=1, max_size=5))
+    def test_point_checks_agree_with_row_by_row_reference(self, points):
+        doc = {"scene_id": "s", "instances": [
+            {"instance_id": "a", "label": "chair", "points": points}]}
+        if rows_are_xyz(points):
+            assert len(scene_from_dict(doc).instances[0].points) == len(points)
+        else:
+            with pytest.raises(SchemaViolationError, match=re.escape(NOT_XYZ)):
+                scene_from_dict(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenes())
+    @example(Scene('"\\', (Instance("\x00\u2028", "é 漢", PointSet(
+        [[-0.0, 5e-324, 1e-05], [1e16, 1e300, -1e300], [1.0, 2.0, -3.0]])),)))
+    def test_written_bytes_equal_json_dumps_of_the_document(self, scene):
+        assert written_bytes(scene) == reference_bytes(scene)
+
+    def test_dense_scene_bytes_equal_json_dumps_of_the_document(self):
+        spec = SyntheticSpec("dense", (
+            BoxSpec("bed", (2.0, 3.0, 0.4), (2.0, 1.6, 0.8), n_points=5000),
+            BoxSpec("lamp", (-4.25, 7.5, 1.5), (0.3, 0.3, 3.0), n_points=5000),
+        ))
+        scene, _ = generate_synthetic_scene(spec, seed=11)
+        assert written_bytes(scene) == reference_bytes(scene)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "toy.scene.json"
+        write_scene(make_scene(), path)
+        before = path.read_bytes()
+
+        def fail_partway(_coords):
+            raise RuntimeError("interrupted")
+
+        # The first instance's head is already written when its points fail.
+        monkeypatch.setattr(PointSet, "coords", property(fail_partway))
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_scene(make_scene(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.scene.json"]
 
 
 def write_ascii_ply(path, vertices, extra_cols=False):
