@@ -16,6 +16,11 @@ Hull distance comes in two independent implementations:
 
 Both treat a point set's convex hull implicitly; intersecting hulls yield a
 distance of exactly 0.0.
+
+A :class:`PointSet` is checked once and keeps its per-axis bounds from then
+on.  :func:`aabb` and :func:`hull_distance` read those stored bounds, so an
+instance measured once and solved against 40 others reduces its coordinates
+once, not once per pair.
 """
 
 from __future__ import annotations
@@ -44,20 +49,36 @@ class PointSet:
     """An immutable (n, 3) block of finite float64 coordinates, n >= 1.
 
     This is the one checked form of a point cloud: the functions below take
-    its coordinates as they are and check only inputs of any other type.
+    its coordinates as they are and check only inputs of any other type.  Its
+    per-axis minimum and maximum are computed once, here, and kept read-only
+    beside the coordinates, so :func:`aabb` and every :func:`hull_distance`
+    solve that the cloud takes part in read them instead of reducing the
+    array again.
     """
 
-    __slots__ = ("_coords",)
+    __slots__ = ("_coords", "_lo", "_hi")
 
     def __init__(self, coords):
         arr = np.array(coords, dtype=np.float64, order="C")
         _check_coords(arr, SchemaViolationError)
-        arr.setflags(write=False)
-        self._coords = arr
+        lo, hi = arr.min(axis=0), arr.max(axis=0)
+        for block in (arr, lo, hi):
+            block.setflags(write=False)
+        self._coords, self._lo, self._hi = arr, lo, hi
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so an unpickled set is checked again and
+        # its arrays are read-only (pickle would hand back writable copies).
+        return (PointSet, (self._coords,))
 
     @property
     def coords(self) -> np.ndarray:
         return self._coords
+
+    @property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(coords.min(axis=0), coords.max(axis=0))``, both read-only."""
+        return self._lo, self._hi
 
     def __len__(self) -> int:
         return self._coords.shape[0]
@@ -87,6 +108,15 @@ def as_coords(points) -> np.ndarray:
     return arr
 
 
+def _coords_and_bounds(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`as_coords` plus the per-axis minimum and maximum: a
+    :class:`PointSet`'s stored bounds, or reduced from the checked array."""
+    if isinstance(points, PointSet):
+        return (points.coords, *points.bounds)
+    arr = as_coords(points)
+    return arr, arr.min(axis=0), arr.max(axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Axis-aligned bounding boxes
 # ---------------------------------------------------------------------------
@@ -107,10 +137,8 @@ class Aabb:
 
 
 def aabb(points) -> Aabb:
-    arr = as_coords(points)
-    lo = arr.min(axis=0)
-    hi = arr.max(axis=0)
-    return Aabb(tuple(float(c) for c in lo), tuple(float(c) for c in hi))
+    _, lo, hi = _coords_and_bounds(points)
+    return Aabb(tuple(lo.tolist()), tuple(hi.tolist()))
 
 
 def aabb_volume(box: Aabb) -> float:
@@ -300,16 +328,21 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
     ``10 * (len(a) + len(b)) + 100``) is hit before the sandwich bound closes;
     intersecting hulls return distance 0.0.
 
-    Only the rows the solver touches (the first pair, each support pair and
-    the final simplex) are converted to Python floats, so the per-call Python
-    work does not grow with the number of points.
+    The bounding diagonal comes from each set's per-axis bounds: a
+    :class:`PointSet` carries them from construction, so a solve over two
+    point sets reduces neither array; any other input is checked and reduced
+    on every call.  Only the rows the solver touches (the first pair, each
+    support pair and the final simplex) are converted to Python floats, so
+    the per-call Python work does not grow with the number of points.
     """
-    arr_a, arr_b = as_coords(a), as_coords(b)
+    arr_a, lo_a, hi_a = _coords_and_bounds(a)
+    arr_b, lo_b, hi_b = _coords_and_bounds(b)
     na, nb = arr_a.shape[0], arr_b.shape[0]
 
-    lo = np.minimum(arr_a.min(axis=0), arr_b.min(axis=0))
-    hi = np.maximum(arr_a.max(axis=0), arr_b.max(axis=0))
-    diag = float(np.linalg.norm(hi - lo))
+    # sqrt of the dot product is what np.linalg.norm computes for a vector,
+    # bit for bit, without its dispatch.
+    span = np.maximum(hi_a, hi_b) - np.minimum(lo_a, lo_b)
+    diag = sqrt(float(span.dot(span)))
     eps = tol * diag if diag > 0.0 else tol
     cap = max_iterations if max_iterations is not None else 10 * (na + nb) + 100
 
@@ -351,10 +384,8 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
         if vn <= eps:
             return _result(0.0, iteration)
 
-        proj_a = arr_a @ v
-        proj_b = arr_b @ v
-        ia = int(np.argmin(proj_a))
-        ib = int(np.argmax(proj_b))
+        ia = int(arr_a.dot(v).argmin())
+        ib = int(arr_b.dot(v).argmax())
         pa, pb = arr_a[ia].tolist(), arr_b[ib].tolist()
         w = (pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2])
 

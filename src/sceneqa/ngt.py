@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import geometry
@@ -40,25 +41,36 @@ def pair_key(a: str, b: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class NgtTable:
-    """All numeric ground truth for one scene."""
+    """All numeric ground truth for one scene.
+
+    The label counts and the unique-label index are built once, from the
+    (immutable) ``instances``, when the table is made; question generation
+    and the audits look them up once per record.
+    """
 
     scene_id: str
     instances: tuple[InstanceNgt, ...]
     pairs: dict[tuple[str, str], float] = field(default_factory=dict)
     skipped_pairs: tuple[tuple[str, str, str], ...] = ()
+    _label_counts: dict[str, int] = field(init=False, repr=False, compare=False)
+    _unique: dict[str, InstanceNgt] = field(init=False, repr=False, compare=False)
 
-    def label_counts(self) -> dict[str, int]:
+    def __post_init__(self):
         counts: dict[str, int] = {}
         for inst in self.instances:
             counts[inst.label] = counts.get(inst.label, 0) + 1
-        return counts
+        unique = {inst.label: inst for inst in self.instances if counts[inst.label] == 1}
+        object.__setattr__(self, "_label_counts", counts)
+        object.__setattr__(self, "_unique", unique)
 
-    def unique_label_instances(self) -> dict[str, InstanceNgt]:
-        """Instances whose label appears exactly once (unambiguous referents)."""
-        counts = self.label_counts()
-        return {
-            inst.label: inst for inst in self.instances if counts[inst.label] == 1
-        }
+    def label_counts(self) -> Mapping[str, int]:
+        """Instances per label, as a read-only view."""
+        return MappingProxyType(self._label_counts)
+
+    def unique_label_instances(self) -> Mapping[str, InstanceNgt]:
+        """Instances whose label appears exactly once (unambiguous referents),
+        as a read-only view."""
+        return MappingProxyType(self._unique)
 
     def distance(self, a: str, b: str) -> float:
         return self.pairs[pair_key(a, b)]

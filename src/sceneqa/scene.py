@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from math import sqrt
 from pathlib import Path
 
 import numpy as np
@@ -445,11 +446,18 @@ def _box_points(rng: np.random.Generator, box: BoxSpec) -> np.ndarray:
 
 
 def box_gap(lo1, hi1, lo2, hi2) -> float:
-    """Closed-form hull distance between two axis-aligned boxes."""
-    lo1, hi1 = np.asarray(lo1, float), np.asarray(hi1, float)
-    lo2, hi2 = np.asarray(lo2, float), np.asarray(hi2, float)
-    per_axis = np.maximum(0.0, np.maximum(lo1 - hi2, lo2 - hi1))
-    return float(np.sqrt(np.sum(per_axis * per_axis)))
+    """Closed-form hull distance between two axis-aligned boxes.
+
+    Plain float arithmetic, summing the squared per-axis gaps in axis order:
+    the same operations, in the same order, as the numpy expression
+    ``sqrt(sum(maximum(0, maximum(lo1 - hi2, lo2 - hi1)) ** 2))``, so the
+    result is bitwise that expression's, without converting four arrays.
+    """
+    total = 0.0
+    for a1, b1, a2, b2 in zip(lo1, hi1, lo2, hi2):
+        gap = max(0.0, float(a1) - float(b2), float(a2) - float(b1))
+        total += gap * gap
+    return sqrt(total)
 
 
 def generate_synthetic_scene(
@@ -468,17 +476,17 @@ def generate_synthetic_scene(
     rng = np.random.default_rng(seed)
     instances: list[Instance] = []
     truth_instances: dict[str, InstanceTruth] = {}
-    box_ids: list[tuple[str, np.ndarray, np.ndarray]] = []
+    box_ids: list[tuple[str, tuple, tuple]] = []
 
     for k, box in enumerate(spec.boxes):
         inst = Instance(f"o{k:03d}", box.label, PointSet(_box_points(rng, box)))
         center = np.asarray(box.center, dtype=np.float64)
         half = np.asarray(box.dims, dtype=np.float64) / 2.0
-        lo, hi = center - half, center + half
+        lo, hi = tuple((center - half).tolist()), tuple((center + half).tolist())
         bbox = geometry.aabb(inst.points)
         instances.append(inst)
         truth_instances[inst.instance_id] = InstanceTruth(
-            inst.instance_id, inst.label, tuple(center), tuple(lo), tuple(hi),
+            inst.instance_id, inst.label, tuple(center.tolist()), lo, hi,
             tuple(bbox.extents), geometry.aabb_volume(bbox),
         )
         box_ids.append((inst.instance_id, lo, hi))

@@ -45,9 +45,85 @@ def render_count(value: float) -> str:
     return str(int(rounded))
 
 
+# ``ensure_ascii=False`` string encoding, in C where the interpreter has it:
+# the function ``json.dumps`` itself uses for strings and keys.
+_encode_str = json.encoder.encode_basestring
+# One compact encoder, as ``json.dumps(row, ensure_ascii=False)`` would build
+# afresh for every row.
+_encode_compact = json.JSONEncoder(ensure_ascii=False).encode
+_INF = float("inf")
+
+
+class _Unsupported(Exception):
+    """A value :func:`_dumps_indented` leaves to the standard library."""
+
+
+def _float_str(value: float) -> str:
+    # json.encoder's floatstr with allow_nan=True.
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_str(key) -> str:
+    # The key coercions of json.encoder's _iterencode_dict: a str as is; a
+    # float, int, bool or None as its JSON text, quoted.
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, (float, int)) or key is None:
+        return '"' + _dumps_indented(key, "") + '"'
+    raise _Unsupported
+
+
+def _dumps_indented(obj: Any, newline: str) -> str:
+    """``obj`` laid out as ``json.dumps(indent=2)`` does, with ``newline``
+    (a newline plus the current indent) before each nested line."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, float):
+        return _float_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_dumps_indented(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_key_str(key) + ": " + _dumps_indented(value, inner)
+                 for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise _Unsupported
+
+
 def stable_json_dumps(obj: Any) -> str:
-    """Serialize to JSON with a fixed layout so output files are reproducible."""
-    return json.dumps(obj, indent=2, sort_keys=False, ensure_ascii=False)
+    """Serialize to JSON with a fixed layout so output files are reproducible.
+
+    The text is exactly ``json.dumps(obj, indent=2, ensure_ascii=False)``.
+    The standard library lays out indented JSON with a pure-Python generator;
+    this builds the same text by recursive joins over the C string encoder
+    and ``float.__repr__``.  Any value it does not handle itself (a type
+    ``json`` would reject or pass to ``default``, a cycle, nesting past the
+    recursion limit) sends the whole document to ``json.dumps``, which then
+    returns the text or raises its own error.
+    """
+    try:
+        return _dumps_indented(obj, "\n")
+    except (_Unsupported, RecursionError):
+        return json.dumps(obj, indent=2, ensure_ascii=False)
 
 
 def _write_replacing(path: str | Path, write):
@@ -94,7 +170,7 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> int:
     def write(fh) -> int:
         n = 0
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=False))
+            fh.write(_encode_compact(row))
             fh.write("\n")
             n += 1
         return n

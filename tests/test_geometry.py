@@ -13,6 +13,7 @@ import pytest
 
 from sceneqa.errors import DegenerateInputError, NotConvergedError
 from sceneqa.geometry import (
+    DEFAULT_TOL,
     Aabb,
     aabb,
     aabb_volume,
@@ -155,6 +156,24 @@ class TestHullDistanceFrozenBank:
                 assert res.distance == 0.0
             else:
                 assert res.distance == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("tol,iterations,distance", [
+        (DEFAULT_TOL, 51, 14.694454617913621),
+        (1e-2, 46, 14.71955480815048),
+    ])
+    def test_point_sets_and_arrays_solve_alike(self, tol, iterations, distance):
+        """A PointSet's stored bounds and an array's per-call reduction give
+        the same tolerance, hence the same steps and bits.  At tol 1e-2 where
+        the solve stops depends on the bounding diagonal.  The summed
+        iterations and distances were computed before the bounds were
+        stored."""
+        total_iterations, total_distance = 0, 0.0
+        for a, b, _ in _frozen_cases():
+            res = hull_distance(a, b, tol=tol)
+            assert hull_distance(PointSet(a), PointSet(b), tol=tol) == res
+            total_iterations += res.iterations
+            total_distance += res.distance
+        assert (total_iterations, total_distance) == (iterations, distance)
 
     def test_live_oracle_matches_frozen_values(self):
         for a, b, expected in _frozen_cases():

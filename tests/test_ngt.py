@@ -66,6 +66,25 @@ class TestExtraction:
     def test_label_counts(self, toy_scene):
         assert extract_ngt(toy_scene).label_counts() == {"chair": 2, "table": 1}
 
+    def test_label_lookups_are_read_only(self, toy_scene):
+        table = extract_ngt(toy_scene)
+        counts, unique = table.label_counts(), table.unique_label_instances()
+        with pytest.raises(TypeError):
+            counts["chair"] = 7
+        with pytest.raises(TypeError):
+            unique["chair"] = table.instances[1]
+        with pytest.raises(TypeError):
+            del unique["table"]
+        assert table.label_counts() == {"chair": 2, "table": 1}
+        assert set(table.unique_label_instances()) == {"table"}
+
+    def test_label_lookups_survive_a_file_round_trip(self, toy_scene, tmp_path):
+        table = extract_ngt(toy_scene)
+        write_ngt(table, tmp_path / "toy.ngt.json")
+        back = read_ngt(tmp_path / "toy.ngt.json")
+        assert back.label_counts() == table.label_counts()
+        assert back.unique_label_instances() == table.unique_label_instances()
+
 
 class TestPairKey:
     def test_orders_ids(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from sceneqa.cli import main
 from sceneqa.errors import ConfigError
 from sceneqa.evaluate import gold_answer
+from sceneqa.geometry import hull_distance
 from sceneqa.pipeline import (
     PipelineConfig,
     apply_overrides,
@@ -21,6 +23,7 @@ from sceneqa.pipeline import (
     run_synth,
 )
 from sceneqa.rulegen import read_dataset
+from sceneqa.scene import load_scene
 from sceneqa.util import read_json, write_json, write_jsonl
 
 SEED = 424243
@@ -335,6 +338,24 @@ class TestDeterminism:
             for name in self.PINNED
         }
         assert digests == self.PINNED
+
+    def test_solver_work_on_pinned_scenes(self, tmp_path):
+        """Pair count, summed GJK iterations and summed distances (in pair
+        order) over every instance pair of the two scenes pinned above.
+        The values were computed before the solver's set-up was reworked; a
+        change means the solver now takes other steps or returns other bits.
+        """
+        cfg = PipelineConfig(seed=SEED, out_dir=str(tmp_path), synth_scenes=2)
+        pairs = iterations = 0
+        distance = 0.0
+        for path in run_synth(cfg):
+            instances = sorted(load_scene(path).instances, key=lambda i: i.instance_id)
+            for a, b in itertools.combinations(instances, 2):
+                result = hull_distance(a.points, b.points)
+                pairs += 1
+                iterations += result.iterations
+                distance += result.distance
+        assert (pairs, iterations, distance) == (1640, 3690, 10546.21536436673)
 
 
 class TestCliErrors:

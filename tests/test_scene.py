@@ -1,6 +1,7 @@
 """Scene model, file interchange, scan-triplet import, and synthetic scenes."""
 
 import json
+import pickle
 import re
 import struct
 import tempfile
@@ -123,6 +124,27 @@ class TestPointSet:
     def test_equality_is_by_value(self):
         assert PointSet([[1, 2, 3]]) == PointSet([[1.0, 2.0, 3.0]])
         assert PointSet([[1, 2, 3]]) != PointSet([[1, 2, 4]])
+
+    @given(_ROWS)
+    def test_bounds_are_the_per_axis_min_and_max(self, rows):
+        ps = PointSet(rows)
+        lo, hi = ps.bounds
+        assert np.array_equal(lo, ps.coords.min(axis=0))
+        assert np.array_equal(hi, ps.coords.max(axis=0))
+
+    def test_bounds_are_read_only(self):
+        lo, hi = PointSet([[0.0, 1.0, 2.0], [3.0, -4.0, 5.0]]).bounds
+        for bound in (lo, hi):
+            with pytest.raises(ValueError):
+                bound[0] = 7.0
+
+    def test_pickle_round_trip(self):
+        ps = PointSet([[0.0, 1.0, 2.0], [3.0, -4.0, 5.0], [0.5, 0.5, 0.5]])
+        back = pickle.loads(pickle.dumps(ps))
+        assert back == ps
+        assert all(np.array_equal(x, y) for x, y in zip(back.bounds, ps.bounds))
+        for block in (back.coords, *back.bounds):
+            assert not block.flags.writeable
 
 
 class TestInstanceAndScene:
@@ -415,6 +437,34 @@ class TestBoxGap:
     def test_touching_and_overlapping_boxes(self):
         assert box_gap([0, 0, 0], [1, 1, 1], [1, 0, 0], [2, 1, 1]) == 0.0
         assert box_gap([0, 0, 0], [2, 2, 2], [1, 1, 1], [3, 3, 3]) == 0.0
+
+    @staticmethod
+    def _numpy_box_gap(lo1, hi1, lo2, hi2) -> float:
+        """The numpy form ``box_gap`` replaced, kept as the reference."""
+        lo1, hi1 = np.asarray(lo1, float), np.asarray(hi1, float)
+        lo2, hi2 = np.asarray(lo2, float), np.asarray(hi2, float)
+        per_axis = np.maximum(0.0, np.maximum(lo1 - hi2, lo2 - hi1))
+        return float(np.sqrt(np.sum(per_axis * per_axis)))
+
+    _CORNER = st.tuples(*[st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1.0, -2.5]),
+        st.floats(-1e6, 1e6),
+    )] * 3)
+    _DIMS = st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1e6))] * 3)
+
+    @given(_CORNER, _DIMS, _CORNER, _DIMS, st.sampled_from([list, tuple, np.array]))
+    @example((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (1.0, 1.0, 1.0), list)
+    @example((0.0, 0.0, 0.0), (2.0, 2.0, 2.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0), tuple)
+    @example((0.1, 0.2, 0.3), (1.1, 1.2, 1.3), (3.7, 2.9, 4.4), (1.0, 1.0, 1.0), np.array)
+    def test_bitwise_equal_to_numpy_form(self, lo1, dims1, lo2, dims2, kind):
+        """Overlapping, touching and separated boxes given as lists, tuples
+        or arrays: the float result has the numpy form's exact bits."""
+        hi1 = tuple(a + d for a, d in zip(lo1, dims1))
+        hi2 = tuple(a + d for a, d in zip(lo2, dims2))
+        args = [kind(v) for v in (lo1, hi1, lo2, hi2)]
+        got, want = box_gap(*args), self._numpy_box_gap(*args)
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestSyntheticScenes:

@@ -1,10 +1,12 @@
 """Seed derivation, decimal rendering, and JSON/JSONL helpers."""
 
+import json
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sceneqa.errors import MalformedFileError
 from sceneqa.util import (
@@ -80,6 +82,33 @@ class TestRenderCount:
             render_count(4.5)
 
 
+# Text with JSON escapes, control characters and non-ASCII characters.
+_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é漢🙂'),
+    st.characters(),
+), max_size=8)
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-5, float("nan"),
+                     float("inf"), -float("inf")]),
+    st.floats(),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS,
+    _FLOATS.map(np.float64), _TEXT,
+)
+_KEYS = st.one_of(_TEXT, st.integers(), _FLOATS, _FLOATS.map(np.float64),
+                  st.booleans(), st.none())
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
 class TestJsonHelpers:
     def test_round_trip(self, tmp_path):
         payload = {"b": [1, 2], "a": {"x": 0.5}}
@@ -90,6 +119,30 @@ class TestJsonHelpers:
     def test_stable_dumps_preserves_insertion_order(self):
         text = stable_json_dumps({"z": 1, "a": 2})
         assert text.index('"z"') < text.index('"a"')
+
+    @given(_DOCUMENTS)
+    @example({"q\"\n\x00é": [(), {}, [[]], -0.0, 5e-324, 1e16, float("nan")],
+              1: float("inf"), 2.5: -float("inf"), True: np.float64(0.1),
+              np.float64(-0.0): (), float("nan"): {"": ""},
+              False: None, None: [True, False, 0, -7, 2**70]})
+    def test_stable_dumps_equals_indented_json_dumps(self, doc):
+        assert stable_json_dumps(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+
+    @pytest.mark.parametrize("doc", [
+        {"a": object()}, [1, {2}], {(1, 2): 3}, {b"key": 1}, [np.int64(3)],
+    ], ids=["object", "set", "tuple-key", "bytes-key", "numpy-int"])
+    def test_stable_dumps_rejects_what_json_dumps_rejects(self, doc):
+        with pytest.raises(TypeError) as ours:
+            stable_json_dumps(doc)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(doc, indent=2, ensure_ascii=False)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_stable_dumps_reports_cycles_like_json_dumps(self):
+        loop = []
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            stable_json_dumps({"a": loop})
 
     def test_malformed_json_raises(self, tmp_path):
         path = tmp_path / "bad.json"
