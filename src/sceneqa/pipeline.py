@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     InsufficientCandidatesError,
     SceneQaError,
+    SchemaViolationError,
 )
 from .evaluate import (
     ConsistencyReport,
@@ -237,6 +238,9 @@ def _synth_scene(cfg: PipelineConfig, scene_id: str) -> Path:
 
 def _extract_scene(cfg: PipelineConfig, path: str) -> Path:
     scene = load_scene(path)
+    # The id names the output file, so it must be one file-name component.
+    if scene.scene_id in (".", "..") or any(c in scene.scene_id for c in "/\\\0"):
+        raise SchemaViolationError(f"{path}: scene_id {scene.scene_id!r} is not a file name")
     table = extract_ngt(scene, excluded_labels=frozenset(cfg.excluded_labels),
                         tol=cfg.solver_tol)
     target = cfg.ngt_path / f"{scene.scene_id}.ngt.json"

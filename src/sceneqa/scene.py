@@ -4,7 +4,7 @@ A scene is a set of labeled instances, each carrying a point set sampled from
 the object's surface or volume.  Scenes arrive three ways:
 
 * native JSON (:func:`load_scene` / :func:`write_scene`), the package's own
-  lossless interchange format;
+  lossless format, points packed as base64 float64 (lists are still read);
 * mesh + segmentation + aggregation triplets as shipped by common RGB-D scan
   datasets (:func:`import_scan_triplet`);
 * synthetic generation (:func:`generate_synthetic_scene`), which also returns
@@ -14,8 +14,8 @@ the object's surface or volume.  Scenes arrive three ways:
 
 from __future__ import annotations
 
+import base64
 import itertools
-import json
 from dataclasses import dataclass, field
 from math import sqrt
 from pathlib import Path
@@ -30,7 +30,7 @@ from .errors import (
     MalformedFileError,
     SchemaViolationError,
 )
-from .util import read_json, write_chunks
+from .util import read_json, write_json
 
 DEFAULT_EXCLUDED_LABELS = frozenset({"item", "object"})
 
@@ -78,14 +78,6 @@ class Scene:
 # ---------------------------------------------------------------------------
 
 
-# One point as ``json.dumps(indent=2)`` lays it out inside an instance, and
-# the encoding of ids and labels that ``ensure_ascii=False`` gives.
-_POINT_ROW = "        [\n          %r,\n          %r,\n          %r\n        ]"
-_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
-_ROW_TYPES = (list, tuple)
-_NUMBER_TYPES = (int, float)
-
-
 def _all_points_are_xyz(points: list) -> bool:
     """True when every row is a list or tuple of three non-bool numbers.
 
@@ -93,91 +85,97 @@ def _all_points_are_xyz(points: list) -> bool:
     The checks map builtins over the rows and test each distinct coordinate
     type once, so a dense cloud costs a few C-level passes, not a Python loop.
     """
-    if not all(map(isinstance, points, itertools.repeat(_ROW_TYPES))):
+    if not all(map(isinstance, points, itertools.repeat((list, tuple)))):
         return False
     if set(map(len, points)) != {3}:
         return False
     return all(
-        issubclass(t, _NUMBER_TYPES) and not issubclass(t, bool)
+        issubclass(t, (int, float)) and not issubclass(t, bool)
         for t in set(map(type, itertools.chain.from_iterable(points)))
     )
 
 
-def scene_from_dict(data, source: str = "<dict>") -> Scene:
-    if not isinstance(data, dict):
-        raise SchemaViolationError(f"{source}: scene document must be an object")
-    scene_id = data.get("scene_id")
-    if not isinstance(scene_id, str) or not scene_id:
-        raise SchemaViolationError(f"{source}: 'scene_id' must be a non-empty string")
-    raw_instances = data.get("instances")
-    if not isinstance(raw_instances, list) or not raw_instances:
-        raise SchemaViolationError(f"{source}: 'instances' must be a non-empty list")
-    instances = []
-    for pos, raw in enumerate(raw_instances):
-        if not isinstance(raw, dict):
-            raise SchemaViolationError(f"{source}: instance #{pos} is not an object")
-        iid = raw.get("instance_id")
-        label = raw.get("label")
-        points = raw.get("points")
-        if not isinstance(iid, str) or not iid:
-            raise SchemaViolationError(
-                f"{source}: instance #{pos}: 'instance_id' must be a non-empty string"
-            )
-        if not isinstance(label, str):
-            raise SchemaViolationError(
-                f"{source}: instance {iid!r}: 'label' must be a string"
-            )
-        if not isinstance(points, list) or not points:
-            raise SchemaViolationError(
-                f"{source}: instance {iid!r}: 'points' must be a non-empty list"
-            )
-        if not _all_points_are_xyz(points):
-            raise SchemaViolationError(
-                f"{source}: instance {iid!r}: every point must be [x, y, z] numbers"
-            )
-        # The rows are checked, so one flat pass fills the array.
-        flat = np.fromiter(itertools.chain.from_iterable(points), np.float64, 3 * len(points))
+def _instance_coords(raw: dict) -> np.ndarray:
+    """An instance's coordinates from exactly one of ``points_b64`` (base64 of
+    row-major ``<f8`` bytes) and legacy ``points`` rows; PointSet checks them."""
+    if ("points_b64" in raw) == ("points" in raw):
+        raise SchemaViolationError("needs exactly one of 'points' and 'points_b64'")
+    if "points_b64" in raw:
+        if not isinstance(raw["points_b64"], str):
+            raise SchemaViolationError("'points_b64' must be a base64 string")
         try:
-            instances.append(Instance(iid, label, PointSet(flat.reshape(-1, 3))))
-        except SchemaViolationError as exc:
-            raise SchemaViolationError(f"{source}: {exc}") from exc
+            data = base64.b64decode(raw["points_b64"], validate=True)
+        except ValueError as exc:
+            raise SchemaViolationError(f"'points_b64' is not valid base64: {exc}") from None
+        if not data or len(data) % 24:
+            raise SchemaViolationError(
+                f"'points_b64' holds {len(data)} bytes, not a positive multiple of 24")
+        return np.frombuffer(data, "<f8").reshape(-1, 3)
+    points = raw["points"]
+    if not isinstance(points, list) or not points:
+        raise SchemaViolationError("'points' must be a non-empty list")
+    if not _all_points_are_xyz(points):
+        raise SchemaViolationError("every point must be [x, y, z] numbers")
+    # The rows are checked, so one flat pass fills the array.
+    flat = np.fromiter(itertools.chain.from_iterable(points), np.float64, 3 * len(points))
+    return flat.reshape(-1, 3)
+
+
+def scene_from_dict(data, source: str = "<dict>") -> Scene:
+    """Build a :class:`Scene` from a scene document; every error names ``source``."""
     try:
-        return Scene(scene_id, tuple(instances))
+        return _scene_from_dict(data)
     except SchemaViolationError as exc:
         raise SchemaViolationError(f"{source}: {exc}") from exc
 
 
+def _scene_from_dict(data) -> Scene:
+    if not isinstance(data, dict):
+        raise SchemaViolationError("scene document must be an object")
+    scene_id = data.get("scene_id")
+    if not isinstance(scene_id, str) or not scene_id:
+        raise SchemaViolationError("'scene_id' must be a non-empty string")
+    raw_instances = data.get("instances")
+    if not isinstance(raw_instances, list) or not raw_instances:
+        raise SchemaViolationError("'instances' must be a non-empty list")
+    instances = []
+    for pos, raw in enumerate(raw_instances):
+        if not isinstance(raw, dict):
+            raise SchemaViolationError(f"instance #{pos} is not an object")
+        iid = raw.get("instance_id")
+        label = raw.get("label")
+        if not isinstance(iid, str) or not iid:
+            raise SchemaViolationError(
+                f"instance #{pos}: 'instance_id' must be a non-empty string")
+        if not isinstance(label, str):
+            raise SchemaViolationError(f"instance {iid!r}: 'label' must be a string")
+        try:
+            points = PointSet(_instance_coords(raw))
+        except SchemaViolationError as exc:
+            raise SchemaViolationError(f"instance {iid!r}: {exc}") from exc
+        instances.append(Instance(iid, label, points))
+    return Scene(scene_id, tuple(instances))
+
+
 def load_scene(path: str | Path) -> Scene:
-    """Load a scene from native JSON.  Round-trips :func:`write_scene` exactly."""
+    """Load a scene from native JSON.  Round-trips :func:`write_scene` bit for bit."""
     return scene_from_dict(read_json(path), source=str(path))
 
 
 def write_scene(scene: Scene, path: str | Path) -> None:
     """Write ``scene`` as native JSON, replacing ``path`` only once complete.
 
-    The bytes are exactly ``json.dumps(doc, indent=2, ensure_ascii=False)``
-    plus a newline, where ``doc`` is ``{"scene_id", "instances":
-    [{"instance_id", "label", "points"}, ...]}``.  Coordinates are finite
-    float64 and ``%r`` of a float is the ``float.__repr__`` the encoder emits,
-    so each instance's points are one ``%`` on a row template instead of a
-    walk through the pure-Python indenting encoder.
+    The document is ``{"scene_id", "instances": [{"instance_id", "label",
+    "points_b64"}, ...]}``, written by :func:`sceneqa.util.write_json` as
+    ``json.dumps(doc, indent=2, ensure_ascii=False)`` plus a newline.  Packed
+    float64 is about a third the size of the points as JSON text and needs no
+    per-coordinate formatting or parsing.
     """
-
-    def chunks():
-        yield '{\n  "scene_id": ' + _encode_scalar(scene.scene_id) + ',\n  "instances": [\n'
-        for pos, inst in enumerate(scene.instances):
-            coords = inst.points.coords
-            yield (
-                ("    {\n" if pos == 0 else ",\n    {\n")
-                + '      "instance_id": ' + _encode_scalar(inst.instance_id)
-                + ',\n      "label": ' + _encode_scalar(inst.label)
-                + ',\n      "points": [\n'
-            )
-            yield ",\n".join([_POINT_ROW] * len(coords)) % tuple(coords.ravel().tolist())
-            yield "\n      ]\n    }"
-        yield "\n  ]\n}\n"
-
-    write_chunks(chunks(), path)
+    write_json({"scene_id": scene.scene_id, "instances": [
+        {"instance_id": inst.instance_id, "label": inst.label, "points_b64":
+         base64.b64encode(inst.points.coords.astype("<f8").tobytes()).decode("ascii")}
+        for inst in scene.instances
+    ]}, path)
 
 
 # ---------------------------------------------------------------------------

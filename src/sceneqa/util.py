@@ -146,13 +146,9 @@ def _write_replacing(path: str | Path, write):
     return result
 
 
-def write_chunks(chunks: Iterable[str], path: str | Path) -> None:
-    """Write the strings of ``chunks`` in order to ``path``, crash-safe."""
-    _write_replacing(path, lambda fh: fh.writelines(chunks))
-
-
 def write_json(obj: Any, path: str | Path) -> None:
-    write_chunks((stable_json_dumps(obj), "\n"), path)
+    text = stable_json_dumps(obj)
+    _write_replacing(path, lambda fh: fh.writelines((text, "\n")))
 
 
 def read_json(path: str | Path):

@@ -296,10 +296,14 @@ class TestDeterminism:
             "4d62a1fe9dd27f231f6953aaf7866bade55508eca1b5300f8ce11022322b0479",
         "run_log.jsonl":
             "a8328fb500e27c4d68b2ff50882c0ab4d715cdc5523297dd509d7836cc7d0c51",
+        # Scene files store points as base64 float64 (``points_b64``) rather
+        # than [x, y, z] text, so these two digests were re-pinned for that
+        # layout; the coordinates are the same bits, and every digest below
+        # them stayed as it was.
         "scenes/synth0000.scene.json":
-            "a3ceaf93b4f5dede0e0e1b5a25fc59403fde03bfecb90b204e7c4ac01513ac60",
+            "f9d4eafa1826f9877a9510f240ca63063c956f932420f56cfe25683a832fa413",
         "scenes/synth0001.scene.json":
-            "7412342fe3c9424002c35585f0a55c24331a8b038eea605a688c67691e5a2ec7",
+            "d0e36a004ac506d645da43bb0d79b11ff000adaf2874b3e2849067f2c3bf31fc",
         "scenes/synth0000.truth.json":
             "f1178fc09d43aad7d05b5deb3fbfc523277f0c2e564fc459d60b86a51eb8af56",
         "scenes/synth0001.truth.json":
@@ -377,6 +381,20 @@ class TestCliErrors:
 
     def test_no_scenes_matched(self, tmp_path):
         assert main(["extract", "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("scene_id", ["../escaped", "a/b", "a\\b", "nul\x00", ".", ".."])
+    def test_extract_rejects_a_scene_id_that_is_not_a_file_name(self, tmp_path, scene_id,
+                                                                 capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        write_json({"scene_id": scene_id, "instances": [
+            {"instance_id": "a", "label": "chair", "points": [[0.0, 0.0, 0.0]]}]},
+            scenes / "evil.scene.json")
+        out = tmp_path / "out"
+        code = main(["extract", "--out", str(out), "--scenes", str(scenes / "*.scene.json")])
+        assert code == 3
+        assert "evil.scene.json" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.ngt.json"))
 
     def test_generation_shortfall(self, cli_run, tmp_path):
         config = tmp_path / "config.json"

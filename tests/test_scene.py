@@ -1,5 +1,6 @@
 """Scene model, file interchange, scan-triplet import, and synthetic scenes."""
 
+import base64
 import json
 import pickle
 import re
@@ -19,6 +20,7 @@ from sceneqa.errors import (
     MalformedFileError,
     SchemaViolationError,
 )
+from sceneqa.pipeline import PipelineConfig, run_extract
 from sceneqa.scene import (
     BoxSpec,
     DEFAULT_EXCLUDED_LABELS,
@@ -37,6 +39,12 @@ from sceneqa.scene import (
 )
 
 
+def pack(values):
+    """``points_b64`` for the coordinates ``values``, flattened row by row:
+    base64 of little-endian float64."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
 def scene_doc(scene):
     """The scene document that ``write_scene`` must serialise."""
     return {
@@ -45,11 +53,21 @@ def scene_doc(scene):
             {
                 "instance_id": inst.instance_id,
                 "label": inst.label,
-                "points": inst.points.coords.tolist(),
+                "points_b64": pack(inst.points.coords.ravel().tolist()),
             }
             for inst in scene.instances
         ],
     }
+
+
+def legacy_doc(scene):
+    """The same scene with its points as ``[x, y, z]`` lists, as scene files
+    were written before points were packed."""
+    doc = scene_doc(scene)
+    for raw, inst in zip(doc["instances"], scene.instances):
+        del raw["points_b64"]
+        raw["points"] = inst.points.coords.tolist()
+    return doc
 
 
 def reference_bytes(scene):
@@ -278,15 +296,90 @@ class TestSceneInterchange:
         write_scene(make_scene(), path)
         before = path.read_bytes()
 
-        def fail_partway(_coords):
+        def interrupted(*_args):
             raise RuntimeError("interrupted")
 
-        # The first instance's head is already written when its points fail.
-        monkeypatch.setattr(PointSet, "coords", property(fail_partway))
+        # Once while the document is built, once after the temporary file is
+        # complete but before it replaces the old one.
+        with monkeypatch.context() as patch:
+            patch.setattr(PointSet, "coords", property(interrupted))
+            with pytest.raises(RuntimeError, match="interrupted"):
+                write_scene(make_scene(), path)
+        monkeypatch.setattr("sceneqa.util.os.replace", interrupted)
         with pytest.raises(RuntimeError, match="interrupted"):
             write_scene(make_scene(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["toy.scene.json"]
+
+
+class TestPackedPoints:
+    @settings(max_examples=150, deadline=None)
+    @given(_ROWS)
+    @example([(-0.0, 5e-324, -5e-324), (1e300, -1e300, 0.0)])
+    def test_round_trip_is_bit_exact(self, rows):
+        scene = Scene("s", (Instance("a", "chair", PointSet(rows)),))
+        loaded = scene_from_dict(json.loads(written_bytes(scene)))
+        want = np.array(rows, dtype=np.float64)
+        got = loaded.instances[0].points.coords
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_payload_is_row_major_little_endian(self):
+        doc = {"scene_id": "s", "instances": [{"instance_id": "a", "label": "chair",
+               "points_b64": pack([1.0, 2.0, 3.0, -4.0, 5.5, 6.25])}]}
+        coords = scene_from_dict(doc).instances[0].points.coords
+        assert coords.tolist() == [[1.0, 2.0, 3.0], [-4.0, 5.5, 6.25]]
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"points_b64": 12}, "'points_b64' must be a base64 string"),
+        ({"points_b64": None}, "'points_b64' must be a base64 string"),
+        ({"points_b64": [pack([0.0] * 3)]}, "'points_b64' must be a base64 string"),
+        ({"points_b64": pack([0.0] * 3)[:-1] + "*"}, "not valid base64"),
+        ({"points_b64": " " + pack([0.0] * 3)}, "not valid base64"),
+        ({"points_b64": "\u00e9" * 4}, "not valid base64"),
+        ({"points_b64": ""}, "holds 0 bytes"),
+        ({"points_b64": base64.b64encode(bytes(16)).decode()}, "holds 16 bytes"),
+        ({"points_b64": base64.b64encode(bytes(25)).decode()}, "holds 25 bytes"),
+        ({"points_b64": base64.b64encode(bytes(47)).decode()}, "holds 47 bytes"),
+        ({"points_b64": pack([0.0] * 3), "points": [[0.0, 0.0, 0.0]]},
+         "exactly one of 'points' and 'points_b64'"),
+        ({}, "exactly one of 'points' and 'points_b64'"),
+        ({"points_b64": pack([0.0, float("nan"), 0.0])}, "non-finite"),
+        ({"points_b64": pack([1.0, 2.0, 3.0, float("-inf"), 0.0, 0.0])},
+         "non-finite"),
+    ])
+    def test_rejections_name_the_source_and_instance(self, entry, message):
+        doc = {"scene_id": "s", "instances": [
+            {"instance_id": "ok", "label": "chair", "points_b64": pack([0.0] * 3)},
+            {"instance_id": "bad", "label": "table", **entry},
+        ]}
+        with pytest.raises(SchemaViolationError) as info:
+            scene_from_dict(doc, source="f.json")
+        assert str(info.value).startswith("f.json: instance 'bad': ")
+        assert message in str(info.value)
+
+    def test_legacy_lists_load_and_extract_the_same(self, tmp_path):
+        spec = SyntheticSpec("mixed", (
+            BoxSpec("bed", (2.0, 3.0, 0.4), (2.0, 1.6, 0.8), n_points=40),
+            BoxSpec("lamp", (-4.25, 7.5, 1.5), (0.3, 0.3, 3.0), n_points=31),
+            BoxSpec("desk", (0.1, -2.0, 0.35), (1.2, 0.6, 0.7), n_points=9),
+        ))
+        scene, _ = generate_synthetic_scene(spec, seed=5)
+        tables = {}
+        for layout in ("legacy", "packed"):
+            scenes = tmp_path / layout / "scenes"
+            scenes.mkdir(parents=True)
+            path = scenes / "mixed.scene.json"
+            if layout == "legacy":
+                path.write_text(json.dumps(legacy_doc(scene), indent=2) + "\n")
+            else:
+                write_scene(scene, path)
+            loaded = load_scene(path)
+            assert [i.points for i in loaded.instances] == [i.points for i in scene.instances]
+            (table,) = run_extract(PipelineConfig(
+                out_dir=str(tmp_path / layout), scenes=str(scenes / "*.scene.json")))
+            tables[layout] = table.read_bytes()
+        assert tables["legacy"] == tables["packed"]
 
 
 def write_ascii_ply(path, vertices, extra_cols=False):
