@@ -9,7 +9,8 @@ Subcommands cover the pipeline end to end::
     sceneqa score     --out out --predictions p.jsonl
 
 Exit codes: 0 success, 1 unexpected failure, 2 configuration problem,
-3 unreadable or malformed inputs, 4 generation shortfall (not enough valid
+3 unreadable or malformed inputs (a scene with no instances left after
+label exclusion among them), 4 generation shortfall (not enough valid
 candidates or rewrite attempts), 5 self-check failure.
 """
 
@@ -22,6 +23,7 @@ from pathlib import Path
 from .errors import (
     ConfigError,
     DegenerateInputError,
+    EmptyAfterFilterError,
     ExhaustedAttemptsError,
     InconsistentTripletError,
     InsufficientCandidatesError,
@@ -56,6 +58,7 @@ _INPUT_ERRORS = (
     InconsistentTripletError,
     InvalidSpecError,
     DegenerateInputError,
+    EmptyAfterFilterError,
 )
 _SHORTFALL_ERRORS = (
     InsufficientCandidatesError,

@@ -1,9 +1,11 @@
 """Numeric ground truth (NGT) extraction.
 
 For every retained instance of a scene this computes centroid, axis-aligned
-bounding box, box dims and box volume; for every unordered pair of retained
-instances, the convex-hull distance.  Non-informative labels (by default
-"item" and "object") are dropped before anything is measured.
+bounding box, box dims and box volume, as a
+:class:`~sceneqa.scene.InstanceMeasurement` (the row type synthetic truth
+uses too, so both files write the same instance keys); for every unordered
+pair of retained instances, the convex-hull distance.  Non-informative labels
+(by default "item" and "object") are dropped before anything is measured.
 
 Pairs whose distance solve fails to certify are recorded in ``skipped_pairs``
 with a reason instead of aborting the scene; question generation never uses
@@ -20,19 +22,8 @@ from typing import Iterable, Mapping
 
 from . import geometry
 from .errors import EmptyAfterFilterError, NotConvergedError, SchemaViolationError
-from .scene import DEFAULT_EXCLUDED_LABELS, Scene
+from .scene import DEFAULT_EXCLUDED_LABELS, InstanceMeasurement, Scene
 from .util import read_json, write_json
-
-
-@dataclass(frozen=True)
-class InstanceNgt:
-    instance_id: str
-    label: str
-    centroid: tuple[float, float, float]
-    aabb_min: tuple[float, float, float]
-    aabb_max: tuple[float, float, float]
-    dims: tuple[float, float, float]
-    volume: float
 
 
 def pair_key(a: str, b: str) -> tuple[str, str]:
@@ -49,11 +40,11 @@ class NgtTable:
     """
 
     scene_id: str
-    instances: tuple[InstanceNgt, ...]
+    instances: tuple[InstanceMeasurement, ...]
     pairs: dict[tuple[str, str], float] = field(default_factory=dict)
     skipped_pairs: tuple[tuple[str, str, str], ...] = ()
     _label_counts: dict[str, int] = field(init=False, repr=False, compare=False)
-    _unique: dict[str, InstanceNgt] = field(init=False, repr=False, compare=False)
+    _unique: dict[str, InstanceMeasurement] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts: dict[str, int] = {}
@@ -67,7 +58,7 @@ class NgtTable:
         """Instances per label, as a read-only view."""
         return MappingProxyType(self._label_counts)
 
-    def unique_label_instances(self) -> Mapping[str, InstanceNgt]:
+    def unique_label_instances(self) -> Mapping[str, InstanceMeasurement]:
         """Instances whose label appears exactly once (unambiguous referents),
         as a read-only view."""
         return MappingProxyType(self._unique)
@@ -79,9 +70,9 @@ class NgtTable:
         return pair_key(a, b) in self.pairs
 
 
-def _measure_instance(inst) -> InstanceNgt:
+def _measure_instance(inst) -> InstanceMeasurement:
     box = geometry.aabb(inst.points)
-    return InstanceNgt(
+    return InstanceMeasurement(
         instance_id=inst.instance_id,
         label=inst.label,
         centroid=geometry.centroid(inst.points),
@@ -138,18 +129,7 @@ def extract_ngt(
 def ngt_to_dict(table: NgtTable) -> dict:
     return {
         "scene_id": table.scene_id,
-        "instances": [
-            {
-                "instance_id": inst.instance_id,
-                "label": inst.label,
-                "centroid": list(inst.centroid),
-                "aabb_min": list(inst.aabb_min),
-                "aabb_max": list(inst.aabb_max),
-                "dims": list(inst.dims),
-                "volume": inst.volume,
-            }
-            for inst in table.instances
-        ],
+        "instances": [dict(vars(inst)) for inst in table.instances],
         "pairs": [
             {"a": a, "b": b, "distance": d}
             for (a, b), d in sorted(table.pairs.items())
@@ -185,7 +165,7 @@ def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
     for pos, row in enumerate(raw_instances):
         try:
             instances.append(
-                InstanceNgt(
+                InstanceMeasurement(
                     instance_id=str(row["instance_id"]),
                     label=str(row["label"]),
                     centroid=tuple(float(c) for c in row["centroid"]),

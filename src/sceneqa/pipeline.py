@@ -70,8 +70,11 @@ FORMAT_VERSION = "1.0.0"
 _EXECUTION_ONLY_KEYS = ("jobs", "out_dir", "scenes", "ngt_dir", "synth_dir", "saq_file")
 
 
-@dataclass
-class PipelineConfig:
+@dataclass(frozen=True)
+class PipelineConfig(RulegenConfig):
+    """Run settings; the question-generation fields and their checks are
+    inherited from :class:`RulegenConfig`, so a config is whole or refused."""
+
     seed: int = 0
     out_dir: str = "out"
     scenes: str = ""
@@ -79,18 +82,6 @@ class PipelineConfig:
     excluded_labels: tuple[str, ...] = tuple(sorted(DEFAULT_EXCLUDED_LABELS))
     solver_tol: float = 1e-9
     jobs: int = 1
-
-    fv_quantity: int = 0
-    fv_distance: int = 0
-    fv_volume: int = 0
-    ni_quantity: int = 0
-    ni_distance: int = 0
-    ni_volume: int = 0
-    cot_fraction: float = 0.0
-    ambiguity_margin: float = 0.05
-    approx_band_in: float = DEFAULT_APPROX_BAND
-    approx_band_out: float = 0.30
-    min_display_value: float = 0.15
 
     rewrite_pm: int = 0
     rewrite_fv: int = 0
@@ -114,18 +105,18 @@ class PipelineConfig:
             raise ConfigError("seed must be a non-negative integer")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        for name in ("fv_quantity", "fv_distance", "fv_volume", "ni_quantity",
-                     "ni_distance", "ni_volume", "rewrite_pm", "rewrite_fv",
-                     "synth_scenes", "synth_boxes", "synth_points_per_box"):
+        for name in ("rewrite_pm", "rewrite_fv", "synth_scenes", "synth_boxes",
+                     "synth_points_per_box"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if not 2 <= self.n_options <= 5:
             raise ConfigError("n_options must be between 2 and 5")
         if self.solver_tol <= 0:
             raise ConfigError("solver_tol must be positive")
-        self.excluded_labels = tuple(
+        super().__post_init__()
+        object.__setattr__(self, "excluded_labels", tuple(
             str(label).strip().lower() for label in self.excluded_labels
-        )
+        ))
 
     @property
     def scene_glob(self) -> str:
@@ -138,21 +129,6 @@ class PipelineConfig:
     @property
     def synth_path(self) -> Path:
         return Path(self.synth_dir) if self.synth_dir else Path(self.out_dir) / "scenes"
-
-    def rulegen_config(self) -> RulegenConfig:
-        try:
-            return RulegenConfig(
-                fv_quantity=self.fv_quantity, fv_distance=self.fv_distance,
-                fv_volume=self.fv_volume, ni_quantity=self.ni_quantity,
-                ni_distance=self.ni_distance, ni_volume=self.ni_volume,
-                cot_fraction=self.cot_fraction,
-                ambiguity_margin=self.ambiguity_margin,
-                approx_band_in=self.approx_band_in,
-                approx_band_out=self.approx_band_out,
-                min_display_value=self.min_display_value,
-            )
-        except SceneQaError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def echo(self) -> dict:
         row = {}
@@ -291,16 +267,13 @@ def _rewrite_client(cfg: PipelineConfig):
 class GenerateResult:
     n_records: int
     dataset_path: Path
-    manifest_path: Path
-    balance_path: Path
-    run_log_path: Path
     task_counts: dict = field(default_factory=dict)
 
 
 def run_generate(cfg: PipelineConfig) -> GenerateResult:
     """Produce dataset.jsonl plus its balance report, run log, and manifest."""
     tables = _load_tables(cfg.ngt_path)
-    rule_records = generate_rule_dataset(tables, cfg.rulegen_config(), cfg.seed)
+    rule_records = generate_rule_dataset(tables, cfg, cfg.seed)
     streams = [rule_records]
     log_rows: list[dict] = []
     if cfg.rewrite_pm or cfg.rewrite_fv:
@@ -325,10 +298,8 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
     out.mkdir(parents=True, exist_ok=True)
     dataset_path = out / "dataset.jsonl"
     write_dataset(records, dataset_path)
-    balance_path = out / "balance_report.json"
-    write_json(balance.to_dict(), balance_path)
-    run_log_path = out / "run_log.jsonl"
-    write_jsonl(log_rows, run_log_path)
+    write_json(balance.to_dict(), out / "balance_report.json")
+    write_jsonl(log_rows, out / "run_log.jsonl")
 
     task_counts: dict[str, int] = {}
     for record in records:
@@ -345,13 +316,9 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
         "task_counts": {k: task_counts[k] for k in sorted(task_counts)},
         "artifacts": ["dataset.jsonl", "balance_report.json", "run_log.jsonl"],
     }
-    manifest_path = out / "manifest.json"
-    write_json(manifest, manifest_path)
-    return GenerateResult(
-        n_records=len(records), dataset_path=dataset_path,
-        manifest_path=manifest_path, balance_path=balance_path,
-        run_log_path=run_log_path, task_counts=task_counts,
-    )
+    write_json(manifest, out / "manifest.json")
+    return GenerateResult(n_records=len(records), dataset_path=dataset_path,
+                          task_counts=task_counts)
 
 
 def run_score(dataset_path: str | Path, predictions_path: str | Path,

@@ -17,13 +17,18 @@ however the work is split across scenes or workers.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientCandidatesError, SceneQaError, SchemaViolationError
+from .errors import (
+    ConfigError,
+    InsufficientCandidatesError,
+    SceneQaError,
+    SchemaViolationError,
+)
 from .ngt import NgtTable
 from .templates import (
     BY_ID,
@@ -88,27 +93,11 @@ class QaRecord:
         return self.qa_id.endswith("-cp") or self.qa_id.endswith("-cp-cot")
 
     def to_dict(self) -> dict:
-        return {
-            "qa_id": self.qa_id,
-            "scene_id": self.scene_id,
-            "task": self.task,
-            "category": self.category,
-            "question": self.question,
-            "answer": self.answer,
-            "gt_value": self.gt_value,
-            "unit": self.unit,
-            "cp_link": self.cp_link,
-            "variant": self.variant,
-            "provenance": self.provenance,
-            "template_id": self.template_id,
-            "referents": list(self.referents),
-        }
+        """The record as a JSON object, keys in field order."""
+        return {**vars(self), "referents": list(self.referents)}
 
 
-_RECORD_KEYS = (
-    "qa_id", "scene_id", "task", "category", "question", "answer", "gt_value",
-    "unit", "cp_link", "variant", "provenance", "template_id", "referents",
-)
+_RECORD_KEYS = tuple(f.name for f in fields(QaRecord))
 
 
 def record_from_dict(row: dict, source: str = "<dict>") -> QaRecord:
@@ -177,18 +166,18 @@ class RulegenConfig:
                      "ni_quantity", "ni_distance", "ni_volume"):
             value = getattr(self, name)
             if value < 0:
-                raise SceneQaError(f"{name} must be non-negative, got {value}")
+                raise ConfigError(f"{name} must be non-negative, got {value}")
         for name in ("fv_quantity", "fv_distance", "fv_volume"):
             if getattr(self, name) % 2:
-                raise SceneQaError(
+                raise ConfigError(
                     f"{name} must be even (records come in original/contrapositive pairs)"
                 )
         if not 0.0 <= self.cot_fraction <= 1.0:
-            raise SceneQaError("cot_fraction must be within [0, 1]")
+            raise ConfigError("cot_fraction must be within [0, 1]")
         if not 0.0 < self.approx_band_in < self.approx_band_out < 1.0:
-            raise SceneQaError("need 0 < approx_band_in < approx_band_out < 1")
+            raise ConfigError("need 0 < approx_band_in < approx_band_out < 1")
         if self.ambiguity_margin < 0.0 or self.ambiguity_margin >= 1.0:
-            raise SceneQaError("ambiguity_margin must be within [0, 1)")
+            raise ConfigError("ambiguity_margin must be within [0, 1)")
 
     def fv_count(self, category: str) -> int:
         return {CAT_QUANTITY: self.fv_quantity, CAT_DISTANCE: self.fv_distance,

@@ -10,6 +10,10 @@ the object's surface or volume.  Scenes arrive three ways:
 * synthetic generation (:func:`generate_synthetic_scene`), which also returns
   exact analytic ground truth so downstream extraction can be audited without
   any numerical slack.
+
+Analytic truth and extracted NGT tables share one instance row,
+:class:`InstanceMeasurement`, so the two files carry the same keys in the
+same order.
 """
 
 from __future__ import annotations
@@ -182,13 +186,6 @@ def write_scene(scene: Scene, path: str | Path) -> None:
 # Scan-dataset triplet import (PLY mesh + segmentation + aggregation)
 # ---------------------------------------------------------------------------
 
-_PLY_SCALAR_SIZES = {
-    "char": 1, "int8": 1, "uchar": 1, "uint8": 1,
-    "short": 2, "int16": 2, "ushort": 2, "uint16": 2,
-    "int": 4, "int32": 4, "uint": 4, "uint32": 4,
-    "float": 4, "float32": 4,
-    "double": 8, "float64": 8,
-}
 _PLY_NUMPY_TYPES = {
     "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
     "short": "i2", "int16": "i2", "ushort": "u2", "uint16": "u2",
@@ -385,7 +382,11 @@ class SyntheticSpec:
 
 
 @dataclass(frozen=True)
-class InstanceTruth:
+class InstanceMeasurement:
+    """One instance's centroid, axis-aligned box and box volume: the row
+    type of both analytic truth and extracted NGT tables, written in field
+    order as ``dict(vars(row))``."""
+
     instance_id: str
     label: str
     centroid: tuple[float, float, float]
@@ -399,7 +400,7 @@ class InstanceTruth:
 class AnalyticTruth:
     """Exact per-instance boxes plus closed-form box-to-box hull gaps."""
 
-    instances: dict[str, InstanceTruth] = field(default_factory=dict)
+    instances: dict[str, InstanceMeasurement] = field(default_factory=dict)
     box_gaps: dict[tuple[str, str], float] = field(default_factory=dict)
 
 
@@ -473,7 +474,7 @@ def generate_synthetic_scene(
     _validate_spec(spec)
     rng = np.random.default_rng(seed)
     instances: list[Instance] = []
-    truth_instances: dict[str, InstanceTruth] = {}
+    truth_instances: dict[str, InstanceMeasurement] = {}
     box_ids: list[tuple[str, tuple, tuple]] = []
 
     for k, box in enumerate(spec.boxes):
@@ -483,7 +484,7 @@ def generate_synthetic_scene(
         lo, hi = tuple((center - half).tolist()), tuple((center + half).tolist())
         bbox = geometry.aabb(inst.points)
         instances.append(inst)
-        truth_instances[inst.instance_id] = InstanceTruth(
+        truth_instances[inst.instance_id] = InstanceMeasurement(
             inst.instance_id, inst.label, tuple(center.tolist()), lo, hi,
             tuple(bbox.extents), geometry.aabb_volume(bbox),
         )
@@ -568,18 +569,7 @@ def random_indoor_spec(
 
 def truth_to_dict(truth: AnalyticTruth) -> dict:
     return {
-        "instances": [
-            {
-                "instance_id": t.instance_id,
-                "label": t.label,
-                "centroid": list(t.centroid),
-                "aabb_min": list(t.aabb_min),
-                "aabb_max": list(t.aabb_max),
-                "dims": list(t.dims),
-                "volume": t.volume,
-            }
-            for t in truth.instances.values()
-        ],
+        "instances": [dict(vars(t)) for t in truth.instances.values()],
         "box_gaps": [
             {"a": a, "b": b, "distance": d} for (a, b), d in sorted(truth.box_gaps.items())
         ],

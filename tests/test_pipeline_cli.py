@@ -67,9 +67,8 @@ class TestConfig:
         assert cfg.excluded_labels == ("object", "item")
 
     def test_bad_rulegen_values_surface_as_config_errors(self):
-        cfg = PipelineConfig(fv_quantity=3)   # odd: cannot pair with cp
         with pytest.raises(ConfigError, match="even"):
-            cfg.rulegen_config()
+            PipelineConfig(fv_quantity=3)   # odd: cannot pair with cp
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "config.json"
@@ -156,6 +155,15 @@ class TestCliEndToEnd:
     def test_extract_artifacts(self, cli_run):
         tables = sorted(cli_run["ngt_dir"].glob("*.ngt.json"))
         assert len(tables) == 3
+
+    def test_truth_and_ngt_rows_share_one_layout(self, cli_run):
+        truth = read_json(cli_run["scenes_dir"] / "synth0000.truth.json")
+        table = read_json(cli_run["ngt_dir"] / "synth0000.ngt.json")
+        truth_keys = {tuple(row) for row in truth["instances"]}
+        ngt_keys = {tuple(row) for row in table["instances"]}
+        assert truth_keys == ngt_keys == {(
+            "instance_id", "label", "centroid", "aabb_min", "aabb_max", "dims",
+            "volume")}
 
     def test_generate_artifacts_and_counts(self, cli_run):
         for key in ("dataset", "manifest", "balance", "run_log"):
@@ -395,6 +403,34 @@ class TestCliErrors:
         assert code == 3
         assert "evil.scene.json" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.ngt.json"))
+
+    def test_extract_scene_emptied_by_label_exclusion(self, tmp_path, capsys):
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        write_json({"scene_id": "clutter", "instances": [
+            {"instance_id": "a", "label": "object", "points": [[0.0, 0.0, 0.0]]},
+            {"instance_id": "b", "label": "Item", "points": [[1.0, 0.0, 0.0]]}]},
+            scenes / "clutter.scene.json")
+        code = main(["extract", "--out", str(tmp_path / "out"),
+                     "--scenes", str(scenes / "*.scene.json")])
+        assert code == 3
+        assert "'clutter'" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.ngt.json"))
+
+    def test_synth_rejects_an_odd_fv_count_before_writing(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        write_json({"seed": SEED, "synth_scenes": 1, "fv_quantity": 3}, config)
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "fv_quantity must be even" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.scene.json"))
+
+    def test_selfcheck_rejects_bands_that_do_not_nest(self, cli_run, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        write_json({"approx_band_in": 0.5, "approx_band_out": 0.3}, config)
+        code = main(["selfcheck", "--config", str(config), "--out", str(cli_run["out"])])
+        assert code == 2
+        assert "approx_band_in < approx_band_out" in capsys.readouterr().err
 
     def test_generation_shortfall(self, cli_run, tmp_path):
         config = tmp_path / "config.json"
