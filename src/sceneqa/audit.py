@@ -307,9 +307,11 @@ def _check_oracle_agreement(records: Sequence[QaRecord],
 
 def selfcheck(records: Sequence[QaRecord],
               tables: Mapping[str, NgtTable] | None = None,
-              approx_band: float = DEFAULT_APPROX_BAND) -> SelfCheckResult:
+              approx_band: float = DEFAULT_APPROX_BAND,
+              n_options: int = 5) -> SelfCheckResult:
     """Run every dataset audit; ground-truth agreement runs only when the
-    matching tables are supplied."""
+    matching tables are supplied.  PM letters are balanced over
+    ``n_options`` choices."""
     result = SelfCheckResult()
     result.add("schema", _check_schema(records))
     # downstream checks assume recognizable tasks/variants; anything else is
@@ -319,7 +321,7 @@ def selfcheck(records: Sequence[QaRecord],
     result.add("cp_involution", _check_cp_involution(sound))
     result.add("ni_display", _check_ni_display(sound))
     result.add("self_scoring", _check_self_scoring(sound))
-    result.add("balance", balance_violations(build_balance_report(sound)))
+    result.add("balance", balance_violations(build_balance_report(sound), n_options))
     if tables is not None:
         result.add("gt_agreement",
                    _check_oracle_agreement(sound, tables, approx_band))

@@ -165,7 +165,8 @@ def main(argv=None) -> int:
             if ngt_dir is None and cfg.ngt_path.is_dir():
                 ngt_dir = cfg.ngt_path
             result = run_selfcheck(_dataset_path(args, cfg), ngt_dir=ngt_dir,
-                                   approx_band=cfg.approx_band_in)
+                                   approx_band=cfg.approx_band_in,
+                                   n_options=cfg.n_options)
             for line in result.summary_lines():
                 print(line)
             if not result.ok:

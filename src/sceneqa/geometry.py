@@ -9,10 +9,10 @@ Hull distance comes in two independent implementations:
   ``||v|| - <v, w>/||v|| <= eps``: the current iterate is an upper bound and
   the support plane gives a lower bound, so a returned distance is always
   within tolerance of the true value.
-* :func:`hull_distance_oracle` — an accelerated projected-gradient method on
-  the product of two probability simplices, stopped by the same style of
-  support-plane certificate.  It shares no code with the GJK path and exists
-  so the two can cross-check each other.
+* :func:`hull_distance_oracle` — Wolfe's minimum-norm-point algorithm on the
+  explicit Minkowski difference, stopped by the same style of support-plane
+  certificate.  It shares no code with the GJK path and exists so the two
+  can cross-check each other.
 
 Both treat a point set's convex hull implicitly; intersecting hulls yield a
 distance of exactly 0.0.
@@ -441,148 +441,89 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle: accelerated projected gradient on the simplex product
+# Independent oracle: Wolfe's minimum-norm-point algorithm
 # ---------------------------------------------------------------------------
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.shape[0] + 1)
-    cond = u - css / ind > 0
-    rho = ind[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def _certificate(arr_a: np.ndarray, arr_b: np.ndarray, x: np.ndarray):
-    """Upper bound ||x|| and support-plane lower bound along x/||x||."""
-    ub = float(np.linalg.norm(x))
-    if ub == 0.0:
-        return 0.0, 0.0
-    u = x / ub
-    lb = float(np.min(arr_a @ u) - np.max(arr_b @ u))
-    return ub, lb
-
-
-def _polish(D: np.ndarray, m: int, z: np.ndarray):
-    """Equality-constrained least-squares refit on the current active set.
-
-    Solves the KKT system restricted to coordinates with weight above 1e-10; if
-    the refit stays (nearly) feasible it is clamped back onto the simplices
-    and returned, else None.
-    """
-    active = np.flatnonzero(z > 1e-10)
-    ka = int(np.sum(active < m))
-    if ka == 0 or ka == active.shape[0]:
-        return None
-    k = active.shape[0]
-    R = D[active]
-    kkt = np.zeros((k + 2, k + 2))
-    kkt[:k, :k] = R @ R.T
-    kkt[:k, k] = np.where(np.arange(k) < ka, 1.0, 0.0)
-    kkt[:k, k + 1] = np.where(np.arange(k) >= ka, 1.0, 0.0)
-    kkt[k, :k] = kkt[:k, k]
-    kkt[k + 1, :k] = kkt[:k, k + 1]
-    rhs = np.zeros(k + 2)
-    rhs[k] = 1.0
-    rhs[k + 1] = 1.0
-    try:
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError:  # pragma: no cover - lstsq rarely fails
-        return None
-    zr = sol[:k]
-    if np.any(zr < -1e-7):
-        return None
-    zr = np.maximum(zr, 0.0)
-    sa, sb = float(np.sum(zr[:ka])), float(np.sum(zr[ka:]))
-    if sa <= 0.0 or sb <= 0.0:
-        return None
-    zr[:ka] /= sa
-    zr[ka:] /= sb
-    out = np.zeros_like(z)
-    out[active] = zr
-    return out
 
 
 def hull_distance_oracle(a, b, tol: float = DEFAULT_TOL,
                          max_iterations: int = 20000) -> float:
-    """Hull distance via accelerated projected gradient; cross-check oracle.
+    """Hull distance via Wolfe's minimum-norm-point algorithm; cross-check oracle.
 
-    Minimizes ``||A^T lam - B^T mu||`` over the product of probability
-    simplices.  Completely separate algorithm and code path from
-    :func:`hull_distance`; stops only when a support-plane certificate bounds
-    the error below ``tol`` times the bounding diagonal.
+    Works on the explicit Minkowski difference ``P = {a_i - b_j}`` (an
+    ``m * n`` by 3 array) and shares no code with :func:`hull_distance`
+    (Wolfe, *Math. Prog.* 11, 1976).  It starts at the point of ``P``
+    nearest the origin.  Each major step adds the support point
+    ``argmin_p x.p`` to a corral; a minor cycle then moves the weights
+    towards the corral's affine min-norm point (a least-squares solve),
+    dropping every point whose weight reaches zero.
 
-    Both clouds are first shifted by the centre of their common bounding box.
-    The distance is unchanged, but the gradient step ``1 / ||D||^2`` then
-    depends on the clouds' extent rather than on how far they sit from the
-    origin; uncentred clouds at room coordinates take tiny steps and stall.
+    Stops when ``||x|| <= tol * diag`` (returns exactly 0.0; ``diag`` is the
+    bounding diagonal of both sets), or when the support-plane certificate
+    ``||x|| - min_p x.p / ||x|| <= tol * diag`` closes (returns ``||x||``).
+    A step that makes no progress (the support point is already in the
+    corral, or the minor cycle does not shorten ``x``) returns ``||x||``
+    only if ``||x||^2 - min_p x.p`` is within the rounding scale
+    ``64 * eps * max_p ||p||^2``; otherwise, and at the iteration cap, it
+    raises :class:`NotConvergedError`.
     """
     arr_a, arr_b = as_coords(a), as_coords(b)
-    m, n = arr_a.shape[0], arr_b.shape[0]
-
     lo = np.minimum(arr_a.min(axis=0), arr_b.min(axis=0))
     hi = np.maximum(arr_a.max(axis=0), arr_b.max(axis=0))
-    diag = float(np.linalg.norm(hi - lo))
-    if diag == 0.0:
-        return 0.0
-    atol = tol * diag
-    center = 0.5 * (lo + hi)
-    arr_a, arr_b = arr_a - center, arr_b - center
+    atol = tol * float(np.linalg.norm(hi - lo))
 
-    D = np.concatenate([arr_a, -arr_b], axis=0)
-    L = float(np.linalg.norm(D, 2)) ** 2
-    if L == 0.0:
-        return 0.0
-    step = 1.0 / L
-
-    # Warm start: uniform weights blended with the closest vertex pair.
-    diff2 = np.sum((arr_a[:, None, :] - arr_b[None, :, :]) ** 2, axis=2)
-    ia, ib = np.unravel_index(int(np.argmin(diff2)), diff2.shape)
-    z = np.concatenate([np.full(m, 0.5 / m), np.full(n, 0.5 / n)])
-    z[ia] += 0.5
-    z[m + ib] += 0.5
-
-    y = z.copy()
-    t_mom = 1.0
-    f_prev = float("inf")
+    P = (arr_a[:, None, :] - arr_b[None, :, :]).reshape(-1, 3)
+    norms2 = np.einsum("ij,ij->i", P, P)
+    rounding = 64 * np.finfo(np.float64).eps * float(norms2.max())
+    corral = [int(norms2.argmin())]
+    lam = np.ones(1)
+    x = P[corral[0]]
 
     for iteration in range(1, max_iterations + 1):
-        grad = D @ (D.T @ y)
-        z_new = y - step * grad
-        z_new[:m] = _project_simplex(z_new[:m])
-        z_new[m:] = _project_simplex(z_new[m:])
-        t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = z_new + ((t_mom - 1.0) / t_new) * (z_new - z)
-        z, t_mom = z_new, t_new
+        x2 = float(x @ x)
+        ub = sqrt(x2)
+        if ub <= atol:
+            return 0.0
+        proj = P @ x
+        q = int(proj.argmin())
+        low = float(proj[q])
+        gap = ub - low / ub
+        if gap <= atol:
+            return ub
 
-        # The certificate and the polish cost more than a gradient step, so
-        # they run every 25 steps.
-        if iteration % 25 == 0 or iteration == max_iterations:
-            x = D.T @ z
-            ub, lb = _certificate(arr_a, arr_b, x)
-            if ub <= atol or ub - lb <= atol:
+        stalled = q in corral
+        if not stalled:
+            corral.append(q)
+            lam = np.append(lam, 0.0)
+            while True:
+                S = P[corral]
+                mu = np.linalg.lstsq((S[1:] - S[0]).T, -S[0], rcond=None)[0]
+                alpha = np.concatenate(([1.0 - mu.sum()], mu))
+                neg = alpha < 0.0
+                done = not neg.any()
+                if done:
+                    lam = alpha
+                else:
+                    # Step from the current weights towards alpha until the
+                    # first weight reaches zero.
+                    ratio = np.full(lam.shape, np.inf)
+                    ratio[neg] = lam[neg] / (lam[neg] - alpha[neg])
+                    first = int(ratio.argmin())
+                    lam = ratio[first] * alpha + (1.0 - ratio[first]) * lam
+                    lam[first] = 0.0
+                keep = lam > 0.0
+                corral = [c for c, k in zip(corral, keep) if k]
+                lam = lam[keep] / lam[keep].sum()
+                if done:
+                    break
+            x = lam @ P[corral]
+            stalled = float(x @ x) >= x2
+        if stalled:
+            if x2 - low <= rounding:
                 return ub
-            f_now = 0.5 * ub * ub
-            if f_now > f_prev:
-                # Momentum overshoot: restart acceleration from the iterate.
-                y = z.copy()
-                t_mom = 1.0
-            f_prev = f_now
-            refined = _polish(D, m, z)
-            if refined is not None:
-                x_ref = D.T @ refined
-                ub_ref = float(np.linalg.norm(x_ref))
-                if ub_ref < ub:
-                    z = refined
-                    y = z.copy()
-                    t_mom = 1.0
-                    ub2, lb2 = _certificate(arr_a, arr_b, x_ref)
-                    if ub2 <= atol or ub2 - lb2 <= atol:
-                        return ub2
-                    f_prev = 0.5 * ub2 * ub2
+            raise NotConvergedError(
+                f"oracle stalled after {iteration} iterations (gap {gap:.3e})",
+                iterations=iteration, gap=gap,
+            )
 
     raise NotConvergedError(
         f"oracle failed to certify within {max_iterations} iterations",

@@ -129,7 +129,7 @@ def extract_ngt(
 def ngt_to_dict(table: NgtTable) -> dict:
     return {
         "scene_id": table.scene_id,
-        "instances": [dict(vars(inst)) for inst in table.instances],
+        "instances": [inst.to_dict() for inst in table.instances],
         "pairs": [
             {"a": a, "b": b, "distance": d}
             for (a, b), d in sorted(table.pairs.items())

@@ -292,7 +292,7 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
                 shortfalls={"rewrite": (requested, requested - len(track.failed_jobs))},
             )
         streams.append(track.records)
-    records, balance = assemble_dataset(streams)
+    records, balance = assemble_dataset(streams, cfg.n_options)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -346,10 +346,12 @@ def run_score(dataset_path: str | Path, predictions_path: str | Path,
 
 def run_selfcheck(dataset_path: str | Path,
                   ngt_dir: str | Path | None = None,
-                  approx_band: float = DEFAULT_APPROX_BAND) -> SelfCheckResult:
+                  approx_band: float = DEFAULT_APPROX_BAND,
+                  n_options: int = 5) -> SelfCheckResult:
     """Audit a dataset; with a table directory the stored answers are also
     re-derived from ground truth, using ``approx_band`` (the generating
-    ``approx_band_in``) for "approximately equal"."""
+    ``approx_band_in``) for "approximately equal".  PM letters are checked
+    for balance over ``n_options`` choices."""
     records = read_dataset(dataset_path)
     tables = None
     if ngt_dir is not None:
@@ -363,7 +365,8 @@ def run_selfcheck(dataset_path: str | Path,
             raise FileNotFoundError(
                 f"no ground-truth table for scenes: {missing[:5]}"
             )
-    return selfcheck(records, tables=tables, approx_band=approx_band)
+    return selfcheck(records, tables=tables, approx_band=approx_band,
+                     n_options=n_options)
 
 
 def apply_overrides(cfg: PipelineConfig, **overrides) -> PipelineConfig:

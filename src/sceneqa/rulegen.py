@@ -94,22 +94,36 @@ class QaRecord:
 
     def to_dict(self) -> dict:
         """The record as a JSON object, keys in field order."""
-        return {**vars(self), "referents": list(self.referents)}
+        row = {name: getattr(self, name) for name in _RECORD_KEYS}
+        row["referents"] = list(self.referents)
+        return row
 
 
 _RECORD_KEYS = tuple(f.name for f in fields(QaRecord))
 
 
-def record_from_dict(row: dict, source: str = "<dict>") -> QaRecord:
+def _row_error(source: str, line: int | None, problem: str) -> SchemaViolationError:
+    where = source if line is None else f"{source}: line {line}"
+    return SchemaViolationError(f"{where}: {problem}")
+
+
+def record_from_dict(row: dict, source: str = "<dict>",
+                     line: int | None = None) -> QaRecord:
+    """One dataset row as a record; a row that breaks the schema raises
+    :class:`SchemaViolationError` naming ``source`` and ``line``."""
     missing = [k for k in _RECORD_KEYS if k not in row]
     if missing:
-        raise SchemaViolationError(f"{source}: record missing keys {missing}")
+        raise _row_error(source, line, f"record missing keys {missing}")
     gt = row["gt_value"]
     if gt is not None:
+        # type(), not isinstance(): JSON true/false must not read as 1.0/0.0
+        if type(gt) is not float and type(gt) is not int:
+            raise _row_error(source, line,
+                             f"'gt_value' must be a number or null, got {gt!r}")
         gt = float(gt)
     referents = row["referents"]
     if not isinstance(referents, list) or not all(isinstance(r, str) for r in referents):
-        raise SchemaViolationError(f"{source}: 'referents' must be a list of strings")
+        raise _row_error(source, line, "'referents' must be a list of strings")
     return QaRecord(
         qa_id=str(row["qa_id"]),
         scene_id=str(row["scene_id"]),
@@ -132,7 +146,9 @@ def write_dataset(records: Iterable[QaRecord], path: str | Path) -> int:
 
 
 def read_dataset(path: str | Path) -> list[QaRecord]:
-    return [record_from_dict(row, source=str(path)) for row in read_jsonl(path)]
+    source = str(path)
+    return [record_from_dict(row, source, line)
+            for line, row in enumerate(read_jsonl(path), start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -807,9 +823,9 @@ def build_balance_report(records: Iterable[QaRecord]) -> BalanceReport:
     return BalanceReport(strata)
 
 
-def balance_violations(report: BalanceReport) -> list[str]:
+def balance_violations(report: BalanceReport, n_options: int = 5) -> list[str]:
     """Tolerance check: FV yes/no within 1 (overall and per stream), PM
-    letters within 1 of N/5, template usage within 1 of N/10."""
+    letters within 1 of N/n_options, template usage within 1 of N/10."""
     problems = []
     for key, s in sorted(report.strata.items()):
         task = key.split("/")[0]
@@ -824,7 +840,7 @@ def balance_violations(report: BalanceReport) -> list[str]:
                 if abs(yes - no) > 1:
                     problems.append(f"{key}: {name} yes/no imbalance {yes} vs {no}")
         if task == TASK_PM and s.total:
-            expected = s.total / 5.0
+            expected = s.total / n_options
             for letter, got in sorted(s.answers.items()):
                 if abs(got - expected) > 1.0:
                     problems.append(
@@ -843,9 +859,10 @@ def balance_violations(report: BalanceReport) -> list[str]:
 
 
 def assemble_dataset(
-    streams: Iterable[Iterable[QaRecord]],
+    streams: Iterable[Iterable[QaRecord]], n_options: int = 5,
 ) -> tuple[list[QaRecord], BalanceReport]:
-    """Concatenate record streams, check id uniqueness and balance tolerances."""
+    """Concatenate record streams, check id uniqueness and balance tolerances
+    (PM letters against ``n_options`` choices)."""
     records: list[QaRecord] = []
     seen: set[str] = set()
     for stream in streams:
@@ -855,7 +872,7 @@ def assemble_dataset(
             seen.add(rec.qa_id)
             records.append(rec)
     report = build_balance_report(records)
-    problems = balance_violations(report)
+    problems = balance_violations(report, n_options)
     if problems:
         raise SceneQaError("balance tolerances breached: " + "; ".join(problems[:8]))
     return records, report

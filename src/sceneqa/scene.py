@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import base64
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import sqrt
 from pathlib import Path
 
@@ -385,7 +385,7 @@ class SyntheticSpec:
 class InstanceMeasurement:
     """One instance's centroid, axis-aligned box and box volume: the row
     type of both analytic truth and extracted NGT tables, written in field
-    order as ``dict(vars(row))``."""
+    order by :meth:`to_dict`."""
 
     instance_id: str
     label: str
@@ -394,6 +394,12 @@ class InstanceMeasurement:
     aabb_max: tuple[float, float, float]
     dims: tuple[float, float, float]
     volume: float
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in _INSTANCE_KEYS}
+
+
+_INSTANCE_KEYS = tuple(f.name for f in fields(InstanceMeasurement))
 
 
 @dataclass(frozen=True)
@@ -569,7 +575,7 @@ def random_indoor_spec(
 
 def truth_to_dict(truth: AnalyticTruth) -> dict:
     return {
-        "instances": [dict(vars(t)) for t in truth.instances.values()],
+        "instances": [t.to_dict() for t in truth.instances.values()],
         "box_gaps": [
             {"a": a, "b": b, "distance": d} for (a, b), d in sorted(truth.box_gaps.items())
         ],

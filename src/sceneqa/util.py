@@ -175,7 +175,10 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> int:
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    from .errors import MalformedFileError
+    """The JSON object on each non-blank line.  A line that is not JSON
+    raises :class:`MalformedFileError`, and one that holds anything but an
+    object raises :class:`SchemaViolationError`; both name the line."""
+    from .errors import MalformedFileError, SchemaViolationError
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -183,6 +186,10 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedFileError(f"{path}:{lineno}: {exc}") from exc
+            if type(row) is not dict:
+                raise SchemaViolationError(
+                    f"{path}:{lineno}: expected a JSON object, got {type(row).__name__}")
+            yield row

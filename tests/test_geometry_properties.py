@@ -145,7 +145,7 @@ def test_certificate_holds_for_dense_clouds_far_from_origin(pair):
 
 
 @given(room_pair(max_points=50))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_oracle_agrees_far_from_origin(pair):
     a, b = pair
     gjk = hull_distance(a, b).distance

@@ -226,6 +226,22 @@ class TestCliEndToEnd:
         assert main(["selfcheck", *common]) == 0
         assert "gt_agreement: ok" in capsys.readouterr().out
 
+    def test_balance_follows_the_configured_option_count(self, cli_run, tmp_path, capsys):
+        # 40 PM rewrites over 4 options use each letter 10 times; a check
+        # that assumed 5 options expected 8 +/- 1 and refused the dataset
+        config = tmp_path / "config.json"
+        write_json({"seed": SEED, "fv_quantity": 4, "n_options": 4,
+                    "rewrite_pm": 40, "stub_llm": True,
+                    "saq_file": str(cli_run["root"] / "saqs.jsonl")}, config)
+        common = ["--config", str(config), "--out", str(tmp_path / "out"),
+                  "--ngt-dir", str(cli_run["ngt_dir"])]
+        assert main(["generate", *common]) == 0
+        pm = read_json(tmp_path / "out" / "balance_report.json")["pm/non-numeric/plain"]
+        assert pm["answers"] == {"A": 10, "B": 10, "C": 10, "D": 10}
+        capsys.readouterr()
+        assert main(["selfcheck", *common]) == 0
+        assert "balance: ok" in capsys.readouterr().out
+
     def test_score_with_gold_predictions(self, cli_run, capsys):
         records = read_dataset(cli_run["dataset"])
         predictions = cli_run["root"] / "predictions.jsonl"
@@ -453,6 +469,47 @@ class TestCliErrors:
                      "--ngt-dir", str(cli_run["ngt_dir"])])
         assert code == 5
         assert "selfcheck: FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,target,line", [
+        ("selfcheck", "dataset", {"gt_value": "abc"}),
+        ("selfcheck", "dataset", {"gt_value": True}),
+        ("selfcheck", "dataset", [1, 2]),
+        ("score", "dataset", {"gt_value": "abc"}),
+        ("score", "predictions", [1, 2, 3]),
+        ("score", "predictions", {"qa_id": "x", "output": 7}),
+        ("generate", "saqs", [1, 2]),
+        ("generate", "saqs", {"answer": None}),
+    ], ids=["gt-string", "gt-bool", "dataset-list", "score-gt-string", "prediction-list",
+            "prediction-number", "saq-list", "saq-null-answer"])
+    def test_malformed_rows_exit_3_naming_file_and_line(self, cli_run, tmp_path,
+                                                        capsys, command, target, line):
+        """A bad row in the second line of a dataset, predictions or SAQ file
+        is an input error (exit 3) whose message names the file and line."""
+        dataset = [json.loads(text) for text in
+                   cli_run["dataset"].read_text().splitlines()[:3]]
+        files = {
+            "dataset": dataset,
+            "predictions": [{"qa_id": row["qa_id"], "output": "yes"} for row in dataset],
+            "saqs": [{"question": "What color is the sofa?", "answer": "teal"}] * 3,
+        }
+        rows = files[target]
+        rows[1] = {**rows[1], **line} if isinstance(line, dict) else line
+        for name, content in files.items():
+            write_jsonl(content, tmp_path / f"{name}.jsonl")
+        config = tmp_path / "config.json"
+        write_json({"seed": SEED, "fv_quantity": 4, "rewrite_pm": 2, "stub_llm": True,
+                    "saq_file": str(tmp_path / "saqs.jsonl")}, config)
+        args = {
+            "selfcheck": ["--dataset", str(tmp_path / "dataset.jsonl")],
+            "score": ["--dataset", str(tmp_path / "dataset.jsonl"),
+                      "--predictions", str(tmp_path / "predictions.jsonl")],
+            "generate": ["--out", str(tmp_path / "out"),
+                         "--ngt-dir", str(cli_run["ngt_dir"])],
+        }[command]
+        assert main([command, "--config", str(config), *args]) == 3
+        err = capsys.readouterr().err
+        assert f"{target}.jsonl" in err
+        assert "line 2" in err or ".jsonl:2:" in err
 
     def test_missing_dataset_for_score(self, cli_run, tmp_path):
         predictions = tmp_path / "predictions.jsonl"

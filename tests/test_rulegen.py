@@ -48,7 +48,7 @@ from sceneqa.templates import (
     TASK_NI,
     evaluate_predicate,
 )
-from sceneqa.util import render_count, render_decimal
+from sceneqa.util import render_count, render_decimal, write_jsonl
 
 from conftest import MASTER_SEED
 
@@ -414,6 +414,21 @@ class TestSerialization:
         with pytest.raises(SchemaViolationError, match="somewhere.*missing keys"):
             record_from_dict(row, source="somewhere")
 
+    @pytest.mark.parametrize("gt_value", ["abc", "1.5", True, False, [1.0], {}])
+    def test_gt_value_must_be_a_number_or_null(self, dataset, gt_value):
+        row = dataset[0][0].to_dict()
+        row["gt_value"] = gt_value
+        with pytest.raises(SchemaViolationError, match="here.*gt_value"):
+            record_from_dict(row, source="here")
+
+    def test_bad_row_names_file_and_line(self, dataset, tmp_path):
+        rows = [rec.to_dict() for rec in dataset[0][:3]]
+        rows[2]["gt_value"] = "abc"
+        path = tmp_path / "dataset.jsonl"
+        write_jsonl(rows, path)
+        with pytest.raises(SchemaViolationError, match=r"dataset\.jsonl: line 3: 'gt_value'"):
+            read_dataset(path)
+
     def test_referents_must_be_string_list(self, dataset):
         row = dataset[0][0].to_dict()
         row["referents"] = "chair"
@@ -434,6 +449,20 @@ class TestAssembleDataset:
                   and r.answer == ANSWER_YES]
         with pytest.raises(SceneQaError, match="balance tolerances breached"):
             assemble_dataset([fv_yes[:4]])
+
+    @staticmethod
+    def _pm_records(letters: str) -> list[QaRecord]:
+        return [QaRecord(f"llm-pm-{k:05d}", "", "pm", "non-numeric", "Which?",
+                         letter, None, "", None, VARIANT_PLAIN, "llm", None, ())
+                for k, letter in enumerate(letters)]
+
+    def test_pm_letters_balance_over_the_configured_option_count(self):
+        records = self._pm_records("ABCD" * 10)
+        kept, report = assemble_dataset([records], n_options=4)
+        assert len(kept) == 40 and balance_violations(report, n_options=4) == []
+        # at five options the same stratum never uses E: A-D run 10 vs 8
+        with pytest.raises(SceneQaError, match="letter A used 10 times, expected 8.0"):
+            assemble_dataset([records])
 
 
 class TestReferentValues:

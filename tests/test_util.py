@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sceneqa.errors import MalformedFileError
+from sceneqa.errors import MalformedFileError, SchemaViolationError
 from sceneqa.util import (
     derive_seed,
     read_json,
@@ -160,6 +160,13 @@ class TestJsonHelpers:
         path = tmp_path / "rows.jsonl"
         path.write_text('{"ok": 1}\nnot json\n')
         with pytest.raises(MalformedFileError, match=r":2:"):
+            list(read_jsonl(path))
+
+    @pytest.mark.parametrize("line", ["[1, 2, 3]", "7", '"text"', "null"])
+    def test_jsonl_rows_must_be_objects(self, tmp_path, line):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"ok": 1}\n\n' + line + "\n")
+        with pytest.raises(SchemaViolationError, match=r"rows\.jsonl:3: expected a JSON object"):
             list(read_jsonl(path))
 
     def test_failed_jsonl_write_keeps_previous_file(self, tmp_path):
