@@ -80,9 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="master seed override")
         sp.add_argument("--out", help="output directory override")
         sp.add_argument("--jobs", type=int,
-                        help="worker processes for per-scene synth and extract; "
-                             "outputs are identical for any value; one scene "
-                             "runs serially")
+                        help="most worker processes for per-scene synth and "
+                             "extract; workers start only when the per-scene "
+                             "time (estimated from scene size, then measured) "
+                             "shows they repay their start-up; outputs are "
+                             "identical for any value")
 
     sp = sub.add_parser("synth", help="write synthetic scenes with analytic ground truth")
     add_common(sp)

@@ -340,10 +340,10 @@ def format_report_table(report: EvalReport, variant: str = VARIANT_PLAIN) -> str
 def read_predictions(path) -> dict[str, str]:
     """Load a predictions file: JSON lines with ``qa_id`` and ``output``."""
     predictions: dict[str, str] = {}
-    for pos, row in enumerate(read_jsonl(path)):
+    for line, row in read_jsonl(path):
         if not isinstance(row.get("qa_id"), str) or not isinstance(row.get("output"), str):
             raise SchemaViolationError(
-                f"{path}: line {pos + 1}: prediction rows need string "
+                f"{path}: line {line}: prediction rows need string "
                 f"'qa_id' and 'output'"
             )
         predictions[row["qa_id"]] = row["output"]

@@ -4,16 +4,20 @@ dataset, score predictions, self-check).
 
 Every artifact is reproducible byte for byte from the seed: nothing written
 here embeds timestamps, hostnames, or worker-dependent ordering.  ``jobs`` is
-the number of worker processes for per-scene synth and extract; outputs are
-identical for any value; one scene runs serially.  Each scene draws from its
-own seed and writes its own files, and results come back in sorted scene
-order.
+an upper bound on the worker processes for per-scene synth and extract:
+workers start only when the per-scene time, estimated from scene size until
+a scene has run and measured after, shows they repay their start-up (see
+:func:`_map_scenes`).  Outputs are identical for any value, because each
+scene draws from its own seed and writes its own files, and results come
+back in sorted scene order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import glob as globlib
+import math
+import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -180,23 +184,63 @@ def load_config(path: str | Path) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-def _map_scenes(fn, cfg: PipelineConfig, items: list) -> list:
-    """``[fn(cfg, item) for item in items]``, over ``min(jobs, len(items))``
-    worker processes when that is more than one.
+# Wall time charged for each ``spawn`` worker before it repays anything: a
+# fresh interpreter that imports numpy and sceneqa.  BENCH_11.json
+# ("pool_startup", 2 cores, CPython 3.11.7, numpy 2.4.6) measured a pool that
+# maps a no-op over sceneqa.pipeline at a median 0.26 s with one worker and
+# 0.37 s with two, and a forced pool on 50 acceptance-sized scenes added
+# 0.20-0.23 s per worker over ideal parallel work.  The constant is about
+# twice that, so a pool is started only when it should save twice what it
+# costs: one that merely breaks even loses on a noisy host.
+_WORKER_START_S = 0.5
+
+# Scene time per unit of size, for choosing a pool before any scene has run.
+# BENCH_11.json ("size_rates", same host) measured 0.51-0.93 us per point
+# for synth and 14-26 ns per scene-file byte for extract on scenes of 0.2-2
+# million points, the lower figures on the larger scenes (legacy text-point
+# files take 40-47 ns per byte).  Both constants sit near the low end, so
+# the estimate tends to fall below the real time and to err towards running
+# serially.
+_SYNTH_S_PER_POINT = 0.6e-6
+_EXTRACT_S_PER_BYTE = 15e-9
+
+
+def _map_scenes(fn, cfg: PipelineConfig, items: list, estimate_s: float) -> list:
+    """``[fn(cfg, item) for item in items]``, handing the rest to worker
+    processes once the time per item says workers would repay their
+    start-up.
+
+    ``jobs`` is an upper bound.  The parent runs the items in order and times
+    them.  Before each item it takes the time per item (``estimate_s``, from
+    sizes known up front, until an item has run; then the measured mean),
+    the ``left`` items remaining and ``w = min(jobs, left)``, and hands the
+    rest to ``w`` workers only when ``per_item * (left - ceil(left / w))``,
+    the time they would save, exceeds ``w * _WORKER_START_S``.  With
+    ``jobs=1`` or one item left, ``w = 1`` saves nothing and no pool starts.
 
     ``fn`` handles one scene from start to finish (its own seed, its own
-    output files), so the results and every file written are the same for
-    any worker count; ``map`` returns them in the order of ``items``.
+    output files), so the results and every file written are the same
+    either way; they come back in the order of ``items``.
     """
-    workers = min(cfg.jobs, len(items))
-    if workers <= 1:
-        return [fn(cfg, item) for item in items]
+    results = []
+    elapsed = 0.0
+    for done, item in enumerate(items):
+        left = len(items) - done
+        workers = min(cfg.jobs, left)
+        per_item = elapsed / done if done else estimate_s
+        if per_item * (left - math.ceil(left / workers)) > workers * _WORKER_START_S:
+            break
+        start = time.perf_counter()
+        results.append(fn(cfg, item))
+        elapsed += time.perf_counter() - start
+    else:
+        return results
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(fn, [cfg] * len(items), items))
+        return results + list(pool.map(fn, [cfg] * left, items[done:]))
 
 
 def _synth_scene(cfg: PipelineConfig, scene_id: str) -> Path:
@@ -229,7 +273,8 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
     truth) under the scenes directory."""
     cfg.synth_path.mkdir(parents=True, exist_ok=True)
     scene_ids = [f"synth{i:04d}" for i in range(cfg.synth_scenes)]
-    return _map_scenes(_synth_scene, cfg, scene_ids)
+    points = cfg.synth_boxes * cfg.synth_points_per_box
+    return _map_scenes(_synth_scene, cfg, scene_ids, points * _SYNTH_S_PER_POINT)
 
 
 def run_extract(cfg: PipelineConfig) -> list[Path]:
@@ -238,7 +283,8 @@ def run_extract(cfg: PipelineConfig) -> list[Path]:
     if not scene_paths:
         raise FileNotFoundError(f"no scene files match {cfg.scene_glob!r}")
     cfg.ngt_path.mkdir(parents=True, exist_ok=True)
-    return _map_scenes(_extract_scene, cfg, scene_paths)
+    mean_bytes = sum(Path(p).stat().st_size for p in scene_paths) / len(scene_paths)
+    return _map_scenes(_extract_scene, cfg, scene_paths, mean_bytes * _EXTRACT_S_PER_BYTE)
 
 
 def _load_tables(ngt_dir: Path) -> list[NgtTable]:

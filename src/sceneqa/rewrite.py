@@ -592,10 +592,10 @@ def rewrite_fv(job: RewriteJob, client: ServiceClient) -> tuple[QaRecord, QaReco
 
 def load_saqs(path: str | Path) -> list[SaqItem]:
     items = []
-    for pos, row in enumerate(read_jsonl(path)):
+    for line, row in read_jsonl(path):
         if not isinstance(row.get("question"), str) or not isinstance(row.get("answer"), str):
             raise SchemaViolationError(
-                f"{path}: line {pos + 1}: SAQ rows need string 'question' and 'answer'"
+                f"{path}: line {line}: SAQ rows need string 'question' and 'answer'"
             )
         items.append(SaqItem(row["question"], row["answer"], str(row.get("scene_id", ""))))
     return items

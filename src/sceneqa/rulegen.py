@@ -17,6 +17,7 @@ however the work is split across scenes or workers.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -107,6 +108,9 @@ def _row_error(source: str, line: int | None, problem: str) -> SchemaViolationEr
     return SchemaViolationError(f"{where}: {problem}")
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def record_from_dict(row: dict, source: str = "<dict>",
                      line: int | None = None) -> QaRecord:
     """One dataset row as a record; a row that breaks the schema raises
@@ -116,10 +120,13 @@ def record_from_dict(row: dict, source: str = "<dict>",
         raise _row_error(source, line, f"record missing keys {missing}")
     gt = row["gt_value"]
     if gt is not None:
-        # type(), not isinstance(): JSON true/false must not read as 1.0/0.0
-        if type(gt) is not float and type(gt) is not int:
+        # type(), not isinstance(): JSON true/false must not read as 1.0/0.0.
+        # The range test refuses NaN, the infinities (JSON's NaN, Infinity,
+        # 1e400) and integers too large for a float.
+        if ((type(gt) is not float and type(gt) is not int)
+                or not -_FLOAT_MAX <= gt <= _FLOAT_MAX):
             raise _row_error(source, line,
-                             f"'gt_value' must be a number or null, got {gt!r}")
+                             f"'gt_value' must be a finite number or null, got {gt!r}")
         gt = float(gt)
     referents = row["referents"]
     if not isinstance(referents, list) or not all(isinstance(r, str) for r in referents):
@@ -147,8 +154,7 @@ def write_dataset(records: Iterable[QaRecord], path: str | Path) -> int:
 
 def read_dataset(path: str | Path) -> list[QaRecord]:
     source = str(path)
-    return [record_from_dict(row, source, line)
-            for line, row in enumerate(read_jsonl(path), start=1)]
+    return [record_from_dict(row, source, line) for line, row in read_jsonl(path)]
 
 
 # ---------------------------------------------------------------------------

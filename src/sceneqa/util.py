@@ -174,10 +174,12 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> int:
     return _write_replacing(path, write)
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """The JSON object on each non-blank line.  A line that is not JSON
-    raises :class:`MalformedFileError`, and one that holds anything but an
-    object raises :class:`SchemaViolationError`; both name the line."""
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line, numbering every
+    line of the file from 1, so callers name the same line in their own
+    errors.  A line that is not JSON raises :class:`MalformedFileError`, and
+    one that holds anything but an object raises
+    :class:`SchemaViolationError`; both name the line."""
     from .errors import MalformedFileError, SchemaViolationError
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -192,4 +194,4 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
             if type(row) is not dict:
                 raise SchemaViolationError(
                     f"{path}:{lineno}: expected a JSON object, got {type(row).__name__}")
-            yield row
+            yield lineno, row

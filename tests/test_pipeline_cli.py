@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from sceneqa import pipeline
 from sceneqa.cli import main
 from sceneqa.errors import ConfigError
 from sceneqa.evaluate import gold_answer
@@ -27,6 +29,31 @@ from sceneqa.scene import load_scene
 from sceneqa.util import read_json, write_json, write_jsonl
 
 SEED = 424243
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Returns the worker count of each pool started."""
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return started
+
+
+@pytest.fixture
+def pool_starts(monkeypatch, pool_spy):
+    """Charge nothing for worker start-up and estimate nothing from scene
+    size, so with ``jobs > 1`` the parent runs the first scene and hands two
+    or more left to a pool; returns the worker count of each pool."""
+    monkeypatch.setattr(pipeline, "_WORKER_START_S", 0.0)
+    monkeypatch.setattr(pipeline, "_SYNTH_S_PER_POINT", 0.0)
+    monkeypatch.setattr(pipeline, "_EXTRACT_S_PER_BYTE", 0.0)
+    return pool_spy
 
 
 class TestConfig:
@@ -286,10 +313,13 @@ class TestDeterminism:
         for table in sorted(cli_run["ngt_dir"].glob("*.ngt.json")):
             assert (parallel / "ngt" / table.name).read_bytes() == table.read_bytes()
 
-    def test_scene_stages_are_byte_identical_for_any_jobs(self, tmp_path):
-        # 3 scenes: 2 workers do not divide them evenly, 4 exceed them.
+    def test_scene_stages_are_byte_identical_for_any_jobs(self, tmp_path, pool_starts):
+        # 3 scenes: the parent runs the first and hands the other two to a
+        # pool of 2, whether 2 or 4 workers are allowed.
         outputs = {}
+        pools = {}
         for jobs in (1, 2, 4):
+            pool_starts.clear()
             cfg = PipelineConfig(seed=SEED, out_dir=str(tmp_path / f"jobs{jobs}"),
                                  jobs=jobs, synth_scenes=3, synth_boxes=14,
                                  synth_points_per_box=30)
@@ -304,9 +334,46 @@ class TestDeterminism:
                 p.relative_to(out).as_posix(): p.read_bytes()
                 for p in sorted(out.rglob("*.json"))
             }
+            pools[jobs] = list(pool_starts)
+        assert pools == {1: [], 2: [2, 2], 4: [2, 2]}   # one pool per stage
         assert len(outputs[1]) == 9   # scene, truth and table per scene
         assert outputs[2] == outputs[1]
         assert outputs[4] == outputs[1]
+
+    @pytest.mark.parametrize("jobs", [2, 8])
+    def test_two_small_scenes_start_no_pool(self, tmp_path, monkeypatch, jobs):
+        # Their size says they take milliseconds, and after the first scene
+        # one is left, so there is nothing to split.
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was started for two small scenes")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        cfg = PipelineConfig(seed=SEED, out_dir=str(tmp_path), jobs=jobs,
+                             synth_scenes=2, synth_boxes=14, synth_points_per_box=30)
+        assert len(run_synth(cfg)) == 2
+        assert len(run_extract(cfg)) == 2
+
+    def test_scene_size_can_start_a_pool_before_any_scene_runs(
+            self, tmp_path, monkeypatch, pool_spy):
+        # Priced at a second per point and per byte, two scenes are worth a
+        # pool of two from the start, which measured time never chooses.
+        monkeypatch.setattr(pipeline, "_SYNTH_S_PER_POINT", 1.0)
+        monkeypatch.setattr(pipeline, "_EXTRACT_S_PER_BYTE", 1.0)
+        outputs = {}
+        for jobs in (1, 2):
+            cfg = PipelineConfig(seed=SEED, out_dir=str(tmp_path / f"jobs{jobs}"),
+                                 jobs=jobs, synth_scenes=2, synth_boxes=14,
+                                 synth_points_per_box=30)
+            run_synth(cfg)
+            run_extract(cfg)
+            out = Path(cfg.out_dir)
+            outputs[jobs] = {
+                p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*.json"))
+            }
+        assert pool_spy == [2, 2]   # none at jobs=1, one per stage at jobs=2
+        assert outputs[2] == outputs[1]
 
     # sha256 of each generate artifact for the run below.  A change here
     # means the records, their order or the RNG draw order moved: the
@@ -420,6 +487,27 @@ class TestCliErrors:
         assert "evil.scene.json" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.ngt.json"))
 
+    def test_pooled_scene_with_a_bad_scene_id_exits_3(self, tmp_path, capsys, pool_starts):
+        """The pool-side case of the test above: the second of three scenes
+        runs in a worker, and its error still reaches the exit code."""
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for name, scene_id in (("a", "a"), ("b", "../escaped"), ("c", "c")):
+            write_json({"scene_id": scene_id, "instances": [
+                {"instance_id": "x", "label": "chair", "points": [[0.0, 0.0, 0.0]]},
+                {"instance_id": "y", "label": "table", "points": [[1.0, 0.0, 0.0]]}]},
+                scenes / f"{name}.scene.json")
+        out = tmp_path / "out"
+        code = main(["extract", "--out", str(out), "--jobs", "2",
+                     "--scenes", str(scenes / "*.scene.json")])
+        assert code == 3
+        assert pool_starts == [2]
+        assert "b.scene.json" in capsys.readouterr().err
+        # The parent wrote scene a's table before the pool started; no table
+        # is written for the bad scene, inside the table directory or out of it.
+        tables = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.ngt.json")}
+        assert tables <= {"out/ngt/a.ngt.json", "out/ngt/c.ngt.json"}
+
     def test_extract_scene_emptied_by_label_exclusion(self, tmp_path, capsys):
         scenes = tmp_path / "scenes"
         scenes.mkdir()
@@ -479,8 +567,11 @@ class TestCliErrors:
         ("score", "predictions", {"qa_id": "x", "output": 7}),
         ("generate", "saqs", [1, 2]),
         ("generate", "saqs", {"answer": None}),
+        ("selfcheck", "dataset", {"gt_value": float("nan")}),
+        ("score", "dataset", {"gt_value": 10 ** 400}),
     ], ids=["gt-string", "gt-bool", "dataset-list", "score-gt-string", "prediction-list",
-            "prediction-number", "saq-list", "saq-null-answer"])
+            "prediction-number", "saq-list", "saq-null-answer", "gt-nan",
+            "score-gt-401-digits"])
     def test_malformed_rows_exit_3_naming_file_and_line(self, cli_run, tmp_path,
                                                         capsys, command, target, line):
         """A bad row in the second line of a dataset, predictions or SAQ file

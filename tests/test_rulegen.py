@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -428,6 +429,28 @@ class TestSerialization:
         write_jsonl(rows, path)
         with pytest.raises(SchemaViolationError, match=r"dataset\.jsonl: line 3: 'gt_value'"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("text", [
+        "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400,
+    ], ids=["nan", "inf", "-inf", "1e400", "-1e400", "401-digit-int"])
+    def test_gt_value_must_be_finite(self, dataset, tmp_path, text):
+        """Python's json reads NaN, Infinity and 1e400 as non-finite floats and
+        a 401-digit integer as an int no float holds; each is a schema error
+        naming the file and line, not a stored non-finite value or an
+        OverflowError."""
+        row = dataset[0][0].to_dict()
+        row["gt_value"] = 0.0
+        line = json.dumps(row).replace('"gt_value": 0.0', f'"gt_value": {text}')
+        path = tmp_path / "dataset.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(SchemaViolationError,
+                           match=r"dataset\.jsonl: line 1: 'gt_value' must be a finite"):
+            read_dataset(path)
+
+    def test_largest_finite_gt_value_is_kept(self, dataset):
+        row = dataset[0][0].to_dict()
+        row["gt_value"] = 1.7976931348623157e308
+        assert record_from_dict(row).gt_value == 1.7976931348623157e308
 
     def test_referents_must_be_string_list(self, dataset):
         row = dataset[0][0].to_dict()

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from sceneqa.errors import MalformedFileError, SchemaViolationError
+from sceneqa.evaluate import read_predictions
+from sceneqa.rewrite import load_saqs
+from sceneqa.rulegen import _RECORD_KEYS, read_dataset
 from sceneqa.util import (
     derive_seed,
     read_json,
@@ -154,7 +157,28 @@ class TestJsonHelpers:
         rows = [{"i": i} for i in range(5)]
         path = tmp_path / "rows.jsonl"
         assert write_jsonl(rows, path) == 5
-        assert list(read_jsonl(path)) == rows
+        assert list(read_jsonl(path)) == list(enumerate(rows, start=1))
+
+    def test_jsonl_numbers_file_lines_across_blank_ones(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"b": 2}\n')
+        assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"b": 2})]
+
+    @pytest.mark.parametrize("reader,good,bad", [
+        (read_dataset, {**{k: "x" for k in _RECORD_KEYS}, "gt_value": 1.5,
+                        "cp_link": None, "template_id": None, "referents": []},
+         {"qa_id": "y"}),
+        (read_predictions, {"qa_id": "a", "output": "yes"}, {"qa_id": "b"}),
+        (load_saqs, {"question": "Q?", "answer": "a"}, {"question": "Q?"}),
+    ], ids=["dataset", "predictions", "saqs"])
+    def test_readers_name_the_file_line_after_a_blank_one(self, tmp_path, reader,
+                                                          good, bad):
+        """Line 1 holds a good row, line 2 is blank and line 3 is bad: every
+        reader names line 3, as :func:`read_jsonl` itself would."""
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n")
+        with pytest.raises(SchemaViolationError, match=r"rows\.jsonl: line 3: "):
+            reader(path)
 
     def test_jsonl_reports_offending_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
