@@ -14,7 +14,13 @@ from sceneqa.audit import (
 )
 from sceneqa.errors import SceneQaError
 from sceneqa.evaluate import consistency_report, gold_answer, score_records
-from sceneqa.rulegen import ANSWER_NO, ANSWER_YES, VARIANT_PLAIN
+from sceneqa.rulegen import (
+    ANSWER_NO,
+    ANSWER_YES,
+    VARIANT_COT,
+    VARIANT_PLAIN,
+    render_answer,
+)
 from sceneqa.templates import TASK_FV, TASK_NI
 
 
@@ -27,6 +33,15 @@ def swap(records, index, **changes):
 
 def find_index(records, predicate):
     return next(i for i, rec in enumerate(records) if predicate(rec))
+
+
+PINNED_CHECKS = ("schema", "cp_involution", "ni_display", "gt_agreement")
+
+
+def pinned(result):
+    """The failure lists of the checks whose wording is pinned."""
+    return {name: result.checks[name] for name in PINNED_CHECKS
+            if name in result.checks}
 
 
 class TestSelfCheckGreen:
@@ -58,38 +73,83 @@ class TestSelfCheckGreen:
 
 
 class TestSelfCheckCorruptions:
+    """Each corruption pins the exact failure lists of the record checks."""
+
     def test_flipped_fv_answer(self, dataset, tables):
         records, _ = dataset
         idx = find_index(records, lambda r: r.task == TASK_FV
                          and r.variant == VARIANT_PLAIN and not r.is_contrapositive)
-        flipped = ANSWER_NO if records[idx].answer == ANSWER_YES else ANSWER_YES
+        rid, stored = records[idx].qa_id, records[idx].answer
+        flipped = ANSWER_NO if stored == ANSWER_YES else ANSWER_YES
         corrupted = swap(records, idx, answer=flipped)
         result = selfcheck(corrupted, tables=tables)
         assert not result.ok
-        assert any(records[idx].qa_id in f for f in result.checks["cp_involution"])
-        assert result.checks["gt_agreement"]
+        assert pinned(result) == {
+            "schema": [],
+            "cp_involution": [f"{rid}: answers not inverted ({flipped!r} / {flipped!r})"],
+            "ni_display": [],
+            "gt_agreement": [f"{rid}: stored answer {flipped!r} disagrees "
+                             f"with ground truth recomputation {stored!r}"],
+        }
+
+    def test_unreadable_cot_chain(self, dataset, tables):
+        records, _ = dataset
+        idx = find_index(records, lambda r: r.task == TASK_FV
+                         and r.variant == VARIANT_COT and not r.is_contrapositive)
+        rid, partner = records[idx].qa_id, records[idx + 1]
+        assert partner.qa_id == records[idx].cp_link
+        corrupted = swap(records, idx, answer="Hard to tell.")
+        result = selfcheck(corrupted, tables=tables)
+        assert not result.ok
+        assert pinned(result) == {
+            "schema": [f"{rid}: yes/no answer expected, got 'Hard to tell.'"],
+            "cp_involution": [f"{rid}: answers not inverted "
+                              f"(None / {gold_answer(partner)!r})"],
+            "ni_display": [],
+            "gt_agreement": [f"{rid}: stored answer None disagrees with ground "
+                             f"truth recomputation {gold_answer(records[idx])!r}"],
+        }
 
     def test_dangling_cp_link(self, dataset):
         records, _ = dataset
         idx = find_index(records, lambda r: r.task == TASK_FV
                          and not r.is_contrapositive)
+        rid, partner = records[idx].qa_id, records[idx].cp_link
         corrupted = swap(records, idx, cp_link="s9-fv-quantity-99999-cp")
         result = selfcheck(corrupted)
         assert not result.ok
-        assert result.checks["cp_involution"]
+        assert pinned(result) == {
+            "schema": [],
+            "cp_involution": [
+                f"{rid}: cp_link 's9-fv-quantity-99999-cp' not in dataset",
+                f"{partner}: link not mutual ({rid} -> 's9-fv-quantity-99999-cp')",
+            ],
+            "ni_display": [],
+        }
 
     def test_duplicate_qa_id(self, dataset):
         records, _ = dataset
         result = selfcheck(list(records) + [records[0]])
-        assert any("duplicate" in f for f in result.checks["schema"])
+        assert pinned(result) == {
+            "schema": [f"{records[0].qa_id}: duplicate qa_id"],
+            "cp_involution": [],
+            "ni_display": [],
+        }
 
     def test_ni_display_mismatch(self, dataset):
         records, _ = dataset
         idx = find_index(records, lambda r: r.task == TASK_NI
                          and r.variant == VARIANT_PLAIN)
+        record = records[idx]
         corrupted = swap(records, idx, answer="9999")
         result = selfcheck(corrupted)
-        assert result.checks["ni_display"]
+        rendered = render_answer(record.category, record.gt_value)
+        assert pinned(result) == {
+            "schema": [],
+            "cp_involution": [],
+            "ni_display": [f"{record.qa_id}: answer token '9999' does not match "
+                           f"the rendering {rendered!r} of gt_value {record.gt_value!r}"],
+        }
 
     def test_wrong_unit_trips_schema(self, dataset):
         records, _ = dataset
@@ -97,13 +157,36 @@ class TestSelfCheckCorruptions:
                          and r.category == "distance")
         corrupted = swap(records, idx, unit="furlongs")
         result = selfcheck(corrupted)
-        assert any("unit" in f for f in result.checks["schema"])
+        assert pinned(result) == {
+            "schema": [f"{records[idx].qa_id}: unit 'furlongs', expected 'meters'"],
+            "cp_involution": [],
+            "ni_display": [],
+        }
 
-    def test_invalid_task_trips_schema(self, dataset):
+    def test_invalid_task_trips_schema(self, dataset, tables):
         records, _ = dataset
+        rid, partner = records[0].qa_id, records[0].cp_link
         corrupted = swap(records, 0, task="essay")
-        result = selfcheck(corrupted)
-        assert any("task" in f for f in result.checks["schema"])
+        result = selfcheck(corrupted, tables=tables)
+        # the record is only reported by schema; its partner loses it
+        assert pinned(result) == {
+            "schema": [f"{rid}: unknown task 'essay'"],
+            "cp_involution": [f"{partner}: cp_link {rid!r} not in dataset"],
+            "ni_display": [],
+            "gt_agreement": [],
+        }
+
+    def test_unknown_variant_stops_after_schema(self, dataset, tables):
+        records, _ = dataset
+        rid, partner = records[0].qa_id, records[0].cp_link
+        corrupted = swap(records, 0, variant="sketch")
+        result = selfcheck(corrupted, tables=tables)
+        assert pinned(result) == {
+            "schema": [f"{rid}: unknown variant 'sketch'"],
+            "cp_involution": [f"{partner}: cp_link {rid!r} not in dataset"],
+            "ni_display": [],
+            "gt_agreement": [],
+        }
 
     def test_consistent_but_wrong_value_needs_tables(self, dataset, tables):
         records, _ = dataset
@@ -113,9 +196,15 @@ class TestSelfCheckCorruptions:
         # display and gt_value agree with each other but not with the scene
         corrupted = swap(records, idx, answer="9.99", gt_value=9.99)
         without_tables = selfcheck(corrupted)
-        assert without_tables.checks["ni_display"] == []
+        assert pinned(without_tables) == {
+            "schema": [], "cp_involution": [], "ni_display": [],
+        }
         with_tables = selfcheck(corrupted, tables=tables)
-        assert with_tables.checks["gt_agreement"]
+        assert pinned(with_tables) == {
+            "schema": [], "cp_involution": [], "ni_display": [],
+            "gt_agreement": [f"{records[idx].qa_id}: stored answer '9.99' disagrees "
+                             f"with ground truth recomputation {records[idx].answer!r}"],
+        }
 
     def test_removed_partner_is_caught(self, dataset):
         records, _ = dataset
@@ -124,7 +213,12 @@ class TestSelfCheckCorruptions:
         pruned = [r for i, r in enumerate(records) if i != idx]
         result = selfcheck(pruned)
         assert not result.ok
-        assert result.checks["cp_involution"]
+        assert pinned(result) == {
+            "schema": [],
+            "cp_involution": [f"{records[idx].cp_link}: cp_link "
+                              f"{records[idx].qa_id!r} not in dataset"],
+            "ni_display": [],
+        }
         assert result.checks["self_scoring"]   # orphans break self-scoring
 
     def test_unbalanced_records_trip_balance(self, dataset):
