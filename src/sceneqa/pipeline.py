@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audit import SelfCheckResult, selfcheck
+from .audit import SelfCheckResult, recomputable, selfcheck
 from .errors import (
     ConfigError,
     InsufficientCandidatesError,
@@ -402,10 +402,7 @@ def run_selfcheck(dataset_path: str | Path,
     tables = None
     if ngt_dir is not None:
         tables = {table.scene_id: table for table in _load_tables(Path(ngt_dir))}
-        needed = {
-            r.scene_id for r in records
-            if r.provenance == "rule" and r.template_id is not None
-        }
+        needed = {r.scene_id for r in records if recomputable(r)}
         missing = sorted(needed - set(tables))
         if missing:
             raise FileNotFoundError(

@@ -8,7 +8,6 @@ import pytest
 
 from sceneqa.audit import (
     constant_responses,
-    echo_responses,
     oracle_responses,
     selfcheck,
 )
@@ -136,6 +135,16 @@ class TestSelfCheckCorruptions:
             "ni_display": [],
         }
 
+    def test_duplicate_id_is_judged_by_its_own_recomputation(self, dataset, tables):
+        records, _ = dataset
+        ni = find_index(records, lambda r: r.task == TASK_NI)
+        fv = find_index(records, lambda r: r.task == TASK_FV)
+        corrupted = swap(records, fv, qa_id=records[ni].qa_id)
+        result = selfcheck(corrupted, tables=tables)
+        assert result.checks["schema"] == [f"{records[ni].qa_id}: duplicate qa_id"]
+        # each record's stored answer matches its own scene values
+        assert result.checks["gt_agreement"] == []
+
     def test_ni_display_mismatch(self, dataset):
         records, _ = dataset
         idx = find_index(records, lambda r: r.task == TASK_NI
@@ -219,7 +228,24 @@ class TestSelfCheckCorruptions:
                               f"{records[idx].qa_id!r} not in dataset"],
             "ni_display": [],
         }
-        assert result.checks["self_scoring"]   # orphans break self-scoring
+        # the orphan is reported once, by cp_involution
+        assert result.checks["self_scoring"] == []
+
+    def test_self_scoring_names_a_numeric_record_its_own_answer_misses(self, dataset):
+        records, _ = dataset
+        idx = find_index(records, lambda r: r.task == TASK_NI
+                         and r.category == "distance"
+                         and r.variant == VARIANT_PLAIN)
+        # "0.00" is the right display of 0.001 m, but reads back as 0 m
+        corrupted = swap(records, idx, answer="0.00", gt_value=0.001)
+        result = selfcheck(corrupted)
+        assert pinned(result) == {
+            "schema": [], "cp_involution": [], "ni_display": [],
+        }
+        assert result.checks["self_scoring"] == [
+            f"{records[idx].qa_id}: its own answer '0.00' misses "
+            f"ground truth 0.001 at ta@5"
+        ]
 
     def test_unbalanced_records_trip_balance(self, dataset):
         records, _ = dataset
@@ -240,12 +266,6 @@ class TestSelfCheckCorruptions:
 
 
 class TestResponders:
-    def test_echo_covers_every_record(self, dataset):
-        records, _ = dataset
-        responses = echo_responses(records)
-        assert len(responses) == len(records)
-        assert all(responses[r.qa_id] == r.answer for r in records)
-
     def test_constant_restricts_to_task(self, dataset):
         records, _ = dataset
         responses = constant_responses(records)
@@ -298,7 +318,7 @@ class TestResponders:
 
     def test_gold_answers_echo_through_cot(self, dataset):
         records, _ = dataset
-        responses = echo_responses(records)
+        responses = {r.qa_id: r.answer for r in records}
         report = score_records(records, responses)
         assert all(
             scores.accuracy == 1.0 if not key.startswith("ni/") else True

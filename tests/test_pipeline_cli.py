@@ -558,6 +558,27 @@ class TestCliErrors:
         assert code == 5
         assert "selfcheck: FAILED" in capsys.readouterr().out
 
+    def test_selfcheck_reports_a_numeric_record_without_ground_truth(
+            self, cli_run, tmp_path, capsys):
+        """A numeric record with no gt_value and an answer that is not a
+        number is reported (exit 5), not scored into a crash."""
+        rows = [json.loads(line) for line in
+                cli_run["dataset"].read_text().splitlines()]
+        victim = next(r for r in rows if r["task"] == "ni"
+                      and r["variant"] == "plain")
+        victim.update(gt_value=None, answer="about 3")
+        corrupted = tmp_path / "dataset.jsonl"
+        write_jsonl(rows, corrupted)
+        assert main(["selfcheck", "--dataset", str(corrupted)]) == 5
+        out = capsys.readouterr().out
+        sections = {}
+        for line in out.splitlines():
+            if not line.startswith("  - "):
+                check = line.split(":", 1)[0]
+            sections.setdefault(check, []).append(line)
+        assert any(victim["qa_id"] in line for line in sections["schema"])
+        assert any(victim["qa_id"] in line for line in sections["self_scoring"])
+
     @pytest.mark.parametrize("command,target,line", [
         ("selfcheck", "dataset", {"gt_value": "abc"}),
         ("selfcheck", "dataset", {"gt_value": True}),
