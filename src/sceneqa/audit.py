@@ -36,7 +36,9 @@ from .rulegen import (
 )
 from .templates import (
     BY_ID,
+    CAT_DISTANCE,
     CAT_NON_NUMERIC,
+    CAT_QUANTITY,
     DEFAULT_APPROX_BAND,
     NUMERIC_CATEGORIES,
     TASK_FV,
@@ -74,24 +76,63 @@ def constant_responses(records: Sequence[QaRecord], token: str = ANSWER_YES,
     }
 
 
-def _oracle_answer(record: QaRecord, tables: Mapping[str, NgtTable],
-                   approx_band: float) -> str:
-    if not recomputable(record):
-        return record.answer
+def _table_for(record: QaRecord, tables: Mapping[str, NgtTable]) -> NgtTable:
     table = tables.get(record.scene_id)
     if table is None:
         raise SceneQaError(
             f"{record.qa_id}: no ground-truth table for scene {record.scene_id!r}"
         )
+    return table
+
+
+def _misfit(record: QaRecord, table: NgtTable) -> str | None:
+    """Why a recomputable record's template, category or referents do not
+    fit its scene's table, so that its answer cannot be re-derived; None
+    when they fit."""
+    template = BY_ID.get(record.template_id)
+    if template is None:
+        return f"unknown template {record.template_id!r}"
+    if (template.task, template.category) != (record.task, record.category):
+        return (f"template {template.template_id!r} asks {template.task}/"
+                f"{template.category}, not {record.task}/{record.category}")
+    if len(record.referents) != template.arity:
+        return (f"{len(record.referents)} referents for template "
+                f"{template.template_id!r} of arity {template.arity}")
+    # counts are per label; volumes and distances need an unambiguous instance
+    known = (table.label_counts() if record.category == CAT_QUANTITY
+             else table.unique_label_instances())
+    unknown = [label for label in record.referents if label not in known]
+    if unknown:
+        kind = "label" if record.category == CAT_QUANTITY else "unique label"
+        return f"referents {unknown} name no {kind} of scene {record.scene_id!r}"
+    if record.category == CAT_DISTANCE:
+        for a, b in zip(record.referents[::2], record.referents[1::2]):
+            if not table.has_pair(known[a].instance_id, known[b].instance_id):
+                return f"no distance between {a!r} and {b!r} in scene {record.scene_id!r}"
+    return None
+
+
+def _recompute(record: QaRecord, table: NgtTable, approx_band: float) -> str:
+    """The answer of a record that fits its table, from ground truth.  Such
+    a record is FV or NI: the bank has no PM template."""
     values = referent_values(record.category, record.referents, table)
     if record.task == TASK_FV:
         template = BY_ID[record.template_id]
         holds = evaluate_predicate(template.predicate, values[0], values[1],
                                    approx_band=approx_band)
         return ANSWER_YES if holds else ANSWER_NO
-    if record.task == TASK_NI:
-        return render_answer(record.category, values[0])
-    return record.answer
+    return render_answer(record.category, values[0])
+
+
+def _oracle_answer(record: QaRecord, tables: Mapping[str, NgtTable],
+                   approx_band: float) -> str:
+    if not recomputable(record):
+        return record.answer
+    table = _table_for(record, tables)
+    problem = _misfit(record, table)
+    if problem is not None:
+        raise SceneQaError(f"{record.qa_id}: {problem}")
+    return _recompute(record, table, approx_band)
 
 
 def oracle_responses(records: Sequence[QaRecord],
@@ -265,12 +306,16 @@ def selfcheck(records: Sequence[QaRecord],
         cp_involution += _cp_involution(record, gold, by_id)
         if record.task == TASK_NI:
             if record.provenance == PROVENANCE_RULE and record.gt_value is not None:
-                expected = render_answer(record.category, record.gt_value)
-                if gold != expected:
-                    ni_display.append(
-                        f"{rid}: answer token {gold!r} does not match the "
-                        f"rendering {expected!r} of gt_value {record.gt_value!r}"
-                    )
+                try:
+                    expected = render_answer(record.category, record.gt_value)
+                except SceneQaError as exc:  # a count that is not whole
+                    ni_display.append(f"{rid}: {exc}")
+                else:
+                    if gold != expected:
+                        ni_display.append(
+                            f"{rid}: answer token {gold!r} does not match the "
+                            f"rendering {expected!r} of gt_value {record.gt_value!r}"
+                        )
             # an echo of the stored answer must be a hit at every threshold
             token = extract_answer(record.answer, TASK_NI, record.variant)
             pred = parse_numeric(token)
@@ -281,8 +326,11 @@ def selfcheck(records: Sequence[QaRecord],
                     f"at ta@{round(_TA_MIN * 100)}"
                 )
         if tables is not None and recomputable(record):
-            recomputed = _oracle_answer(record, tables, approx_band)
-            if recomputed != gold:
+            table = _table_for(record, tables)
+            problem = _misfit(record, table)
+            if problem is not None:
+                gt_agreement.append(f"{rid}: {problem}")
+            elif (recomputed := _recompute(record, table, approx_band)) != gold:
                 gt_agreement.append(
                     f"{rid}: stored answer {gold!r} disagrees "
                     f"with ground truth recomputation {recomputed!r}"

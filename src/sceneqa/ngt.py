@@ -15,6 +15,7 @@ them.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -148,6 +149,17 @@ def _require(data: Mapping, key: str, source: str):
 
 
 def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
+    """One NGT document as a table; a document that breaks the schema raises
+    :class:`SchemaViolationError` naming ``source``.
+
+    Instance ids, labels and the ids in pair rows go through
+    :func:`sys.intern`.  A table with n instances keys n(n-1)/2 pairs by
+    their ids, so interning makes every pair key reuse the instance's own id
+    objects instead of holding two fresh copies per pair, and tables share
+    their labels and ids with each other and with the loaded records.  The
+    interned values are at most one per instance of the scenes read; the
+    scene id and the skip reasons are kept as read.
+    """
     if not isinstance(data, dict):
         raise SchemaViolationError(f"{source}: NGT document must be an object")
     scene_id = _require(data, "scene_id", source)
@@ -166,8 +178,8 @@ def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
         try:
             instances.append(
                 InstanceMeasurement(
-                    instance_id=str(row["instance_id"]),
-                    label=str(row["label"]),
+                    instance_id=sys.intern(str(row["instance_id"])),
+                    label=sys.intern(str(row["label"])),
                     centroid=tuple(float(c) for c in row["centroid"]),
                     aabb_min=tuple(float(c) for c in row["aabb_min"]),
                     aabb_max=tuple(float(c) for c in row["aabb_max"]),
@@ -187,14 +199,15 @@ def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
     pairs: dict[tuple[str, str], float] = {}
     for pos, row in enumerate(raw_pairs):
         try:
-            key = pair_key(str(row["a"]), str(row["b"]))
+            key = pair_key(sys.intern(str(row["a"])), sys.intern(str(row["b"])))
             pairs[key] = float(row["distance"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolationError(f"{source}: pairs[{pos}] malformed: {exc}") from exc
     skipped = []
     for pos, row in enumerate(raw_skipped):
         try:
-            skipped.append((str(row["a"]), str(row["b"]), str(row["reason"])))
+            skipped.append((sys.intern(str(row["a"])), sys.intern(str(row["b"])),
+                            str(row["reason"])))
         except (KeyError, TypeError) as exc:
             raise SchemaViolationError(
                 f"{source}: skipped_pairs[{pos}] malformed: {exc}"

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import sys
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -73,7 +74,7 @@ COT_SUFFIX = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QaRecord:
     qa_id: str
     scene_id: str
@@ -109,16 +110,53 @@ def _row_error(source: str, line: int | None, problem: str) -> SchemaViolationEr
 
 
 _FLOAT_MAX = sys.float_info.max
+_row_values = itemgetter(*_RECORD_KEYS)
+
+
+def _text_problem(row: dict) -> str:
+    """The complaint about the first text field of ``row`` that is not a
+    string (or null, where null is allowed)."""
+    for key in ("qa_id", "scene_id", "task", "category", "question", "answer",
+                "unit", "variant", "provenance"):
+        if type(row[key]) is not str:
+            return f"{key!r} must be a string, got {row[key]!r}"
+    for key in ("cp_link", "template_id"):
+        if row[key] is not None and type(row[key]) is not str:
+            return f"{key!r} must be a string or null, got {row[key]!r}"
+    raise AssertionError("every text field of the row is well typed")
 
 
 def record_from_dict(row: dict, source: str = "<dict>",
                      line: int | None = None) -> QaRecord:
     """One dataset row as a record; a row that breaks the schema raises
-    :class:`SchemaViolationError` naming ``source`` and ``line``."""
-    missing = [k for k in _RECORD_KEYS if k not in row]
-    if missing:
-        raise _row_error(source, line, f"record missing keys {missing}")
-    gt = row["gt_value"]
+    :class:`SchemaViolationError` naming ``source`` and ``line``.
+
+    Every text field must be a JSON string (``cp_link`` and ``template_id``
+    may be null); nothing is coerced.  The categorical fields (``scene_id``,
+    ``task``, ``category``, ``unit``, ``variant``, ``provenance``,
+    ``template_id`` and each referent) go through :func:`sys.intern`, so the
+    records of a dataset share one string object per distinct value.  A
+    dataset holds a few hundred such values however many records it has, so
+    this about halves the memory a loaded record holds.  Ids, questions and
+    answers differ per record and are kept as read: an interned string may
+    live as long as the interpreter (on CPython 3.12 every one does), which
+    is harmless only for a small set of distinct values.
+    """
+    try:
+        (qa_id, scene_id, task, category, question, answer, gt, unit, cp_link,
+         variant, provenance, template_id, referents) = _row_values(row)
+    except KeyError:
+        missing = [k for k in _RECORD_KEYS if k not in row]
+        raise _row_error(source, line, f"record missing keys {missing}") from None
+    # type(), not isinstance(): sys.intern takes no str subclass.  One chained
+    # test, because this runs once per row of every dataset read.
+    if not (type(qa_id) is str and type(scene_id) is str and type(task) is str
+            and type(category) is str and type(question) is str
+            and type(answer) is str and type(unit) is str
+            and type(variant) is str and type(provenance) is str
+            and (cp_link is None or type(cp_link) is str)
+            and (template_id is None or type(template_id) is str)):
+        raise _row_error(source, line, _text_problem(row))
     if gt is not None:
         # type(), not isinstance(): JSON true/false must not read as 1.0/0.0.
         # The range test refuses NaN, the infinities (JSON's NaN, Infinity,
@@ -128,23 +166,15 @@ def record_from_dict(row: dict, source: str = "<dict>",
             raise _row_error(source, line,
                              f"'gt_value' must be a finite number or null, got {gt!r}")
         gt = float(gt)
-    referents = row["referents"]
-    if not isinstance(referents, list) or not all(isinstance(r, str) for r in referents):
+    if type(referents) is not list or not all(type(r) is str for r in referents):
         raise _row_error(source, line, "'referents' must be a list of strings")
+    intern = sys.intern
+    # positional, in field order, as _row_values read them
     return QaRecord(
-        qa_id=str(row["qa_id"]),
-        scene_id=str(row["scene_id"]),
-        task=str(row["task"]),
-        category=str(row["category"]),
-        question=str(row["question"]),
-        answer=str(row["answer"]),
-        gt_value=gt,
-        unit=str(row["unit"]),
-        cp_link=None if row["cp_link"] is None else str(row["cp_link"]),
-        variant=str(row["variant"]),
-        provenance=str(row["provenance"]),
-        template_id=None if row["template_id"] is None else str(row["template_id"]),
-        referents=tuple(referents),
+        qa_id, intern(scene_id), intern(task), intern(category), question,
+        answer, gt, intern(unit), cp_link, intern(variant), intern(provenance),
+        None if template_id is None else intern(template_id),
+        tuple(map(intern, referents)),
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -32,6 +33,11 @@ def swap(records, index, **changes):
 
 def find_index(records, predicate):
     return next(i for i, rec in enumerate(records) if predicate(rec))
+
+
+def _repeated_label(table):
+    """The first label that names more than one instance of the scene."""
+    return next(label for label, n in sorted(table.label_counts().items()) if n > 1)
 
 
 PINNED_CHECKS = ("schema", "cp_involution", "ni_display", "gt_agreement")
@@ -245,6 +251,56 @@ class TestSelfCheckCorruptions:
         assert result.checks["self_scoring"] == [
             f"{records[idx].qa_id}: its own answer '0.00' misses "
             f"ground truth 0.001 at ta@5"
+        ]
+
+    @pytest.mark.parametrize("task,category,change,problem", [
+        (TASK_FV, "quantity",
+         lambda r, table: {"referents": ("unicorn", r.referents[1])},
+         "referents ['unicorn'] name no label of scene {scene!r}"),
+        (TASK_FV, "volume",
+         lambda r, table: {"referents": (_repeated_label(table), r.referents[1])},
+         "referents [{repeated!r}] name no unique label of scene {scene!r}"),
+        (TASK_NI, "distance",
+         lambda r, table: {"referents": (r.referents[0], r.referents[0])},
+         "no distance between {first!r} and {first!r} in scene {scene!r}"),
+        (TASK_NI, "quantity",
+         lambda r, table: {"referents": (r.referents[0], r.referents[0])},
+         "2 referents for template {template!r} of arity 1"),
+        (TASK_FV, "quantity",
+         lambda r, table: {"template_id": "ni-quantity-01"},
+         "template 'ni-quantity-01' asks ni/quantity, not fv/quantity"),
+        (TASK_FV, "distance",
+         lambda r, table: {"template_id": "fv-distance-99"},
+         "unknown template 'fv-distance-99'"),
+    ], ids=["unknown-label", "repeated-label", "no-pair", "arity", "wrong-template",
+            "unknown-template"])
+    def test_record_that_does_not_fit_its_table(self, dataset, tables, task, category,
+                                                change, problem):
+        """A rule record whose template, category or referents do not fit its
+        scene's table is listed under gt_agreement, not raised."""
+        records, _ = dataset
+        idx = find_index(records, lambda r: r.task == task and r.category == category
+                         and r.variant == VARIANT_PLAIN)
+        record = records[idx]
+        table = tables[record.scene_id]
+        corrupted = swap(records, idx, **change(record, table))
+        result = selfcheck(corrupted, tables=tables)
+        assert result.checks["gt_agreement"] == [
+            f"{record.qa_id}: " + problem.format(
+                scene=record.scene_id, repeated=_repeated_label(table),
+                first=record.referents[0], template=record.template_id)
+        ]
+        with pytest.raises(SceneQaError, match=re.escape(record.qa_id)):
+            oracle_responses(corrupted, tables)
+
+    def test_count_that_is_not_whole_trips_ni_display(self, dataset, tables):
+        records, _ = dataset
+        idx = find_index(records, lambda r: r.task == TASK_NI
+                         and r.category == "quantity" and r.variant == VARIANT_PLAIN)
+        corrupted = swap(records, idx, gt_value=2.5)
+        result = selfcheck(corrupted, tables=tables)
+        assert result.checks["ni_display"] == [
+            f"{records[idx].qa_id}: count value 2.5 is not integral"
         ]
 
     def test_unbalanced_records_trip_balance(self, dataset):

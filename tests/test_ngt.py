@@ -103,6 +103,20 @@ class TestSerialization:
         assert loaded.pairs == table.pairs
         assert loaded.skipped_pairs == table.skipped_pairs
 
+    def test_pair_keys_reuse_the_instance_ids(self, tables, tmp_path):
+        """A loaded table's pair keys hold the instances' own id objects,
+        and equal labels are one object."""
+        table = next(iter(tables.values()))
+        write_ngt(table, tmp_path / "t.ngt.json")
+        loaded = read_ngt(tmp_path / "t.ngt.json")
+        assert loaded.pairs == table.pairs
+        own = {inst.instance_id: inst.instance_id for inst in loaded.instances}
+        assert len(loaded.pairs) == len(own) * (len(own) - 1) // 2
+        for a, b in loaded.pairs:
+            assert a is own[a] and b is own[b]
+        labels = [inst.label for inst in loaded.instances]
+        assert len({id(label) for label in labels}) == len(set(labels)) < len(labels)
+
     def test_missing_key_names_the_field(self, toy_scene):
         doc = ngt_to_dict(extract_ngt(toy_scene))
         del doc["pairs"]

@@ -453,6 +453,16 @@ class TestDeterminism:
         assert (pairs, iterations, distance) == (1640, 3690, 10546.21536436673)
 
 
+def _summary_sections(out: str) -> dict[str, list[str]]:
+    """The lines of a selfcheck summary, grouped under the check they report."""
+    sections: dict[str, list[str]] = {}
+    for line in out.splitlines():
+        if not line.startswith("  - "):
+            check = line.split(":", 1)[0]
+        sections.setdefault(check, []).append(line)
+    return sections
+
+
 class TestCliErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.json")]) == 2
@@ -570,14 +580,27 @@ class TestCliErrors:
         corrupted = tmp_path / "dataset.jsonl"
         write_jsonl(rows, corrupted)
         assert main(["selfcheck", "--dataset", str(corrupted)]) == 5
-        out = capsys.readouterr().out
-        sections = {}
-        for line in out.splitlines():
-            if not line.startswith("  - "):
-                check = line.split(":", 1)[0]
-            sections.setdefault(check, []).append(line)
+        sections = _summary_sections(capsys.readouterr().out)
         assert any(victim["qa_id"] in line for line in sections["schema"])
         assert any(victim["qa_id"] in line for line in sections["self_scoring"])
+
+    def test_selfcheck_reports_a_referent_missing_from_the_scene(
+            self, cli_run, tmp_path, capsys):
+        """A rule record naming a label its scene's table lacks is listed
+        under gt_agreement (exit 5), not a traceback."""
+        rows = [json.loads(line) for line in
+                cli_run["dataset"].read_text().splitlines()]
+        victim = next(r for r in rows if r["task"] == "fv"
+                      and r["category"] == "quantity" and r["variant"] == "plain")
+        victim["referents"][0] = "unicorn"
+        corrupted = tmp_path / "dataset.jsonl"
+        write_jsonl(rows, corrupted)
+        code = main(["selfcheck", "--dataset", str(corrupted),
+                     "--ngt-dir", str(cli_run["ngt_dir"])])
+        assert code == 5
+        sections = _summary_sections(capsys.readouterr().out)
+        assert any(victim["qa_id"] in line and "unicorn" in line
+                   for line in sections["gt_agreement"])
 
     @pytest.mark.parametrize("command,target,line", [
         ("selfcheck", "dataset", {"gt_value": "abc"}),

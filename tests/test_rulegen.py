@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -451,6 +452,48 @@ class TestSerialization:
         row = dataset[0][0].to_dict()
         row["gt_value"] = 1.7976931348623157e308
         assert record_from_dict(row).gt_value == 1.7976931348623157e308
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("qa_id", 5, "'qa_id' must be a string, got 5"),
+        ("task", ["fv"], "'task' must be a string, got ['fv']"),
+        ("question", None, "'question' must be a string, got None"),
+        ("unit", 1.0, "'unit' must be a string, got 1.0"),
+        ("provenance", True, "'provenance' must be a string, got True"),
+        ("cp_link", 7, "'cp_link' must be a string or null, got 7"),
+        ("template_id", {"id": "x"}, "'template_id' must be a string or null, got {'id': 'x'}"),
+    ])
+    def test_text_fields_must_be_strings(self, dataset, key, value, expected):
+        """No text field is coerced: a non-string is a schema error naming
+        the source and line."""
+        row = dataset[0][0].to_dict()
+        row[key] = value
+        with pytest.raises(SchemaViolationError,
+                           match=re.escape(f"here: line 4: {expected}")):
+            record_from_dict(row, source="here", line=4)
+
+    def test_null_links_and_templates_are_kept(self, dataset):
+        row = dataset[0][0].to_dict()
+        row.update(cp_link=None, template_id=None)
+        record = record_from_dict(row)
+        assert record.cp_link is None and record.template_id is None
+
+    def test_loaded_records_share_categorical_values(self, dataset, tmp_path):
+        """Equal categorical values of loaded records are one object each, and
+        the slotted records still compare equal and support ``replace``."""
+        records, _ = dataset
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(records, path)
+        loaded = read_dataset(path)
+        assert loaded == list(records)
+        for key in ("scene_id", "task", "category", "unit", "variant",
+                    "provenance", "template_id"):
+            values = [getattr(r, key) for r in loaded]
+            assert len({id(v) for v in values}) == len(set(values)), key
+        labels = [label for r in loaded for label in r.referents]
+        assert len({id(label) for label in labels}) == len(set(labels))
+        changed = dataclasses.replace(loaded[0], answer="maybe")
+        assert changed.answer == "maybe" and changed.qa_id == loaded[0].qa_id
+        assert not hasattr(loaded[0], "__dict__")
 
     def test_referents_must_be_string_list(self, dataset):
         row = dataset[0][0].to_dict()
