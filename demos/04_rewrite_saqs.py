@@ -17,7 +17,6 @@ from sceneqa.rewrite import (
     render_prompt,
     rewrite_pm,
     run_rewrite_track,
-    stub_client,
     validate_pm_response,
 )
 from sceneqa.errors import ExhaustedAttemptsError
@@ -54,8 +53,21 @@ print("\nbad response rejected with reasons:", verdict.reasons)
 # ---------------------------------------------------------------------------
 # Retries stop after exactly five attempts
 # ---------------------------------------------------------------------------
+# Any object with a `complete(system_prompt, user_prompt)` method can serve
+# as the service.  This one replays canned responses in order.
 
-always_bad = stub_client(*["not even json"] * 5)
+
+class Replay:
+    def __init__(self, *responses):
+        self.responses = list(responses)
+        self.call_count = 0
+
+    def complete(self, system_prompt, user_prompt):
+        self.call_count += 1
+        return self.responses.pop(0)
+
+
+always_bad = Replay(*["not even json"] * 5)
 try:
     rewrite_pm(job, always_bad)
 except ExhaustedAttemptsError as exc:
@@ -66,7 +78,7 @@ except ExhaustedAttemptsError as exc:
 # A scripted success
 # ---------------------------------------------------------------------------
 
-scripted = stub_client(json.dumps({
+scripted = Replay(json.dumps({
     "question": "What is the capital of France? Choose the correct option. "
                 "A) Berlin  B) Parris  C) Madrid  D) Rome",
     "Answer": "B",

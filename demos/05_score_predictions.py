@@ -25,7 +25,6 @@ from sceneqa import (
     score_records,
     RulegenConfig,
 )
-from sceneqa.audit import constant_responses
 from sceneqa.evaluate import gold_answer, threshold_accuracy
 
 # ---------------------------------------------------------------------------
@@ -74,7 +73,7 @@ records = generate_rule_dataset(list(tables.values()), cfg, master_seed=99)
 oracle = oracle_responses(records, tables)
 
 # Responder 2: answers "yes" to every yes/no question (the blind baseline).
-blind = constant_responses(records)
+blind = {r.qa_id: "yes" for r in records if r.task == "fv"}
 
 # Responder 3: noisy — right answer wrapped in chatter, and half the
 # numeric answers perturbed by up to +-15%.

@@ -31,6 +31,8 @@ from .rulegen import (
     VARIANT_PLAIN,
     build_balance_report,
     balance_violations,
+    contrapositive_id,
+    recomputable,
     referent_values,
     render_answer,
 )
@@ -55,25 +57,9 @@ _VALID_PROVENANCE = {PROVENANCE_RULE, PROVENANCE_LLM}
 _TA_MIN = min(TA_THRESHOLDS)
 
 
-def recomputable(record: QaRecord) -> bool:
-    """Whether the record's answer can be re-derived from the ground-truth
-    tables (rule-generated from a template)."""
-    return record.provenance == PROVENANCE_RULE and record.template_id is not None
-
-
 # ---------------------------------------------------------------------------
-# Reference responders
+# Reference responder
 # ---------------------------------------------------------------------------
-
-
-def constant_responses(records: Sequence[QaRecord], token: str = ANSWER_YES,
-                       task: str | None = TASK_FV) -> dict[str, str]:
-    """Every record (optionally restricted to one task) gets ``token``."""
-    return {
-        record.qa_id: token
-        for record in records
-        if task is None or record.task == task
-    }
 
 
 def _table_for(record: QaRecord, tables: Mapping[str, NgtTable]) -> NgtTable:
@@ -163,15 +149,6 @@ class SelfCheckResult:
     def ok(self) -> bool:
         return all(not failures for failures in self.checks.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": {
-                name: {"ok": not failures, "failures": failures}
-                for name, failures in sorted(self.checks.items())
-            },
-        }
-
     def summary_lines(self) -> list[str]:
         lines = []
         for name in sorted(self.checks):
@@ -184,12 +161,6 @@ class SelfCheckResult:
                 lines.append(f"  - ... and {len(failures) - 10} more")
         lines.append("selfcheck: " + ("PASSED" if self.ok else "FAILED"))
         return lines
-
-
-def _expected_cp_id(qa_id: str) -> str:
-    if qa_id.endswith("-cot"):
-        return qa_id[: -len("-cot")] + "-cp-cot"
-    return qa_id + "-cp"
 
 
 def _sound(record: QaRecord) -> bool:
@@ -253,10 +224,10 @@ def _cp_involution(record: QaRecord, gold: str | None,
         failures.append(f"{rid}: link not mutual ({partner.qa_id} -> {partner.cp_link!r})")
     if record.is_contrapositive:
         return failures
-    if record.cp_link != _expected_cp_id(rid):
+    if record.cp_link != contrapositive_id(rid):
         failures.append(
             f"{rid}: cp id {record.cp_link!r} breaks the "
-            f"naming convention ({_expected_cp_id(rid)!r})"
+            f"naming convention ({contrapositive_id(rid)!r})"
         )
     if partner_gold != INVERSE_ANSWER.get(gold):
         failures.append(f"{rid}: answers not inverted ({gold!r} / {partner_gold!r})")

@@ -63,10 +63,6 @@ class InsufficientCandidatesError(SceneQaError):
         self.shortfalls = dict(shortfalls or {})
 
 
-class QueueEmptyError(SceneQaError):
-    """A scripted service client ran out of queued responses."""
-
-
 class ServiceUnavailableError(SceneQaError):
     """The rewrite service could not be reached after retries."""
 

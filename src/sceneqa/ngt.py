@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 from . import geometry
 from .errors import EmptyAfterFilterError, NotConvergedError, SchemaViolationError
 from .scene import DEFAULT_EXCLUDED_LABELS, InstanceMeasurement, Scene
-from .util import read_json, write_json
+from .util import finite_number, read_json, write_json
 
 
 def pair_key(a: str, b: str) -> tuple[str, str]:
@@ -148,9 +148,36 @@ def _require(data: Mapping, key: str, source: str):
     return data[key]
 
 
+def _string(row: Mapping, key: str) -> str:
+    value = row[key]
+    # type(), not isinstance(): sys.intern takes no str subclass
+    if type(value) is not str:
+        raise ValueError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
+def _number(row: Mapping, key: str) -> float:
+    value = row[key]
+    if not finite_number(value):
+        raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _point(row: Mapping, key: str) -> tuple[float, float, float]:
+    value = row[key]
+    if (not isinstance(value, (list, tuple)) or len(value) != 3
+            or not all(map(finite_number, value))):
+        raise ValueError(f"{key!r} must be a list of three finite numbers, got {value!r}")
+    return tuple(map(float, value))
+
+
 def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
     """One NGT document as a table; a document that breaks the schema raises
-    :class:`SchemaViolationError` naming ``source``.
+    :class:`SchemaViolationError` naming ``source`` and the offending row.
+
+    Ids, labels and skip reasons must be JSON strings, distances and
+    volumes finite numbers, and centroids, box corners and dims lists of
+    three finite numbers; nothing is coerced.
 
     Instance ids, labels and the ids in pair rows go through
     :func:`sys.intern`.  A table with n instances keys n(n-1)/2 pairs by
@@ -178,13 +205,13 @@ def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
         try:
             instances.append(
                 InstanceMeasurement(
-                    instance_id=sys.intern(str(row["instance_id"])),
-                    label=sys.intern(str(row["label"])),
-                    centroid=tuple(float(c) for c in row["centroid"]),
-                    aabb_min=tuple(float(c) for c in row["aabb_min"]),
-                    aabb_max=tuple(float(c) for c in row["aabb_max"]),
-                    dims=tuple(float(c) for c in row["dims"]),
-                    volume=float(row["volume"]),
+                    instance_id=sys.intern(_string(row, "instance_id")),
+                    label=sys.intern(_string(row, "label")),
+                    centroid=_point(row, "centroid"),
+                    aabb_min=_point(row, "aabb_min"),
+                    aabb_max=_point(row, "aabb_max"),
+                    dims=_point(row, "dims"),
+                    volume=_number(row, "volume"),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -199,16 +226,16 @@ def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
     pairs: dict[tuple[str, str], float] = {}
     for pos, row in enumerate(raw_pairs):
         try:
-            key = pair_key(sys.intern(str(row["a"])), sys.intern(str(row["b"])))
-            pairs[key] = float(row["distance"])
+            key = pair_key(sys.intern(_string(row, "a")), sys.intern(_string(row, "b")))
+            pairs[key] = _number(row, "distance")
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolationError(f"{source}: pairs[{pos}] malformed: {exc}") from exc
     skipped = []
     for pos, row in enumerate(raw_skipped):
         try:
-            skipped.append((sys.intern(str(row["a"])), sys.intern(str(row["b"])),
-                            str(row["reason"])))
-        except (KeyError, TypeError) as exc:
+            skipped.append((sys.intern(_string(row, "a")), sys.intern(_string(row, "b")),
+                            _string(row, "reason")))
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolationError(
                 f"{source}: skipped_pairs[{pos}] malformed: {exc}"
             ) from exc

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audit import SelfCheckResult, recomputable, selfcheck
+from .audit import SelfCheckResult, selfcheck
 from .errors import (
     ConfigError,
     InsufficientCandidatesError,
@@ -52,6 +52,7 @@ from .rulegen import (
     assemble_dataset,
     generate_rule_dataset,
     read_dataset,
+    recomputable,
     write_dataset,
 )
 from .scene import (

@@ -26,7 +26,6 @@ from typing import Callable, Protocol, Sequence
 from .errors import (
     ExhaustedAttemptsError,
     InsufficientCandidatesError,
-    QueueEmptyError,
     SceneQaError,
     SchemaViolationError,
     ServiceUnavailableError,
@@ -40,6 +39,7 @@ from .rulegen import (
     Schedules,
     VARIANT_PLAIN,
     build_schedules,
+    contrapositive_id,
 )
 from .templates import CAT_NON_NUMERIC, TASK_FV, TASK_PM
 from .util import read_jsonl
@@ -208,28 +208,6 @@ class ServiceClient(Protocol):
     def complete(self, system_prompt: str, user_prompt: str) -> str: ...
 
 
-class ScriptedClient:
-    """Replays a fixed queue of responses; raises when the queue runs dry."""
-
-    def __init__(self, responses: Sequence[str]):
-        self._queue = list(responses)
-        self.call_count = 0
-        self.prompts: list[tuple[str, str]] = []
-
-    def complete(self, system_prompt: str, user_prompt: str) -> str:
-        self.prompts.append((system_prompt, user_prompt))
-        if not self._queue:
-            raise QueueEmptyError(
-                f"scripted client exhausted after {self.call_count} calls"
-            )
-        self.call_count += 1
-        return self._queue.pop(0)
-
-
-def stub_client(*responses: str) -> ScriptedClient:
-    return ScriptedClient(list(responses))
-
-
 _STUB_DISTRACTORS = (
     "granite", "velvet", "copper", "maroon", "juniper", "basalt",
     "saffron", "cobalt", "walnut", "amber", "onyx", "fern",
@@ -243,9 +221,6 @@ class EchoStubClient:
     valid response, so whole pipelines can run without network access.
     """
 
-    def __init__(self):
-        self.call_count = 0
-
     @staticmethod
     def _field(user_prompt: str, name: str) -> str:
         match = re.search(rf"^- {re.escape(name)}: (.*)$", user_prompt, re.M)
@@ -254,7 +229,6 @@ class EchoStubClient:
         return match.group(1).strip()
 
     def complete(self, system_prompt: str, user_prompt: str) -> str:
-        self.call_count += 1
         question = self._field(user_prompt, "Original SAQ")
         answer = self._field(user_prompt, "Original Answer")
         if "Expected Correct Option" in user_prompt:
@@ -342,10 +316,8 @@ class HttpServiceClient:
         self.headers = dict(headers or {})
         self.retry_wait = retry_wait
         self._post = transport if transport is not None else _urllib_post
-        self.call_count = 0
 
     def complete(self, system_prompt: str, user_prompt: str) -> str:
-        self.call_count += 1
         payload: dict = {
             "model": self.model,
             "messages": [
@@ -393,7 +365,6 @@ class HttpServiceClient:
 class ValidationVerdict:
     ok: bool
     reasons: tuple[str, ...] = ()
-    detail: str = ""
     payload: dict | None = None
 
 
@@ -434,10 +405,9 @@ def _parse_payload(text: str, keys: tuple[str, ...]) -> dict | ValidationVerdict
     missing or lacks one of the string ``keys``."""
     payload = extract_json_object(text)
     if payload is None:
-        return ValidationVerdict(False, (NOT_JSON,), "no JSON object found")
-    missing = [k for k in keys if not isinstance(payload.get(k), str)]
-    if missing:
-        return ValidationVerdict(False, (MISSING_KEY,), f"missing keys {missing}", payload)
+        return ValidationVerdict(False, (NOT_JSON,))
+    if not all(isinstance(payload.get(k), str) for k in keys):
+        return ValidationVerdict(False, (MISSING_KEY,), payload)
     return payload
 
 
@@ -447,44 +417,30 @@ def validate_pm_response(text: str, job: RewriteJob) -> ValidationVerdict:
         return payload
 
     reasons: list[str] = []
-    details: list[str] = []
     if payload["Answer"].strip() != job.expected_label:
         reasons.append(ANSWER_NOT_AT_EXPECTED_LABEL)
-        details.append(
-            f"Answer key is {payload['Answer'].strip()!r}, expected {job.expected_label!r}"
-        )
 
     parsed = parse_options(payload["question"])
     expected_letters = list(OPTION_LETTERS[:job.n_options])
     if parsed is None:
-        return ValidationVerdict(
-            False, tuple(reasons) + (WRONG_OPTION_COUNT,),
-            "; ".join(details + ["no option markers found"]), payload,
-        )
+        return ValidationVerdict(False, tuple(reasons) + (WRONG_OPTION_COUNT,), payload)
     _, options = parsed
     letters = [letter for letter, _ in options]
     if letters != expected_letters or any(not text for _, text in options):
         reasons.append(WRONG_OPTION_COUNT)
-        details.append(f"option letters {letters}, expected {expected_letters}")
     else:
         by_letter = dict(options)
         if by_letter[job.expected_label] != job.saq.answer:
             reasons.append(ANSWER_NOT_AT_EXPECTED_LABEL)
-            details.append(
-                f"option {job.expected_label} is {by_letter[job.expected_label]!r}, "
-                f"expected the answer verbatim"
-            )
         lowered = [text.lower() for _, text in options]
         if len(set(lowered)) != len(lowered):
             reasons.append(DUPLICATE_OPTIONS)
-            details.append("duplicate option texts")
         answer_low = job.saq.answer.lower()
         for letter, text_opt in options:
             if letter != job.expected_label and answer_low in text_opt.lower():
                 reasons.append(ANSWER_LEAK)
-                details.append(f"option {letter} contains the answer")
                 break
-    return ValidationVerdict(not reasons, tuple(reasons), "; ".join(details), payload)
+    return ValidationVerdict(not reasons, tuple(reasons), payload)
 
 
 def validate_fv_response(text: str, job: RewriteJob) -> ValidationVerdict:
@@ -493,28 +449,23 @@ def validate_fv_response(text: str, job: RewriteJob) -> ValidationVerdict:
         return payload
 
     reasons: list[str] = []
-    details: list[str] = []
     words = {ANSWER_YES, ANSWER_NO}
     answer = payload["Answer"].strip().lower()
     cp_answer = payload["cp_answer"].strip().lower()
-    for name, value in (("Answer", answer), ("cp_answer", cp_answer)):
+    for value in (answer, cp_answer):
         if value not in words:
             reasons.append(BAD_ANSWER_WORD)
-            details.append(f"{name} is {value!r}, expected one of {sorted(words)}")
     for name in ("question", "cp_question"):
         low = payload[name].lower()
         if ANSWER_YES not in low or ANSWER_NO not in low:
             reasons.append(BAD_ANSWER_WORD)
-            details.append(f"{name} lacks the answer-word instruction")
     if not reasons:
         expected = ANSWER_YES if job.boolean_indicator else ANSWER_NO
         if answer != expected:
             reasons.append(ANSWER_NOT_AT_EXPECTED_LABEL)
-            details.append(f"Answer is {answer!r} but the indicator demands {expected!r}")
         if cp_answer == answer:
             reasons.append(CP_NOT_INVERTED)
-            details.append("contrapositive answer equals the original answer")
-    return ValidationVerdict(not reasons, tuple(reasons), "; ".join(details), payload)
+    return ValidationVerdict(not reasons, tuple(reasons), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +490,7 @@ def _pm_records(job: RewriteJob, payload: dict) -> tuple[QaRecord]:
 
 
 def _fv_records(job: RewriteJob, payload: dict) -> tuple[QaRecord, QaRecord]:
-    cp_id = f"{job.job_id}-cp"
+    cp_id = contrapositive_id(job.job_id)
     return (
         _llm_record(job, TASK_FV, job.job_id, payload["question"],
                     payload["Answer"].strip().lower(), cp_link=cp_id),

@@ -55,7 +55,8 @@ from .templates import (
     instantiate,
     templates_for,
 )
-from .util import derive_seed, read_jsonl, render_count, render_decimal, write_jsonl
+from .util import (derive_seed, finite_number, read_jsonl, render_count,
+                   render_decimal, write_jsonl)
 
 VARIANT_PLAIN = "plain"
 VARIANT_COT = "cot"
@@ -104,12 +105,25 @@ class QaRecord:
 _RECORD_KEYS = tuple(f.name for f in fields(QaRecord))
 
 
+def contrapositive_id(qa_id: str) -> str:
+    """The id of the contrapositive of the yes/no record ``qa_id``: suffix
+    ``-cp``, placed before the ``-cot`` of a chain-of-thought twin."""
+    if qa_id.endswith("-cot"):
+        return qa_id[: -len("-cot")] + "-cp-cot"
+    return qa_id + "-cp"
+
+
+def recomputable(record: QaRecord) -> bool:
+    """Whether the record's answer can be re-derived from the ground-truth
+    tables (rule-generated from a template)."""
+    return record.provenance == PROVENANCE_RULE and record.template_id is not None
+
+
 def _row_error(source: str, line: int | None, problem: str) -> SchemaViolationError:
     where = source if line is None else f"{source}: line {line}"
     return SchemaViolationError(f"{where}: {problem}")
 
 
-_FLOAT_MAX = sys.float_info.max
 _row_values = itemgetter(*_RECORD_KEYS)
 
 
@@ -158,11 +172,7 @@ def record_from_dict(row: dict, source: str = "<dict>",
             and (template_id is None or type(template_id) is str)):
         raise _row_error(source, line, _text_problem(row))
     if gt is not None:
-        # type(), not isinstance(): JSON true/false must not read as 1.0/0.0.
-        # The range test refuses NaN, the infinities (JSON's NaN, Infinity,
-        # 1e400) and integers too large for a float.
-        if ((type(gt) is not float and type(gt) is not int)
-                or not -_FLOAT_MAX <= gt <= _FLOAT_MAX):
+        if not finite_number(gt):
             raise _row_error(source, line,
                              f"'gt_value' must be a finite number or null, got {gt!r}")
         gt = float(gt)
@@ -513,7 +523,7 @@ def gen_fv_numeric(
 
         bindings = _fv_bindings(category, first, second)
         base_id = f"{table.scene_id}-fv-{category}-{k:05d}"
-        cp_id = f"{base_id}-cp"
+        cp_id = contrapositive_id(base_id)
         records.append(QaRecord(
             qa_id=base_id, scene_id=table.scene_id, task=TASK_FV,
             category=category, question=instantiate(t_orig, bindings),
@@ -675,7 +685,7 @@ def gen_cot_variant(record: QaRecord, table: NgtTable, cfg: RulegenConfig) -> Qa
     answer.  The chain's final token is the answer, which is what variant-
     aware extraction reads back.
     """
-    if record.provenance != PROVENANCE_RULE or record.template_id is None:
+    if not recomputable(record):
         raise SceneQaError("chain-of-thought variants need a rule-generated record")
     if record.variant != VARIANT_PLAIN:
         raise SceneQaError(f"record {record.qa_id} already has variant {record.variant}")

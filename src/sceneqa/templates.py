@@ -8,9 +8,9 @@ for one number.  Prompt-matching (PM) items are produced by the rewrite track
 and carry no bank template.
 
 The bank is the module constant :data:`BANK`, identified in every manifest by
-:data:`TEMPLATE_BANK_VERSION`.  It is checked once at import (ten templates
-per task/category stratum, involutive partner links, placeholder/arity
-agreement), and :data:`BY_ID` indexes it by template id.
+:data:`TEMPLATE_BANK_VERSION`, and :data:`BY_ID` indexes it by template id.
+The bank's structure (ten templates per task/category stratum, involutive
+partner links, placeholder/arity agreement) is asserted by the test suite.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ArityMismatchError, SchemaViolationError
+from .errors import ArityMismatchError
 
 TEMPLATE_BANK_VERSION = "1.0.0"
 
@@ -31,7 +31,6 @@ CAT_QUANTITY = "quantity"
 CAT_DISTANCE = "distance"
 CAT_VOLUME = "volume"
 CAT_NON_NUMERIC = "non-numeric"
-CATEGORIES = (CAT_QUANTITY, CAT_DISTANCE, CAT_VOLUME, CAT_NON_NUMERIC)
 NUMERIC_CATEGORIES = (CAT_QUANTITY, CAT_DISTANCE, CAT_VOLUME)
 
 PRED_LESS = "less"
@@ -309,72 +308,5 @@ def fv_pairs(category: str) -> list[tuple[Template, Template]]:
             if t.template_id < t.cp_template_id]
 
 
-def validate_bank(templates) -> None:
-    """Structural checks; raises :class:`SchemaViolationError` on any breach."""
-    ids = [t.template_id for t in templates]
-    if len(set(ids)) != len(ids):
-        raise SchemaViolationError("template bank: duplicate template ids")
-    by_id = {t.template_id: t for t in templates}
-    strata: dict[tuple[str, str], list[Template]] = {}
-    for t in templates:
-        strata.setdefault((t.task, t.category), []).append(t)
-
-    for (task, category), rows in strata.items():
-        if task not in (TASK_FV, TASK_NI) or category not in NUMERIC_CATEGORIES:
-            raise SchemaViolationError(
-                f"template bank: unexpected stratum ({task}, {category})"
-            )
-        if len(rows) != 10:
-            raise SchemaViolationError(
-                f"template bank: stratum ({task}, {category}) has {len(rows)} "
-                f"templates, expected 10"
-            )
-        for t in rows:
-            placeholders = {int(m.group(1)) for m in _PLACEHOLDER_RE.finditer(t.text)}
-            if placeholders != set(range(1, t.arity + 1)):
-                raise SchemaViolationError(
-                    f"template {t.template_id}: placeholders {sorted(placeholders)} "
-                    f"do not cover arity {t.arity}"
-                )
-            if not t.suffix.strip() or _PLACEHOLDER_RE.search(t.suffix):
-                raise SchemaViolationError(
-                    f"template {t.template_id}: suffix must be non-empty text without slots"
-                )
-            if task == TASK_FV:
-                low = t.suffix.lower()
-                if "yes" not in low or "no" not in low:
-                    raise SchemaViolationError(
-                        f"template {t.template_id}: FV suffix must request yes/no"
-                    )
-                if t.predicate not in PREDICATE_INVERSE:
-                    raise SchemaViolationError(
-                        f"template {t.template_id}: bad predicate {t.predicate!r}"
-                    )
-                partner = by_id.get(t.cp_template_id or "")
-                if (
-                    partner is None
-                    or partner.cp_template_id != t.template_id
-                    or partner.task != t.task
-                    or partner.category != t.category
-                    or partner.arity != t.arity
-                    or partner.predicate != PREDICATE_INVERSE[t.predicate]
-                ):
-                    raise SchemaViolationError(
-                        f"template {t.template_id}: partner link is not a valid "
-                        f"inverse pair"
-                    )
-            else:
-                low = t.suffix.lower()
-                if "number" not in low and "numerical" not in low:
-                    raise SchemaViolationError(
-                        f"template {t.template_id}: NI suffix must request a number"
-                    )
-                if t.predicate is not None or t.cp_template_id is not None:
-                    raise SchemaViolationError(
-                        f"template {t.template_id}: NI templates carry no predicate"
-                    )
-
-
 BANK = _build_bank()
-validate_bank(BANK)
 BY_ID = {t.template_id: t for t in BANK}

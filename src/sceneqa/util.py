@@ -5,11 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 _SEED_MASK = (1 << 63) - 1
+_FLOAT_MAX = sys.float_info.max
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -20,6 +22,14 @@ def derive_seed(master_seed: int, name: str) -> int:
     """
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return (int(master_seed) ^ int.from_bytes(digest[:8], "big")) & _SEED_MASK
+
+
+def finite_number(value) -> bool:
+    """Whether a value read from JSON is a finite number: neither true nor
+    false (``type()``, not ``isinstance()``), nor NaN, an infinity (JSON's
+    NaN, Infinity, 1e400) or an integer too large for a float."""
+    return ((type(value) is float or type(value) is int)
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
 def render_decimal(value: float) -> str:

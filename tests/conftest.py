@@ -1,5 +1,6 @@
 """Shared fixtures: a small bank of synthetic scenes with analytic ground
-truth, their extracted tables, and a balanced generated dataset.
+truth, their extracted tables, and a balanced generated dataset; and a
+scripted stand-in for the rewrite service.
 
 Everything is seeded and session-scoped; tests must not mutate these
 objects (records and scenes are frozen dataclasses, tables are treated as
@@ -17,6 +18,20 @@ from sceneqa.scene import generate_synthetic_scene, random_indoor_spec
 from sceneqa.util import derive_seed
 
 MASTER_SEED = 20240817
+
+
+class ScriptedClient:
+    """A rewrite service that replays ``responses`` in order; running out
+    of them raises IndexError."""
+
+    def __init__(self, *responses: str):
+        self.responses = list(responses)
+        self.call_count = 0
+
+    def complete(self, system_prompt: str, user_prompt: str) -> str:
+        response = self.responses.pop(0)
+        self.call_count += 1
+        return response
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sceneqa.audit import constant_responses, oracle_responses
+from sceneqa.audit import oracle_responses
 from sceneqa.cli import main
 from sceneqa.errors import ExhaustedAttemptsError, NotConvergedError
 from sceneqa.evaluate import (
@@ -43,7 +43,6 @@ from sceneqa.rewrite import (
     SaqItem,
     rewrite_pm,
     run_rewrite_track,
-    stub_client,
 )
 from sceneqa.rulegen import (
     ANSWER_NO,
@@ -56,7 +55,7 @@ from sceneqa.scene import box_gap, generate_synthetic_scene, random_indoor_spec
 from sceneqa.templates import NUMERIC_CATEGORIES, TASK_FV, TASK_NI, TASK_PM
 from sceneqa.util import derive_seed, write_json, write_jsonl
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, ScriptedClient
 
 TA_GRID = (0.05, 0.10, 0.20)
 
@@ -319,7 +318,7 @@ def test_criterion_5_involution_and_responders(criterion, big_records, tables):
             assert stratum.delta == 0.0
 
         fv_records = [r for r in big_records if r.task == TASK_FV]
-        constant = constant_responses(fv_records)
+        constant = {r.qa_id: ANSWER_YES for r in fv_records}
         flat = score_records(fv_records, constant)
         for key, stratum in flat.strata.items():
             assert abs(stratum.n_correct - stratum.n_records / 2) <= 0.5, key
@@ -355,7 +354,7 @@ def test_criterion_7_rewrite_stub(criterion, pm_track):
         job = RewriteJob(job_id="llm-pm-00000",
                          saq=SaqItem("What is the capital of France?", "Parris"),
                          kind="pm", n_options=4, expected_label="B")
-        scripted = stub_client(json.dumps({
+        scripted = ScriptedClient(json.dumps({
             "question": ("What is the capital of France? Choose the correct "
                          "option. A) Berlin  B) Parris  C) Madrid  D) Rome"),
             "Answer": "B",
@@ -366,11 +365,11 @@ def test_criterion_7_rewrite_stub(criterion, pm_track):
         assert "B) Parris" in record.question
         assert record.question.count(")") == 4
 
-        failing = stub_client("not json", "{}", '{"question": "Q?"}',
-                              '{"question": "Q?", "Answer": "B"}',
-                              json.dumps({"question": "Q? A) x B) y",
-                                          "Answer": "B"}),
-                              "never consumed")
+        failing = ScriptedClient("not json", "{}", '{"question": "Q?"}',
+                                 '{"question": "Q?", "Answer": "B"}',
+                                 json.dumps({"question": "Q? A) x B) y",
+                                             "Answer": "B"}),
+                                 "never consumed")
         with pytest.raises(ExhaustedAttemptsError) as exc_info:
             rewrite_pm(job, failing)
         assert failing.call_count == 5

@@ -1,6 +1,8 @@
 """Ground-truth table extraction and its file format."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +124,34 @@ class TestSerialization:
         del doc["pairs"]
         with pytest.raises(SchemaViolationError, match="pairs"):
             ngt_from_dict(doc)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("instances", "label", True),
+        ("instances", "label", ["chair"]),
+        ("instances", "instance_id", 7),
+        ("instances", "aabb_min", ["0", 0, 0]),
+        ("instances", "centroid", [0.5, 0.5]),
+        ("instances", "volume", True),
+        ("instances", "volume", float("nan")),
+        ("pairs", "a", 0),
+        ("pairs", "distance", float("inf")),
+        ("pairs", "distance", "3.0"),
+        ("skipped_pairs", "reason", None),
+    ])
+    def test_wrong_value_types_are_refused(self, toy_scene, tmp_path,
+                                           section, key, value):
+        """Nothing is coerced; the error names the file, the row and the
+        field.  NaN and Infinity are written as JSON's NaN and Infinity."""
+        doc = ngt_to_dict(extract_ngt(toy_scene))
+        # one pair moves to skipped_pairs, so that section has a row too
+        pair = doc["pairs"].pop()
+        doc["skipped_pairs"].append({"a": pair["a"], "b": pair["b"], "reason": "x"})
+        doc[section][-1][key] = value
+        path = tmp_path / "toy.ngt.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        where = re.escape(f"{path}: {section}[{len(doc[section]) - 1}]")
+        with pytest.raises(SchemaViolationError, match=rf"^{where} malformed: '{key}'"):
+            read_ngt(path)
 
     def test_incomplete_pair_coverage_rejected(self, toy_scene):
         doc = ngt_to_dict(extract_ngt(toy_scene))

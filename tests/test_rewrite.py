@@ -16,7 +16,6 @@ import pytest
 from sceneqa.errors import (
     ExhaustedAttemptsError,
     InsufficientCandidatesError,
-    QueueEmptyError,
     SceneQaError,
     SchemaViolationError,
     ServiceUnavailableError,
@@ -47,7 +46,6 @@ from sceneqa.rewrite import (
     rewrite_fv,
     rewrite_pm,
     run_rewrite_track,
-    stub_client,
     validate_fv_response,
     validate_pm_response,
 )
@@ -55,7 +53,7 @@ from sceneqa.rulegen import build_schedules
 from sceneqa.templates import CAT_NON_NUMERIC, TASK_FV, TASK_PM
 from sceneqa.util import write_jsonl
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, ScriptedClient
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -273,7 +271,7 @@ class TestFvValidation:
 
 class TestRewriteLoop:
     def test_success_first_try(self):
-        client = stub_client(pm_response(GOOD_PM_OPTIONS))
+        client = ScriptedClient(pm_response(GOOD_PM_OPTIONS))
         record = rewrite_pm(pm_job(), client)
         assert client.call_count == 1
         assert record.qa_id == "llm-pm-00000"
@@ -285,8 +283,8 @@ class TestRewriteLoop:
         assert "B) Parris" in record.question
 
     def test_recovers_after_invalid_attempts(self):
-        client = stub_client("garbage", '{"question": "Q?"}',
-                             pm_response(GOOD_PM_OPTIONS))
+        client = ScriptedClient("garbage", '{"question": "Q?"}',
+                                pm_response(GOOD_PM_OPTIONS))
         record = rewrite_pm(pm_job(), client)
         assert client.call_count == 3
         assert record.answer == "B"
@@ -299,7 +297,7 @@ class TestRewriteLoop:
             pm_response(["A) Parris", "B) Parris", "C) velvet", "D) Parris"]),
             pm_response(["A) granite", "B) Parris", "C) parris east", "D) x"]),
         ]
-        client = stub_client(*bad, pm_response(GOOD_PM_OPTIONS))
+        client = ScriptedClient(*bad, pm_response(GOOD_PM_OPTIONS))
         with pytest.raises(ExhaustedAttemptsError) as exc_info:
             rewrite_pm(pm_job(), client)
         assert client.call_count == 5
@@ -313,7 +311,7 @@ class TestRewriteLoop:
 
     def test_fv_pair_links_and_lowercasing(self):
         payload = dict(GOOD_FV_PAYLOAD, Answer="Yes", cp_answer="No")
-        client = stub_client(json.dumps(payload))
+        client = ScriptedClient(json.dumps(payload))
         original, contrapositive = rewrite_fv(fv_job(), client)
         assert original.qa_id == "llm-fv-00000"
         assert contrapositive.qa_id == "llm-fv-00000-cp"
@@ -323,16 +321,6 @@ class TestRewriteLoop:
         assert original.task == contrapositive.task == TASK_FV
         assert contrapositive.is_contrapositive
         assert not original.is_contrapositive
-
-
-class TestScriptedClient:
-    def test_records_prompts_and_raises_when_empty(self):
-        client = stub_client("only one response")
-        client.complete("sys", "user")
-        assert client.call_count == 1
-        assert client.prompts == [("sys", "user")]
-        with pytest.raises(QueueEmptyError, match="after 1 calls"):
-            client.complete("sys", "user two")
 
 
 class TestEchoStub:
@@ -394,7 +382,7 @@ class TestEchoStub:
         saqs = [SaqItem("Q?", "ans")]
         (track_fv_job,) = make_fv_jobs(saqs, 1, build_schedules(MASTER_SEED))
         good_fv = EchoStubClient().complete("s", render_prompt(track_fv_job))
-        client = stub_client(*["garbage"] * MAX_ATTEMPTS, good_fv)
+        client = ScriptedClient(*["garbage"] * MAX_ATTEMPTS, good_fv)
         # one PM job fails every attempt; the FV job still succeeds
         track = run_rewrite_track(saqs, 1, 1, client, MASTER_SEED)
         assert track.failed_jobs == ["llm-pm-00000"]
