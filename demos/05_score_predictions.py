@@ -2,7 +2,8 @@
 #
 # Model output is free text.  Scoring first extracts a canonical token
 # (yes/no, an option letter, or a numeral — the *last* one for
-# chain-of-thought output), then compares:
+# chain-of-thought output), then compares it with the record's gold token
+# (``record.gold``, read from its stored answer by the same extraction):
 #   fv/pm  - exact match -> accuracy
 #   ni     - relative error -> threshold accuracy TA@5/10/20, where a
 #            prediction within t% of the truth counts (strictly within)
@@ -25,7 +26,7 @@ from sceneqa import (
     score_records,
     RulegenConfig,
 )
-from sceneqa.evaluate import gold_answer, threshold_accuracy
+from sceneqa.evaluate import threshold_accuracy
 
 # ---------------------------------------------------------------------------
 # Token extraction from free text
@@ -80,7 +81,7 @@ blind = {r.qa_id: "yes" for r in records if r.task == "fv"}
 rng = np.random.default_rng(5)
 noisy = {}
 for r in records:
-    token = gold_answer(r)
+    token = r.gold
     if r.task == "ni" and rng.random() < 0.5:
         token = f"{float(token) * rng.uniform(0.85, 1.15):.2f}"
     noisy[r.qa_id] = f"Hmm, I would say the answer is {token}."

@@ -22,6 +22,7 @@ from .rulegen import (
     QaRecord,
     RulegenConfig,
     assemble_dataset,
+    extract_answer,
     generate_rule_dataset,
     read_dataset,
     write_dataset,
@@ -36,7 +37,6 @@ from .scene import (
 )
 from .evaluate import (
     consistency_report,
-    extract_answer,
     format_report_table,
     score_records,
     threshold_accuracy,

@@ -8,7 +8,8 @@ once; each check reports the offending record ids so failures are
 actionable.  Self-scoring is a per-record check on numeric records: a
 responder that echoes the stored answer must be a hit at every threshold.
 Yes/no and multiple-choice answers need no such check, because the schema
-check already demands that they extract as themselves.
+check already demands that each record's ``gold`` token is a yes/no word or
+an option letter.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import SceneQaError
-from .evaluate import TA_THRESHOLDS, extract_answer, gold_answer, parse_numeric, ta_hit
+from .evaluate import TA_THRESHOLDS, extract_answer, numeric_truth, parse_numeric, ta_hit
 from .ngt import NgtTable
 from .rulegen import (
     ANSWER_NO,
@@ -168,8 +169,8 @@ def _sound(record: QaRecord) -> bool:
     return record.task in TASKS and record.variant in _VALID_VARIANTS
 
 
-def _schema(record: QaRecord, gold: str | None) -> list[str]:
-    rid = record.qa_id
+def _schema(record: QaRecord) -> list[str]:
+    rid, gold = record.qa_id, record.gold
     if record.task not in TASKS:
         return [f"{rid}: unknown task {record.task!r}"]
     failures: list[str] = []
@@ -207,8 +208,7 @@ def _schema(record: QaRecord, gold: str | None) -> list[str]:
     return failures
 
 
-def _cp_involution(record: QaRecord, gold: str | None,
-                   by_id: Mapping[str, tuple[QaRecord, str | None]]) -> list[str]:
+def _cp_involution(record: QaRecord, by_id: Mapping[str, QaRecord]) -> list[str]:
     rid = record.qa_id
     if record.task != TASK_FV:
         if record.task == TASK_NI and record.cp_link is not None:
@@ -218,7 +218,7 @@ def _cp_involution(record: QaRecord, gold: str | None,
         return [f"{rid}: yes/no record without cp_link"]
     if record.cp_link not in by_id:
         return [f"{rid}: cp_link {record.cp_link!r} not in dataset"]
-    partner, partner_gold = by_id[record.cp_link]
+    partner = by_id[record.cp_link]
     failures: list[str] = []
     if partner.cp_link != rid:
         failures.append(f"{rid}: link not mutual ({partner.qa_id} -> {partner.cp_link!r})")
@@ -229,8 +229,8 @@ def _cp_involution(record: QaRecord, gold: str | None,
             f"{rid}: cp id {record.cp_link!r} breaks the "
             f"naming convention ({contrapositive_id(rid)!r})"
         )
-    if partner_gold != INVERSE_ANSWER.get(gold):
-        failures.append(f"{rid}: answers not inverted ({gold!r} / {partner_gold!r})")
+    if partner.gold != INVERSE_ANSWER.get(record.gold):
+        failures.append(f"{rid}: answers not inverted ({record.gold!r} / {partner.gold!r})")
     for attr in ("scene_id", "category", "variant", "referents"):
         if getattr(record, attr) != getattr(partner, attr):
             failures.append(f"{rid}: {attr} differs from its contrapositive")
@@ -253,10 +253,7 @@ def selfcheck(records: Sequence[QaRecord],
     """Run every dataset audit; ground-truth agreement runs only when the
     matching tables are supplied.  PM letters are balanced over
     ``n_options`` choices."""
-    # records with an unknown task have no gold token; the schema check
-    # reports them and every later check skips them
-    golds = [gold_answer(r) if r.task in TASKS else None for r in records]
-    by_id = {r.qa_id: (r, gold) for r, gold in zip(records, golds) if _sound(r)}
+    by_id = {r.qa_id: r for r in records if _sound(r)}
     schema: list[str] = []
     cp_involution: list[str] = []
     ni_display: list[str] = []
@@ -264,17 +261,17 @@ def selfcheck(records: Sequence[QaRecord],
     gt_agreement: list[str] = []
     seen: set[str] = set()
     sound: list[QaRecord] = []
-    for record, gold in zip(records, golds):
-        rid = record.qa_id
+    for record in records:
+        rid, gold = record.qa_id, record.gold
         if rid in seen:
             schema.append(f"{rid}: duplicate qa_id")
         else:
             seen.add(rid)
-            schema += _schema(record, gold)
+            schema += _schema(record)
         if not _sound(record):
             continue
         sound.append(record)
-        cp_involution += _cp_involution(record, gold, by_id)
+        cp_involution += _cp_involution(record, by_id)
         if record.task == TASK_NI:
             if record.provenance == PROVENANCE_RULE and record.gt_value is not None:
                 try:
@@ -290,7 +287,7 @@ def selfcheck(records: Sequence[QaRecord],
             # an echo of the stored answer must be a hit at every threshold
             token = extract_answer(record.answer, TASK_NI, record.variant)
             pred = parse_numeric(token)
-            gt = record.gt_value if record.gt_value is not None else parse_numeric(gold)
+            gt = numeric_truth(record)
             if pred is None or gt is None or not ta_hit(gt, pred, _TA_MIN):
                 self_scoring.append(
                     f"{rid}: its own answer {token!r} misses ground truth {gt!r} "

@@ -1,27 +1,24 @@
-"""Scoring: answer extraction from free-form output, exact accuracy,
-threshold accuracy for numeric answers, and original/contrapositive
-consistency.
+"""Scoring: exact accuracy, threshold accuracy for numeric answers, and
+original/contrapositive consistency.
 
-Extraction is task-aware.  Yes/no tasks take the first standalone
-``yes``/``no`` token; multiple choice takes the first standalone option
-letter; numeric tasks take the first numeral.  For chain-of-thought output
-the *last* occurrence is used instead, because a reasoning chain states
-intermediate quantities before the final answer.
+A prediction is read by :func:`~sceneqa.rulegen.extract_answer` (the first
+yes/no word, option letter or numeral of plain output, the last of
+chain-of-thought output) and compared with the record's ``gold`` token,
+which the same extraction read from the record's stored answer.
 
 Threshold accuracy TA@t counts a numeric prediction as a hit when its
-relative error is strictly below t; a ground truth of exactly zero requires
-the prediction to be exactly zero.  Missing and unparseable predictions are
-counted as misses and reported separately.
+relative error to :func:`numeric_truth` is strictly below t; a ground truth
+of exactly zero requires the prediction to be exactly zero.  Missing and
+unparseable predictions are counted as misses and reported separately.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import SchemaViolationError
-from .rulegen import INVERSE_ANSWER, QaRecord, VARIANT_COT, VARIANT_PLAIN
+from .rulegen import INVERSE_ANSWER, QaRecord, VARIANT_PLAIN, extract_answer
 from .templates import (
     CAT_DISTANCE,
     CAT_NON_NUMERIC,
@@ -35,43 +32,6 @@ from .util import read_jsonl
 
 TA_THRESHOLDS = (0.05, 0.10, 0.20)
 
-_YESNO_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
-_LETTER_UPPER_RE = re.compile(r"\b([A-E])[).:,]?(?=\s|$)")
-_LETTER_OPTION_RE = re.compile(r"\b([a-e])[).]")
-_NUMERAL_RE = re.compile(r"[-+]?(?:\d+\.\d+|\.\d+|\d+)")
-
-
-def extract_answer(output: str | None, task: str,
-                   variant: str = VARIANT_PLAIN) -> str | None:
-    """Pull a canonical answer token out of raw model output.
-
-    Returns a lowercase yes/no word, an uppercase option letter, or the
-    numeral text — or None when nothing matches.
-    """
-    if not output:
-        return None
-    take_last = variant == VARIANT_COT
-    if task == TASK_FV:
-        matches = _YESNO_RE.findall(output)
-        if not matches:
-            return None
-        return (matches[-1] if take_last else matches[0]).lower()
-    if task == TASK_PM:
-        # Prefer unambiguous uppercase letters; fall back to lowercase
-        # letters written in option form ("b)"), which cannot be articles.
-        matches = _LETTER_UPPER_RE.findall(output)
-        if not matches:
-            matches = _LETTER_OPTION_RE.findall(output)
-        if not matches:
-            return None
-        return (matches[-1] if take_last else matches[0]).upper()
-    if task == TASK_NI:
-        matches = _NUMERAL_RE.findall(output)
-        if not matches:
-            return None
-        return matches[-1] if take_last else matches[0]
-    raise SchemaViolationError(f"unknown task {task!r}")
-
 
 def parse_numeric(token: str | None) -> float | None:
     if token is None:
@@ -82,15 +42,12 @@ def parse_numeric(token: str | None) -> float | None:
         return None
 
 
-def gold_answer(record: QaRecord) -> str | None:
-    """Canonical answer token a prediction is compared against.
-
-    Plain records store the token directly; chain-of-thought records store
-    the full reference chain, whose final stated answer is the target.
-    """
-    if record.variant == VARIANT_PLAIN:
-        return record.answer
-    return extract_answer(record.answer, record.task, record.variant)
+def numeric_truth(record: QaRecord) -> float | None:
+    """The true value of a numeric record: its ``gt_value``, else its parsed
+    gold token; None when it has neither."""
+    if record.gt_value is not None:
+        return record.gt_value
+    return parse_numeric(record.gold)
 
 
 def ta_hit(gt: float, pred: float, threshold: float) -> bool:
@@ -157,7 +114,8 @@ class EvalReport:
     def stratum(self, task: str, category: str, variant: str) -> StratumScores:
         key = f"{task}/{category}/{variant}"
         if key not in self.strata:
-            self.strata[key] = StratumScores(task, category, variant)
+            ta_hits = dict.fromkeys(TA_THRESHOLDS, 0) if task == TASK_NI else {}
+            self.strata[key] = StratumScores(task, category, variant, ta_hits=ta_hits)
         return self.strata[key]
 
     def to_dict(self) -> dict:
@@ -177,9 +135,6 @@ def score_records(records: Sequence[QaRecord],
     for record in records:
         scores = report.stratum(record.task, record.category, record.variant)
         scores.n_records += 1
-        if record.task == TASK_NI:
-            for t in TA_THRESHOLDS:
-                scores.ta_hits.setdefault(t, 0)
         output = predictions.get(record.qa_id)
         if output is None:
             scores.n_missing += 1
@@ -189,13 +144,8 @@ def score_records(records: Sequence[QaRecord],
             scores.n_unparsed += 1
             continue
         if record.task == TASK_NI:
-            pred = parse_numeric(token)
-            if pred is None:
-                scores.n_unparsed += 1
-                continue
-            gt = record.gt_value
-            if gt is None:
-                gt = parse_numeric(gold_answer(record))
+            pred = float(token)  # an extracted numeral always parses
+            gt = numeric_truth(record)
             if gt is None:
                 raise SchemaViolationError(
                     f"{record.qa_id}: numeric record lacks a parseable ground truth"
@@ -203,9 +153,8 @@ def score_records(records: Sequence[QaRecord],
             for t in TA_THRESHOLDS:
                 if ta_hit(gt, pred, t):
                     scores.ta_hits[t] += 1
-        else:
-            if token == gold_answer(record):
-                scores.n_correct += 1
+        elif token == record.gold:
+            scores.n_correct += 1
     return report
 
 
@@ -274,9 +223,7 @@ def consistency_report(records: Sequence[QaRecord],
     by_id = {r.qa_id: r for r in records}
     report = ConsistencyReport()
     for record in records:
-        if record.task != TASK_FV or record.is_contrapositive:
-            continue
-        if record.cp_link is None:
+        if record.task != TASK_FV or record.is_contrapositive or record.cp_link is None:
             continue
         partner = by_id.get(record.cp_link)
         if partner is None:
@@ -286,9 +233,9 @@ def consistency_report(records: Sequence[QaRecord],
         scores.n_pairs += 1
         p_ori = extract_answer(predictions.get(record.qa_id), TASK_FV, record.variant)
         p_cp = extract_answer(predictions.get(partner.qa_id), TASK_FV, partner.variant)
-        if p_ori == gold_answer(record):
+        if p_ori == record.gold:
             scores.n_original_correct += 1
-        if p_cp == gold_answer(partner):
+        if p_cp == partner.gold:
             scores.n_cp_correct += 1
         if p_ori is not None and p_cp is not None and p_cp == INVERSE_ANSWER[p_ori]:
             scores.n_consistent += 1
@@ -314,12 +261,10 @@ def format_report_table(report: EvalReport, variant: str = VARIANT_PLAIN) -> str
             return "-"
         return f"{100.0 * value_fn(scores):.2f}%"
 
-    rows.append(["fv accuracy"] + [
-        cell(TASK_FV, c, lambda s: s.accuracy) for c in _TABLE_CATEGORIES
-    ])
-    rows.append(["pm accuracy"] + [
-        cell(TASK_PM, c, lambda s: s.accuracy) for c in _TABLE_CATEGORIES
-    ])
+    for task in (TASK_FV, TASK_PM):
+        rows.append([f"{task} accuracy"] + [
+            cell(task, c, lambda s: s.accuracy) for c in _TABLE_CATEGORIES
+        ])
     for threshold in TA_THRESHOLDS:
         rows.append([f"ni ta@{round(threshold * 100):d}"] + [
             cell(TASK_NI, c, lambda s, t=threshold: s.ta_at(t))

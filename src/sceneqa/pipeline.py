@@ -105,17 +105,19 @@ class PipelineConfig(RulegenConfig):
     synth_points_per_box: int = 24
     synth_dir: str = ""
 
+    _COUNTS = RulegenConfig._COUNTS + (
+        "seed", "rewrite_pm", "rewrite_fv", "service_retries",
+        "synth_scenes", "synth_boxes", "synth_points_per_box")
+
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
-        for name in ("rewrite_pm", "rewrite_fv", "synth_scenes", "synth_boxes",
-                     "synth_points_per_box"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if not 2 <= self.n_options <= 5:
-            raise ConfigError("n_options must be between 2 and 5")
+        if type(self.jobs) is not int or self.jobs < 1:
+            raise ConfigError(f"jobs must be an integer of at least 1, got {self.jobs!r}")
+        if type(self.n_options) is not int or not 2 <= self.n_options <= 5:
+            raise ConfigError(f"n_options must be an integer 2 to 5, got {self.n_options!r}")
+        if self.service_max_tokens is not None and (
+                type(self.service_max_tokens) is not int or self.service_max_tokens < 1):
+            raise ConfigError("service_max_tokens must be a positive integer or null, "
+                              f"got {self.service_max_tokens!r}")
         if self.solver_tol <= 0:
             raise ConfigError("solver_tol must be positive")
         super().__post_init__()

@@ -544,11 +544,14 @@ def rewrite_fv(job: RewriteJob, client: ServiceClient) -> tuple[QaRecord, QaReco
 def load_saqs(path: str | Path) -> list[SaqItem]:
     items = []
     for line, row in read_jsonl(path):
-        if not isinstance(row.get("question"), str) or not isinstance(row.get("answer"), str):
+        scene_id = row.get("scene_id", "")
+        if not all(isinstance(row.get(key), str) for key in ("question", "answer")) \
+                or not isinstance(scene_id, str):
             raise SchemaViolationError(
-                f"{path}: line {line}: SAQ rows need string 'question' and 'answer'"
+                f"{path}: line {line}: SAQ rows need string 'question' and "
+                f"'answer', and a string 'scene_id' if they have one"
             )
-        items.append(SaqItem(row["question"], row["answer"], str(row.get("scene_id", ""))))
+        items.append(SaqItem(row["question"], row["answer"], scene_id))
     return items
 
 

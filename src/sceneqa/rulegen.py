@@ -1,6 +1,8 @@
 """Rule-based QA generation over NGT tables.
 
-Every dataset record is a :class:`QaRecord`.  Fact-verification (FV) items are
+Every dataset record is a :class:`QaRecord`; its ``gold`` token, which a
+prediction must match, is read from the stored answer by
+:func:`extract_answer`, as predictions are.  Fact-verification (FV) items are
 emitted in original/contrapositive pairs: the partner asks the logically
 inverse question about the same referents, so one of the two always answers
 "yes" and the other "no".  Numeric-input (NI) items ask for one number whose
@@ -17,8 +19,9 @@ however the work is split across scenes or workers.
 from __future__ import annotations
 
 import bisect
+import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -48,6 +51,7 @@ from .templates import (
     TASK_FV,
     TASK_NI,
     TASK_PM,
+    TASKS,
     Template,
     evaluate_predicate,
     fill_text,
@@ -75,6 +79,37 @@ COT_SUFFIX = (
 )
 
 
+_YESNO_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
+_LETTER_UPPER_RE = re.compile(r"\b([A-E])[).:,]?(?=\s|$)")
+_LETTER_OPTION_RE = re.compile(r"\b([a-e])[).]")
+_NUMERAL_RE = re.compile(r"[-+]?(?:\d+\.\d+|\.\d+|\d+)")
+
+
+def extract_answer(output: str | None, task: str,
+                   variant: str = VARIANT_PLAIN) -> str | None:
+    """The canonical answer token of free text: a standalone yes/no word
+    (lowercased), option letter (uppercased) or numeral; the first in plain
+    output, the last in chain-of-thought output, whose reasoning states
+    intermediate quantities before the answer.  None when nothing matches.
+    """
+    if not output:
+        return None
+    if task == TASK_FV:
+        matches, case = _YESNO_RE.findall(output), str.lower
+    elif task == TASK_PM:
+        # Prefer unambiguous uppercase letters; fall back to lowercase
+        # letters written in option form ("b)"), which cannot be articles.
+        matches = _LETTER_UPPER_RE.findall(output) or _LETTER_OPTION_RE.findall(output)
+        case = str.upper
+    elif task == TASK_NI:
+        matches, case = _NUMERAL_RE.findall(output), str
+    else:
+        raise SchemaViolationError(f"unknown task {task!r}")
+    if not matches:
+        return None
+    return case(matches[-1] if variant == VARIANT_COT else matches[0])
+
+
 @dataclass(frozen=True, slots=True)
 class QaRecord:
     qa_id: str
@@ -90,6 +125,19 @@ class QaRecord:
     provenance: str
     template_id: str | None
     referents: tuple[str, ...]
+    # The token a prediction must match, None for an unknown task or an
+    # unreadable chain; not an init field, so replace() recomputes it and
+    # to_dict() leaves it out.
+    gold: str | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        gold = None
+        if self.task in TASKS:
+            gold = self.answer if self.variant == VARIANT_PLAIN else \
+                extract_answer(self.answer, self.task, self.variant)
+        if gold is not None and self.variant != VARIANT_PLAIN and self.task != TASK_NI:
+            gold = sys.intern(gold)  # a chain's yes/no or letter: one string per value
+        object.__setattr__(self, "gold", gold)
 
     @property
     def is_contrapositive(self) -> bool:
@@ -102,7 +150,7 @@ class QaRecord:
         return row
 
 
-_RECORD_KEYS = tuple(f.name for f in fields(QaRecord))
+_RECORD_KEYS = tuple(f.name for f in fields(QaRecord) if f.init)
 
 
 def contrapositive_id(qa_id: str) -> str:
@@ -223,12 +271,16 @@ class RulegenConfig:
     # two-decimal answer inside the tightest scoring threshold
     min_display_value: float = 0.15
 
+    # fields that must be non-negative integers: a float, even a whole one,
+    # and true/false are refused
+    _COUNTS = ("fv_quantity", "fv_distance", "fv_volume",
+               "ni_quantity", "ni_distance", "ni_volume")
+
     def __post_init__(self):
-        for name in ("fv_quantity", "fv_distance", "fv_volume",
-                     "ni_quantity", "ni_distance", "ni_volume"):
+        for name in self._COUNTS:
             value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"{name} must be non-negative, got {value}")
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
         for name in ("fv_quantity", "fv_distance", "fv_volume"):
             if getattr(self, name) % 2:
                 raise ConfigError(
@@ -242,12 +294,10 @@ class RulegenConfig:
             raise ConfigError("ambiguity_margin must be within [0, 1)")
 
     def fv_count(self, category: str) -> int:
-        return {CAT_QUANTITY: self.fv_quantity, CAT_DISTANCE: self.fv_distance,
-                CAT_VOLUME: self.fv_volume}[category]
+        return getattr(self, f"fv_{category}")
 
     def ni_count(self, category: str) -> int:
-        return {CAT_QUANTITY: self.ni_quantity, CAT_DISTANCE: self.ni_distance,
-                CAT_VOLUME: self.ni_volume}[category]
+        return getattr(self, f"ni_{category}")
 
 
 # ---------------------------------------------------------------------------
@@ -855,10 +905,11 @@ def build_balance_report(records: Iterable[QaRecord]) -> BalanceReport:
         cps: dict[str, int] = {}
         usage: dict[str, int] = {}
         for rec in recs:
-            label = rec.answer if rec.task != TASK_NI else "numeric"
-            if rec.task == TASK_FV and rec.variant == VARIANT_COT:
-                # chain answers end with the yes/no verdict
-                label = ANSWER_YES if rec.answer.rstrip(".").endswith(ANSWER_YES) else ANSWER_NO
+            if rec.task == TASK_NI:
+                label = "numeric"
+            else:
+                # a record without a gold token is tallied under its answer
+                label = rec.gold if rec.gold is not None else rec.answer
             answers[label] = answers.get(label, 0) + 1
             if rec.task == TASK_FV:
                 side = cps if rec.is_contrapositive else originals
@@ -882,7 +933,7 @@ def balance_violations(report: BalanceReport, n_options: int = 5) -> list[str]:
                 no = counter.get(ANSWER_NO, 0)
                 stray = {k: v for k, v in counter.items() if k not in (ANSWER_YES, ANSWER_NO)}
                 if stray:
-                    problems.append(f"{key}: non-yes/no FV answers {stray}")
+                    problems.append(f"{key}: {name} non-yes/no FV answers {stray}")
                 if abs(yes - no) > 1:
                     problems.append(f"{key}: {name} yes/no imbalance {yes} vs {no}")
         if task == TASK_PM and s.total:

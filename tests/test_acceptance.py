@@ -31,7 +31,6 @@ from sceneqa.cli import main
 from sceneqa.errors import ExhaustedAttemptsError, NotConvergedError
 from sceneqa.evaluate import (
     consistency_report,
-    gold_answer,
     score_records,
     threshold_accuracy,
 )
@@ -302,7 +301,7 @@ def test_criterion_5_involution_and_responders(criterion, big_records, tables):
                 continue
             partner = by_id[rec.cp_link]
             assert partner.cp_link == rec.qa_id
-            assert gold_answer(partner) == flip[gold_answer(rec)]
+            assert partner.gold == flip[rec.gold]
 
         responses = oracle_responses(big_records, tables)
         scores = score_records(big_records, responses)

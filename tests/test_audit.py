@@ -9,12 +9,13 @@ import pytest
 
 from sceneqa.audit import oracle_responses, selfcheck
 from sceneqa.errors import SceneQaError
-from sceneqa.evaluate import consistency_report, gold_answer, score_records
+from sceneqa.evaluate import consistency_report, score_records
 from sceneqa.rulegen import (
     ANSWER_NO,
     ANSWER_YES,
     VARIANT_COT,
     VARIANT_PLAIN,
+    build_balance_report,
     render_answer,
 )
 from sceneqa.templates import TASK_FV, TASK_NI
@@ -101,11 +102,32 @@ class TestSelfCheckCorruptions:
         assert pinned(result) == {
             "schema": [f"{rid}: yes/no answer expected, got 'Hard to tell.'"],
             "cp_involution": [f"{rid}: answers not inverted "
-                              f"(None / {gold_answer(partner)!r})"],
+                              f"(None / {partner.gold!r})"],
             "ni_display": [],
             "gt_agreement": [f"{rid}: stored answer None disagrees with ground "
-                             f"truth recomputation {gold_answer(records[idx])!r}"],
+                             f"truth recomputation {records[idx].gold!r}"],
         }
+        # with no readable verdict the chain is tallied as a non-yes/no answer
+        key = f"fv/{records[idx].category}/cot"
+        assert result.checks["balance"] == [
+            f"{key}: all non-yes/no FV answers {{'Hard to tell.': 1}}",
+            f"{key}: originals non-yes/no FV answers {{'Hard to tell.': 1}}",
+        ]
+
+    @pytest.mark.parametrize("ending", ["Yes.", "yes!", "yes. Done"])
+    def test_chain_verdict_is_read_like_a_prediction(self, dataset, tables, ending):
+        """A chain whose final yes is capitalised, exclaimed or followed by
+        more text still counts as yes in the balance, as it does in scoring."""
+        records, report = dataset
+        idx = find_index(records, lambda r: r.task == TASK_FV
+                         and r.variant == VARIANT_COT and r.gold == ANSWER_YES)
+        chain = records[idx].answer
+        assert chain.endswith(" yes.")
+        respelled = swap(records, idx, answer=chain[:-len("yes.")] + ending)
+        assert respelled[idx].gold == ANSWER_YES
+        assert build_balance_report(respelled).to_dict() == report.to_dict()
+        result = selfcheck(respelled, tables=tables)
+        assert result.ok, result.summary_lines()
 
     def test_dangling_cp_link(self, dataset):
         records, _ = dataset
@@ -357,7 +379,7 @@ class TestResponders:
         for scores in pairs.strata.values():
             assert scores.consistency == 0.0
 
-    def test_gold_answers_echo_through_cot(self, dataset):
+    def test_gold_tokens_echo_through_cot(self, dataset):
         records, _ = dataset
         responses = {r.qa_id: r.answer for r in records}
         report = score_records(records, responses)
@@ -368,5 +390,5 @@ class TestResponders:
         # chains parse back to their own final verdict
         for record in records:
             if record.variant != VARIANT_PLAIN:
-                assert gold_answer(record) in ("yes", "no") or \
+                assert record.gold in ("yes", "no") or \
                     record.task == TASK_NI

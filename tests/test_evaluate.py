@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +15,14 @@ from sceneqa.evaluate import (
     consistency_report,
     extract_answer,
     format_report_table,
-    gold_answer,
     parse_numeric,
     read_predictions,
     score_records,
     ta_hit,
     threshold_accuracy,
 )
-from sceneqa.rulegen import QaRecord, VARIANT_COT, VARIANT_PLAIN
+from sceneqa.rulegen import (QaRecord, VARIANT_COT, VARIANT_PLAIN, read_dataset,
+                             write_dataset)
 from sceneqa.templates import TASK_FV, TASK_NI, TASK_PM
 from sceneqa.util import write_jsonl
 
@@ -106,7 +109,7 @@ class TestParseNumeric:
 
 class TestGoldAnswer:
     def test_plain_record_stores_the_token(self):
-        assert gold_answer(make_record("s0-fv-quantity-00000", TASK_FV, "yes")) == "yes"
+        assert make_record("s0-fv-quantity-00000", TASK_FV, "yes").gold == "yes"
 
     def test_cot_fv_chain(self):
         chain = ("Given the count of chairs as 4 and the count of tables as 2, "
@@ -114,7 +117,7 @@ class TestGoldAnswer:
                  "Therefore, the answer is yes.")
         rec = make_record("s0-fv-quantity-00000-cot", TASK_FV, chain,
                           variant=VARIANT_COT)
-        assert gold_answer(rec) == "yes"
+        assert rec.gold == "yes"
 
     def test_cot_ni_chain(self):
         chain = ("Given the dimensions as 1.98 m, 2.32 m, and 0.83 m, the "
@@ -122,7 +125,39 @@ class TestGoldAnswer:
                  "answer is 3.81.")
         rec = make_record("s0-ni-volume-00000-cot", TASK_NI, chain,
                           category="volume", variant=VARIANT_COT, gt_value=3.813)
-        assert gold_answer(rec) == "3.81"
+        assert rec.gold == "3.81"
+
+    def test_unknown_task_and_unreadable_chain_have_no_gold(self):
+        assert make_record("s0-x-00000", "truthiness", "yes").gold is None
+        rec = make_record("s0-fv-quantity-00000-cot", TASK_FV, "Hard to tell.",
+                          variant=VARIANT_COT)
+        assert rec.gold is None
+
+    def test_chain_verdicts_are_shared_strings(self):
+        golds = [make_record(f"s0-fv-quantity-{i:05d}-cot", TASK_FV,
+                             f"Step {i}. Therefore, the answer is Yes.",
+                             variant=VARIANT_COT).gold
+                 for i in range(2)]
+        assert golds == ["yes", "yes"] and golds[0] is golds[1]
+
+    def test_replace_recomputes_gold(self):
+        rec = make_record("s0-fv-quantity-00000-cot", TASK_FV,
+                          "So the answer is yes.", variant=VARIANT_COT)
+        assert dataclasses.replace(rec, answer="So the answer is no.").gold == "no"
+        assert dataclasses.replace(rec, variant=VARIANT_PLAIN).gold == \
+            "So the answer is yes."
+        assert dataclasses.replace(rec, task="truthiness").gold is None
+
+    def test_gold_is_not_written(self, tmp_path):
+        rec = make_record("s0-fv-quantity-00000-cot", TASK_FV,
+                          "So the answer is yes.", variant=VARIANT_COT)
+        assert "gold" not in rec.to_dict()
+        path = tmp_path / "dataset.jsonl"
+        write_dataset([rec], path)
+        line = path.read_text(encoding="utf-8")
+        assert "gold" not in json.loads(line) and '"gold"' not in line
+        (back,) = read_dataset(path)
+        assert back == rec and back.gold == "yes"
 
 
 class TestThresholdAccuracy:
@@ -211,9 +246,9 @@ class TestScoreRecords:
         fv_row = payload["strata"]["fv/quantity/plain"]
         assert "accuracy" in fv_row and "ta" not in fv_row
 
-    def test_gold_answers_score_perfectly(self, dataset):
+    def test_gold_tokens_score_perfectly(self, dataset):
         records, _ = dataset
-        predictions = {r.qa_id: f"The answer is {gold_answer(r)}." for r in records}
+        predictions = {r.qa_id: f"The answer is {r.gold}." for r in records}
         report = score_records(records, predictions)
         for key, scores in report.strata.items():
             if key.startswith("ni/"):
@@ -290,7 +325,7 @@ class TestConsistency:
 
     def test_dataset_fixture_pairs_fully(self, dataset):
         records, _ = dataset
-        predictions = {r.qa_id: gold_answer(r) for r in records
+        predictions = {r.qa_id: r.gold for r in records
                        if r.task == TASK_FV}
         report = consistency_report(records, predictions)
         assert report.orphans == []
@@ -330,7 +365,7 @@ class TestFormatReportTable:
     def test_variant_filter(self, dataset):
         records, _ = dataset
         # perfect on plain records, silent on chain-of-thought ones
-        predictions = {r.qa_id: str(gold_answer(r)) for r in records
+        predictions = {r.qa_id: str(r.gold) for r in records
                        if r.variant == VARIANT_PLAIN}
         report = score_records(records, predictions)
         plain = format_report_table(report, VARIANT_PLAIN)

@@ -13,7 +13,6 @@ import pytest
 from sceneqa import pipeline
 from sceneqa.cli import main
 from sceneqa.errors import ConfigError
-from sceneqa.evaluate import gold_answer
 from sceneqa.geometry import hull_distance
 from sceneqa.pipeline import (
     PipelineConfig,
@@ -273,7 +272,7 @@ class TestCliEndToEnd:
         records = read_dataset(cli_run["dataset"])
         predictions = cli_run["root"] / "predictions.jsonl"
         write_jsonl([
-            {"qa_id": r.qa_id, "output": f"The answer is {gold_answer(r)}."}
+            {"qa_id": r.qa_id, "output": f"The answer is {r.gold}."}
             for r in records
         ], predictions)
         report_path = cli_run["root"] / "report.json"
@@ -467,6 +466,24 @@ class TestCliErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize("key,value", [
+        *[(f"{task}_{cat}", value) for task in ("fv", "ni")
+          for cat in ("quantity", "distance", "volume") for value in (4.0, True)],
+        *[(key, value) for key in ("rewrite_pm", "rewrite_fv", "n_options", "jobs",
+                                   "synth_scenes", "synth_boxes", "synth_points_per_box",
+                                   "service_retries", "service_max_tokens")
+          for value in (2.5, 3.0, True, False, "3")],
+    ])
+    def test_integer_keys_refuse_other_values(self, tmp_path, capsys, key, value):
+        """Counts must be JSON integers: a float, even a whole one, and
+        true/false are refused naming the key (exit 2), before any stage runs."""
+        config = tmp_path / "config.json"
+        write_json({"seed": SEED, key: value}, config)
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "config.json"
         write_json({"sede": 1}, config)
@@ -611,10 +628,11 @@ class TestCliErrors:
         ("score", "predictions", {"qa_id": "x", "output": 7}),
         ("generate", "saqs", [1, 2]),
         ("generate", "saqs", {"answer": None}),
+        ("generate", "saqs", {"scene_id": None}),
         ("selfcheck", "dataset", {"gt_value": float("nan")}),
         ("score", "dataset", {"gt_value": 10 ** 400}),
     ], ids=["gt-string", "gt-bool", "dataset-list", "score-gt-string", "prediction-list",
-            "prediction-number", "saq-list", "saq-null-answer", "gt-nan",
+            "prediction-number", "saq-list", "saq-null-answer", "saq-null-scene-id", "gt-nan",
             "score-gt-401-digits"])
     def test_malformed_rows_exit_3_naming_file_and_line(self, cli_run, tmp_path,
                                                         capsys, command, target, line):

@@ -588,3 +588,12 @@ class TestLoadSaqs:
         write_jsonl([{"question": "Q0?"}], path)
         with pytest.raises(SchemaViolationError, match="line 1"):
             load_saqs(path)
+
+    @pytest.mark.parametrize("scene_id", [None, 7, ["s0"]])
+    def test_scene_id_must_be_a_string(self, tmp_path, scene_id):
+        path = tmp_path / "saqs.jsonl"
+        write_jsonl([{"question": "Q0?", "answer": "a0"},
+                     {"question": "Q1?", "answer": "a1", "scene_id": scene_id}], path)
+        with pytest.raises(SchemaViolationError,
+                           match=r"saqs\.jsonl: line 2: .* string 'scene_id'"):
+            load_saqs(path)

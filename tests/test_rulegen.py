@@ -15,7 +15,6 @@ from sceneqa.errors import (
     SceneQaError,
     SchemaViolationError,
 )
-from sceneqa.evaluate import gold_answer
 from sceneqa.rulegen import (
     ANSWER_NO,
     ANSWER_YES,
@@ -224,7 +223,7 @@ class TestGeneratedDataset:
             assert partner.cp_link == rec.qa_id
             assert partner.qa_id != rec.qa_id
             assert rec.is_contrapositive != partner.is_contrapositive
-            assert gold_answer(partner) == flip[gold_answer(rec)]
+            assert partner.gold == flip[rec.gold]
             assert partner.scene_id == rec.scene_id
             assert partner.category == rec.category
             assert partner.variant == rec.variant
@@ -252,7 +251,7 @@ class TestGeneratedDataset:
             assert plain.variant == VARIANT_PLAIN
             assert rec.question.endswith(COT_SUFFIX)
             assert rec.answer.endswith(f"the answer is {plain.answer}.")
-            assert gold_answer(rec) == plain.answer
+            assert rec.gold == plain.answer
             assert rec.template_id == plain.template_id
             assert rec.referents == plain.referents
             assert rec.gt_value == plain.gt_value
@@ -268,7 +267,7 @@ class TestGeneratedDataset:
             values = referent_values(rec.category, rec.referents, tables[rec.scene_id])
             truth = evaluate_predicate(tpl.predicate, values[0], values[1],
                                        cfg.approx_band_in)
-            assert gold_answer(rec) == (ANSWER_YES if truth else ANSWER_NO)
+            assert rec.gold == (ANSWER_YES if truth else ANSWER_NO)
 
     def test_ni_answers_render_ground_truth(self, dataset, tables):
         records, _ = dataset
@@ -279,9 +278,9 @@ class TestGeneratedDataset:
                                        tables[rec.scene_id])
             assert rec.gt_value == pytest.approx(value, abs=1e-12)
             if rec.category == CAT_QUANTITY:
-                assert gold_answer(rec) == render_count(rec.gt_value)
+                assert rec.gold == render_count(rec.gt_value)
             else:
-                assert gold_answer(rec) == render_decimal(rec.gt_value)
+                assert rec.gold == render_decimal(rec.gt_value)
 
     def test_strict_pairs_respect_ambiguity_margin(self, dataset, tables, dataset_cfg):
         records, _ = dataset
