@@ -10,6 +10,11 @@ responder that echoes the stored answer must be a hit at every threshold.
 Yes/no and multiple-choice answers need no such check, because the schema
 check already demands that each record's ``gold`` token is a yes/no word or
 an option letter.
+
+Ground-truth agreement and the oracle share one recomputation, which reads
+values through :func:`~sceneqa.rulegen.referent_values`, the resolver
+generation uses too; the reason a record does not fit its table is listed
+under ``gt_agreement`` and raised by the oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import SceneQaError
+from .errors import SceneQaError, SchemaViolationError
 from .evaluate import TA_THRESHOLDS, extract_answer, numeric_truth, parse_numeric, ta_hit
 from .ngt import NgtTable
 from .rulegen import (
@@ -39,9 +44,7 @@ from .rulegen import (
 )
 from .templates import (
     BY_ID,
-    CAT_DISTANCE,
     CAT_NON_NUMERIC,
-    CAT_QUANTITY,
     DEFAULT_APPROX_BAND,
     NUMERIC_CATEGORIES,
     TASK_FV,
@@ -72,39 +75,24 @@ def _table_for(record: QaRecord, tables: Mapping[str, NgtTable]) -> NgtTable:
     return table
 
 
-def _misfit(record: QaRecord, table: NgtTable) -> str | None:
-    """Why a recomputable record's template, category or referents do not
-    fit its scene's table, so that its answer cannot be re-derived; None
-    when they fit."""
+def _recompute(record: QaRecord, table: NgtTable, approx_band: float) -> str:
+    """The answer of a recomputable record, from ground truth; a template,
+    category or referents that do not fit the table raise
+    :class:`SchemaViolationError`.  A record that fits is FV or NI: the
+    bank has no PM template."""
     template = BY_ID.get(record.template_id)
     if template is None:
-        return f"unknown template {record.template_id!r}"
+        raise SchemaViolationError(f"unknown template {record.template_id!r}")
     if (template.task, template.category) != (record.task, record.category):
-        return (f"template {template.template_id!r} asks {template.task}/"
-                f"{template.category}, not {record.task}/{record.category}")
+        raise SchemaViolationError(
+            f"template {template.template_id!r} asks {template.task}/"
+            f"{template.category}, not {record.task}/{record.category}")
     if len(record.referents) != template.arity:
-        return (f"{len(record.referents)} referents for template "
-                f"{template.template_id!r} of arity {template.arity}")
-    # counts are per label; volumes and distances need an unambiguous instance
-    known = (table.label_counts() if record.category == CAT_QUANTITY
-             else table.unique_label_instances())
-    unknown = [label for label in record.referents if label not in known]
-    if unknown:
-        kind = "label" if record.category == CAT_QUANTITY else "unique label"
-        return f"referents {unknown} name no {kind} of scene {record.scene_id!r}"
-    if record.category == CAT_DISTANCE:
-        for a, b in zip(record.referents[::2], record.referents[1::2]):
-            if not table.has_pair(known[a].instance_id, known[b].instance_id):
-                return f"no distance between {a!r} and {b!r} in scene {record.scene_id!r}"
-    return None
-
-
-def _recompute(record: QaRecord, table: NgtTable, approx_band: float) -> str:
-    """The answer of a record that fits its table, from ground truth.  Such
-    a record is FV or NI: the bank has no PM template."""
+        raise SchemaViolationError(
+            f"{len(record.referents)} referents for template "
+            f"{template.template_id!r} of arity {template.arity}")
     values = referent_values(record.category, record.referents, table)
     if record.task == TASK_FV:
-        template = BY_ID[record.template_id]
         holds = evaluate_predicate(template.predicate, values[0], values[1],
                                    approx_band=approx_band)
         return ANSWER_YES if holds else ANSWER_NO
@@ -116,10 +104,10 @@ def _oracle_answer(record: QaRecord, tables: Mapping[str, NgtTable],
     if not recomputable(record):
         return record.answer
     table = _table_for(record, tables)
-    problem = _misfit(record, table)
-    if problem is not None:
-        raise SceneQaError(f"{record.qa_id}: {problem}")
-    return _recompute(record, table, approx_band)
+    try:
+        return _recompute(record, table, approx_band)
+    except SchemaViolationError as exc:
+        raise SchemaViolationError(f"{record.qa_id}: {exc}") from None
 
 
 def oracle_responses(records: Sequence[QaRecord],
@@ -295,10 +283,12 @@ def selfcheck(records: Sequence[QaRecord],
                 )
         if tables is not None and recomputable(record):
             table = _table_for(record, tables)
-            problem = _misfit(record, table)
-            if problem is not None:
-                gt_agreement.append(f"{rid}: {problem}")
-            elif (recomputed := _recompute(record, table, approx_band)) != gold:
+            try:
+                recomputed = _recompute(record, table, approx_band)
+            except SchemaViolationError as exc:
+                gt_agreement.append(f"{rid}: {exc}")
+                continue
+            if recomputed != gold:
                 gt_agreement.append(
                     f"{rid}: stored answer {gold!r} disagrees "
                     f"with ground truth recomputation {recomputed!r}"

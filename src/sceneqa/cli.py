@@ -11,7 +11,9 @@ Subcommands cover the pipeline end to end::
 Exit codes: 0 success, 1 unexpected failure, 2 configuration problem,
 3 unreadable or malformed inputs (a scene with no instances left after
 label exclusion among them), 4 generation shortfall (not enough valid
-candidates or rewrite attempts), 5 self-check failure.
+candidates or rewrite attempts), 5 self-check failure.  Codes 1 to 4 are
+the ``exit_code`` of the :class:`~sceneqa.errors.SceneQaError` raised; a
+missing input file is 3.
 """
 
 from __future__ import annotations
@@ -20,19 +22,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    DegenerateInputError,
-    EmptyAfterFilterError,
-    ExhaustedAttemptsError,
-    InconsistentTripletError,
-    InsufficientCandidatesError,
-    InvalidSpecError,
-    MalformedFileError,
-    SceneQaError,
-    SchemaViolationError,
-    ServiceUnavailableError,
-)
+from .errors import ConfigError, SceneQaError
 from .pipeline import (
     PipelineConfig,
     apply_overrides,
@@ -45,26 +35,8 @@ from .pipeline import (
 )
 
 EXIT_OK = 0
-EXIT_FAILURE = 1
-EXIT_CONFIG = 2
 EXIT_INPUT = 3
-EXIT_SHORTFALL = 4
 EXIT_SELFCHECK = 5
-
-_INPUT_ERRORS = (
-    FileNotFoundError,
-    MalformedFileError,
-    SchemaViolationError,
-    InconsistentTripletError,
-    InvalidSpecError,
-    DegenerateInputError,
-    EmptyAfterFilterError,
-)
-_SHORTFALL_ERRORS = (
-    InsufficientCandidatesError,
-    ExhaustedAttemptsError,
-    ServiceUnavailableError,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,18 +148,12 @@ def main(argv=None) -> int:
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _SHORTFALL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHORTFALL
-    except _INPUT_ERRORS as exc:
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SceneQaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

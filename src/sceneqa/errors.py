@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from :class:`SceneQaError` so callers can
-catch one base class at pipeline boundaries and map it to an exit code.
+catch one base class at pipeline boundaries.  Each class carries the exit
+code the command line returns for it as ``exit_code``: 1 for an unexpected
+failure, 2 for configuration, 3 for unreadable or inconsistent input, and 4
+for a generation shortfall.
 """
 
 from __future__ import annotations
@@ -9,30 +12,37 @@ from __future__ import annotations
 
 class SceneQaError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 1
 
 
 class ConfigError(SceneQaError):
     """Invalid or inconsistent configuration values."""
+    exit_code = 2
 
 
 class MalformedFileError(SceneQaError):
     """A file could not be parsed at all (bad JSON, bad PLY header, ...)."""
+    exit_code = 3
 
 
 class SchemaViolationError(SceneQaError):
     """A file parsed, but its structure does not match the expected schema."""
+    exit_code = 3
 
 
 class InconsistentTripletError(SceneQaError):
     """Mesh / segmentation / aggregation files disagree with each other."""
+    exit_code = 3
 
 
 class InvalidSpecError(SceneQaError):
     """A synthetic-scene specification is unsatisfiable (bad dims, counts...)."""
+    exit_code = 3
 
 
 class DegenerateInputError(SceneQaError):
     """An operation received geometry it cannot work with (e.g. empty set)."""
+    exit_code = 3
 
 
 class NotConvergedError(SceneQaError):
@@ -46,6 +56,7 @@ class NotConvergedError(SceneQaError):
 
 class EmptyAfterFilterError(SceneQaError):
     """Label filtering removed every instance of a scene."""
+    exit_code = 3
 
 
 class ArityMismatchError(SceneQaError):
@@ -57,6 +68,7 @@ class InsufficientCandidatesError(SceneQaError):
 
     ``shortfalls`` maps a stratum name to (requested, produced).
     """
+    exit_code = 4
 
     def __init__(self, message: str, shortfalls: dict[str, tuple[int, int]] | None = None):
         super().__init__(message)
@@ -65,6 +77,7 @@ class InsufficientCandidatesError(SceneQaError):
 
 class ServiceUnavailableError(SceneQaError):
     """The rewrite service could not be reached after retries."""
+    exit_code = 4
 
 
 class ExhaustedAttemptsError(SceneQaError):
@@ -72,6 +85,7 @@ class ExhaustedAttemptsError(SceneQaError):
 
     ``verdicts`` holds one validation verdict per attempt, in order.
     """
+    exit_code = 4
 
     def __init__(self, message: str, verdicts: list | None = None):
         super().__init__(message)

@@ -27,6 +27,7 @@ from .templates import (
     TASK_FV,
     TASK_NI,
     TASK_PM,
+    TASKS,
 )
 from .util import read_jsonl
 
@@ -129,10 +130,14 @@ def score_records(records: Sequence[QaRecord],
                   predictions: Mapping[str, str]) -> EvalReport:
     """Score raw model outputs against a dataset, stratified by
     task/category/variant.  Missing and unparseable outputs count as misses;
-    numeric outputs are scored at each of ``TA_THRESHOLDS``.
+    numeric outputs are scored at each of ``TA_THRESHOLDS``.  A record of an
+    unknown task raises :class:`SchemaViolationError`, whether or not it has
+    a prediction.
     """
     report = EvalReport()
     for record in records:
+        if record.task not in TASKS:
+            raise SchemaViolationError(f"{record.qa_id}: unknown task {record.task!r}")
         scores = report.stratum(record.task, record.category, record.variant)
         scores.n_records += 1
         output = predictions.get(record.qa_id)

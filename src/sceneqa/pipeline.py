@@ -374,10 +374,15 @@ def run_score(dataset_path: str | Path, predictions_path: str | Path,
               out_path: str | Path | None = None,
               ) -> tuple[EvalReport, ConsistencyReport, str]:
     """Score a predictions file against a dataset; returns the reports and an
-    aligned text table, optionally writing the combined JSON report."""
+    aligned text table, optionally writing the combined JSON report.  A
+    record that cannot be scored raises :class:`SchemaViolationError` naming
+    the dataset file and the record."""
     records = read_dataset(dataset_path)
     predictions = read_predictions(predictions_path)
-    report = score_records(records, predictions)
+    try:
+        report = score_records(records, predictions)
+    except SchemaViolationError as exc:
+        raise SchemaViolationError(f"{dataset_path}: {exc}") from None
     consistency = consistency_report(records, predictions)
     variants = sorted({r.variant for r in records})
     tables = [

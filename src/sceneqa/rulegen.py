@@ -9,6 +9,10 @@ inverse question about the same referents, so one of the two always answers
 rendered form is the answer string and whose full-precision value is kept in
 ``gt_value`` for threshold scoring.
 
+:func:`referent_values` is the one resolver from referents to ground-truth
+values: chains, selfcheck and the oracle read values through it, and
+candidates are keyed by the referent tuples it takes.
+
 Balance is enforced by construction, not by rejection sampling: global
 index-based schedules (seeded permutations cycled by each record's absolute
 position in its stratum) assign target answers, template groups, and option
@@ -424,55 +428,45 @@ class _ValuePool:
                     return self.items[i], self.items[k]
         return None
 
+    def _partners(self, i: int, close: bool) -> tuple[range, range]:
+        """Item i's partners, below and above it: inside its inner band for
+        close pairs, outside its outer band for far ones.  Item i always
+        sits inside its own band, so neither range holds it."""
+        if close:
+            lo, hi = self._band_range(self.values[i], self.band_in)
+            return range(lo, i), range(i + 1, hi)
+        olo, ohi = self._band_range(self.values[i], self.band_out)
+        return range(olo), range(ohi, len(self.items))
+
     def draw_approx(self, rng: np.random.Generator, close: bool):
         n = len(self.items)
         if n < 2:
             return None
         for _ in range(_MAX_DRAW_ATTEMPTS):
             i = int(rng.integers(n))
-            if close:
-                lo, hi = self._band_range(self.values[i], self.band_in)
-                choices = hi - lo - 1  # item i always sits inside its own band
-                if choices <= 0:
-                    continue
-                pick = int(rng.integers(choices))
-                j = lo + pick
-                if j >= i:
-                    j += 1
-            else:
-                olo, ohi = self._band_range(self.values[i], self.band_out)
-                outside = olo + (n - ohi)
-                if outside <= 0:
-                    continue
-                pick = int(rng.integers(outside))
-                j = pick if pick < olo else ohi + (pick - olo)
-            if j != i:
+            below, above = self._partners(i, close)
+            if below or above:
+                pick = int(rng.integers(len(below) + len(above)))
+                j = below[pick] if pick < len(below) else above[pick - len(below)]
                 return self.items[i], self.items[j]
-        # systematic fallback
+        # systematic fallback: the smallest partner; a far pair with none
+        # below takes the largest
         for i in rng.permutation(n):
-            i = int(i)
-            if close:
-                lo, hi = self._band_range(self.values[i], self.band_in)
-                for j in range(lo, hi):
-                    if j != i:
-                        return self.items[i], self.items[j]
-            else:
-                olo, ohi = self._band_range(self.values[i], self.band_out)
-                if olo > 0:
-                    return self.items[i], self.items[0]
-                if ohi < n:
-                    return self.items[i], self.items[n - 1]
+            below, above = self._partners(int(i), close)
+            if below or above:
+                j = below[0] if below else above[0 if close else -1]
+                return self.items[i], self.items[j]
         return None
 
 
 def _candidate_items(table: NgtTable, category: str) -> list[tuple]:
-    """(key, value) referent candidates in key order: a label for quantity
-    and volume, a label pair for distance."""
+    """(referents, value) candidates in referent order: a 1-tuple label for
+    quantity and volume, a label pair for distance."""
     if category == CAT_QUANTITY:
-        return [(label, float(count)) for label, count in sorted(table.label_counts().items())]
+        return [((label,), float(count)) for label, count in sorted(table.label_counts().items())]
     unique = table.unique_label_instances()
     if category == CAT_VOLUME:
-        return [(label, inst.volume) for label, inst in sorted(unique.items())]
+        return [((label,), inst.volume) for label, inst in sorted(unique.items())]
     labels = sorted(unique)
     items = []
     for i, la in enumerate(labels):
@@ -490,19 +484,31 @@ def render_answer(category: str, value: float) -> str:
 
 
 def referent_values(category: str, referents: Sequence[str], table: NgtTable) -> list[float]:
-    """Ground-truth values named by a record's referents, for audits and CoT."""
-    if category == CAT_QUANTITY:
-        counts = table.label_counts()
-        return [float(counts[label]) for label in referents]
-    unique = table.unique_label_instances()
+    """The ground-truth values a record's referents name: a count or a volume
+    per label, a distance per label pair.  Counts are per label; volumes and
+    distances need a label that names one instance.  Referents that do not
+    fit the table raise :class:`SchemaViolationError` saying why."""
+    if category not in NUMERIC_CATEGORIES:
+        raise SceneQaError(f"no referent values for category {category!r}")
+    quantity = category == CAT_QUANTITY
+    known = table.label_counts() if quantity else table.unique_label_instances()
+    unknown = [label for label in referents if label not in known]
+    if unknown:
+        kind = "label" if quantity else "unique label"
+        raise SchemaViolationError(
+            f"referents {unknown} name no {kind} of scene {table.scene_id!r}")
+    if quantity:
+        return [float(known[label]) for label in referents]
     if category == CAT_VOLUME:
-        return [unique[label].volume for label in referents]
-    if category == CAT_DISTANCE:
-        ids = [unique[label].instance_id for label in referents]
-        if len(ids) == 2:
-            return [table.distance(ids[0], ids[1])]
-        return [table.distance(ids[0], ids[1]), table.distance(ids[2], ids[3])]
-    raise SceneQaError(f"no referent values for category {category!r}")
+        return [known[label].volume for label in referents]
+    values = []
+    for a, b in zip(referents[::2], referents[1::2]):
+        ia, ib = known[a].instance_id, known[b].instance_id
+        if not table.has_pair(ia, ib):
+            raise SchemaViolationError(
+                f"no distance between {a!r} and {b!r} in scene {table.scene_id!r}")
+        values.append(table.distance(ia, ib))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +523,6 @@ def _orient_strict(predicate: str, target: str, low_item, high_item):
     if target == ANSWER_NO:
         want_low_first = not want_low_first
     return (low_item, high_item) if want_low_first else (high_item, low_item)
-
-
-def _fv_bindings(category: str, first, second) -> tuple[str, ...]:
-    if category == CAT_DISTANCE:
-        return (*first[0], *second[0])
-    return (first[0], second[0])
 
 
 def gen_fv_numeric(
@@ -571,7 +571,7 @@ def gen_fv_numeric(
                 break
             first, second = _orient_strict(t_orig.predicate, target, *draw)
 
-        bindings = _fv_bindings(category, first, second)
+        bindings = first[0] + second[0]
         base_id = f"{table.scene_id}-fv-{category}-{k:05d}"
         cp_id = contrapositive_id(base_id)
         records.append(QaRecord(
@@ -625,7 +625,7 @@ def gen_ni(
 
     items = _candidate_items(table, category)
     if category != CAT_QUANTITY:
-        items = [(key, value) for key, value in items if value >= cfg.min_display_value]
+        items = [(refs, value) for refs, value in items if value >= cfg.min_display_value]
     if not items:
         raise InsufficientCandidatesError(
             f"scene {table.scene_id}: ni/{category} has no eligible referents",
@@ -637,8 +637,7 @@ def gen_ni(
     for offset in range(count):
         k = start_index + offset
         template = ordered[schedules.ni_template_index(category, k)]
-        key, value = items[int(rng.integers(len(items)))]
-        referents = key if isinstance(key, tuple) else (key,)
+        referents, value = items[int(rng.integers(len(items)))]
         records.append(QaRecord(
             qa_id=f"{table.scene_id}-ni-{category}-{k:05d}",
             scene_id=table.scene_id, task=TASK_NI, category=category,

@@ -664,6 +664,28 @@ class TestCliErrors:
         assert f"{target}.jsonl" in err
         assert "line 2" in err or ".jsonl:2:" in err
 
+    @pytest.mark.parametrize("predicted", [True, False], ids=["predicted", "unpredicted"])
+    def test_score_refuses_a_record_of_an_unknown_task(self, cli_run, tmp_path,
+                                                       capsys, predicted):
+        """A dataset record of an unknown task is an input error (exit 3)
+        naming the dataset file and the record, with or without a
+        prediction for it; it never becomes a stratum of the report."""
+        rows = [json.loads(text) for text in
+                cli_run["dataset"].read_text().splitlines()[:3]]
+        rows[1]["task"] = "truthiness"
+        dataset, predictions = tmp_path / "dataset.jsonl", tmp_path / "predictions.jsonl"
+        write_jsonl(rows, dataset)
+        write_jsonl([{"qa_id": row["qa_id"], "output": "yes"} for row in rows
+                     if predicted or row is not rows[1]], predictions)
+        report = tmp_path / "report.json"
+        code = main(["score", "--dataset", str(dataset), "--predictions", str(predictions),
+                     "--report", str(report)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "dataset.jsonl" in err and rows[1]["qa_id"] in err
+        assert "unknown task 'truthiness'" in err
+        assert not report.exists()
+
     def test_missing_dataset_for_score(self, cli_run, tmp_path):
         predictions = tmp_path / "predictions.jsonl"
         write_jsonl([{"qa_id": "a", "output": "yes"}], predictions)

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from sceneqa.errors import (
     SceneQaError,
     SchemaViolationError,
 )
+from sceneqa import rulegen
 from sceneqa.rulegen import (
     ANSWER_NO,
     ANSWER_YES,
@@ -24,6 +26,7 @@ from sceneqa.rulegen import (
     VARIANT_PLAIN,
     QaRecord,
     RulegenConfig,
+    _ValuePool,
     _twin_selector,
     assemble_dataset,
     balance_violations,
@@ -178,6 +181,52 @@ class TestTwinSelector:
 _BASE_ID = re.compile(
     r"^[a-z0-9]+-(fv|ni)-(quantity|distance|volume)-\d{5}(-cp)?(-cot)?$"
 )
+
+
+class TestValuePool:
+    """Seeded draws of the candidate sampler.  Three close pairs and a close
+    triple, far apart: every item has a partner inside the inner band
+    (ratio 0.9) and one outside the outer band (ratio 0.7)."""
+
+    VALUES = (1.0, 1.05, 2.0, 2.1, 2.15, 4.0, 4.2, 8.0, 8.5)
+    # the lowest index inside each item's inner band, itself excluded
+    CLOSE_PARTNER = (1, 0, 3, 2, 2, 6, 5, 8, 7)
+
+    def pool(self):
+        items = [(f"l{i}", value) for i, value in enumerate(self.VALUES)]
+        return _ValuePool(items, 0.05, 0.1, 0.3)
+
+    def indices(self, draw):
+        return "".join(key[1:] for key, _ in draw)
+
+    # per seed, one rng: strict, close, far, then the same three again
+    @pytest.mark.parametrize("seed,expected", enumerate([
+        "57 42 20 17 56 83", "68 01 17 28 24 31", "27 01 25 47 01 36",
+        "07 10 21 05 01 25", "68 78 48 04 56 25", "67 01 73 45 24 03",
+    ]))
+    def test_random_draws(self, seed, expected):
+        pool, rng = self.pool(), np.random.default_rng(seed)
+        draws = []
+        for _ in range(2):
+            draws += [pool.draw_strict(rng), pool.draw_approx(rng, close=True),
+                      pool.draw_approx(rng, close=False)]
+        assert " ".join(map(self.indices, draws)) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_systematic_fallback(self, monkeypatch, seed):
+        """With no random attempts, the scan takes items in seeded
+        permutation order: a close pair is the item and the lowest index
+        inside its inner band; a far pair is the item and items[0], or
+        items[n-1] when items[0] is inside its outer band."""
+        monkeypatch.setattr(rulegen, "_MAX_DRAW_ATTEMPTS", 0)
+        n = len(self.VALUES)
+        i = int(np.random.default_rng(seed).permutation(n)[0])
+        far = 0 if self.VALUES[0] < 0.7 * self.VALUES[i] else n - 1
+        pool = self.pool()
+        close = pool.draw_approx(np.random.default_rng(seed), close=True)
+        assert self.indices(close) == f"{i}{self.CLOSE_PARTNER[i]}"
+        assert self.indices(pool.draw_approx(np.random.default_rng(seed),
+                                             close=False)) == f"{i}{far}"
 
 
 class TestGeneratedDataset:
@@ -558,3 +607,35 @@ class TestReferentValues:
     def test_unknown_category_rejected(self, tables):
         with pytest.raises(SceneQaError, match="no referent values"):
             referent_values("weight", ["chair"], tables[sorted(tables)[0]])
+
+    # Referents that do not fit the table raise the reason selfcheck lists
+    # under gt_agreement.
+    def test_unknown_label_rejected(self, tables):
+        table = tables[sorted(tables)[0]]
+        label = sorted(table.label_counts())[0]
+        with pytest.raises(SchemaViolationError) as caught:
+            referent_values(CAT_QUANTITY, [label, "unicorn"], table)
+        assert str(caught.value) == (
+            f"referents ['unicorn'] name no label of scene {table.scene_id!r}")
+
+    def test_repeated_label_rejected_for_volume(self, tables):
+        table = tables[sorted(tables)[0]]
+        repeated = next(label for label, n in sorted(table.label_counts().items())
+                        if n > 1)
+        with pytest.raises(SchemaViolationError) as caught:
+            referent_values(CAT_VOLUME, [repeated], table)
+        assert str(caught.value) == (
+            f"referents [{repeated!r}] name no unique label of scene {table.scene_id!r}")
+
+    def test_distance_pair_missing_from_the_table_rejected(self, tables):
+        table = tables[sorted(tables)[0]]
+        unique = table.unique_label_instances()
+        a, b, c = sorted(unique)[:3]
+        missing = tuple(sorted((unique[c].instance_id, unique[b].instance_id)))
+        pairs = {key: d for key, d in table.pairs.items() if key != missing}
+        holed = dataclasses.replace(table, pairs=pairs)
+        assert len(referent_values(CAT_DISTANCE, [a, b], holed)) == 1
+        with pytest.raises(SchemaViolationError) as caught:
+            referent_values(CAT_DISTANCE, [a, b, b, c], holed)
+        assert str(caught.value) == (
+            f"no distance between {b!r} and {c!r} in scene {table.scene_id!r}")
