@@ -64,7 +64,7 @@ from .scene import (
     write_scene,
 )
 from .templates import DEFAULT_APPROX_BAND, TEMPLATE_BANK_VERSION
-from .util import derive_seed, write_json, write_jsonl
+from .util import derive_seed, finite_number, write_json, write_jsonl
 
 FORMAT_VERSION = "1.0.0"
 
@@ -108,6 +108,7 @@ class PipelineConfig(RulegenConfig):
     _COUNTS = RulegenConfig._COUNTS + (
         "seed", "rewrite_pm", "rewrite_fv", "service_retries",
         "synth_scenes", "synth_boxes", "synth_points_per_box")
+    _FLOATS = RulegenConfig._FLOATS + ("solver_tol", "service_timeout")
 
     def __post_init__(self):
         if type(self.jobs) is not int or self.jobs < 1:
@@ -118,9 +119,13 @@ class PipelineConfig(RulegenConfig):
                 type(self.service_max_tokens) is not int or self.service_max_tokens < 1):
             raise ConfigError("service_max_tokens must be a positive integer or null, "
                               f"got {self.service_max_tokens!r}")
+        if self.service_temperature is not None and not finite_number(
+                self.service_temperature):
+            raise ConfigError("service_temperature must be a finite number or null, "
+                              f"got {self.service_temperature!r}")
+        super().__post_init__()
         if self.solver_tol <= 0:
             raise ConfigError("solver_tol must be positive")
-        super().__post_init__()
         object.__setattr__(self, "excluded_labels", tuple(
             str(label).strip().lower() for label in self.excluded_labels
         ))

@@ -9,9 +9,10 @@ question and its inverted contrapositive with opposite yes/no answers.  Every
 response is validated structurally; invalid responses are regenerated up to
 five attempts total per job before :class:`ExhaustedAttemptsError` is raised.
 
-Expected-correct letters and boolean indicators are assigned by the same
-index-based schedules used by rule generation, so option letters stay within
-one of N/5 across any batch.
+Each job carries the answer its records get: an option letter for PM,
+``yes`` or ``no`` for FV.  Both are assigned by the same index-based
+schedules used by rule generation, so option letters stay within one of N/5
+across any batch.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
 from .rulegen import (
     ANSWER_NO,
     ANSWER_YES,
+    INVERSE_ANSWER,
     OPTION_LETTERS,
     PROVENANCE_LLM,
     QaRecord,
@@ -135,9 +137,6 @@ Example Output:
   "cp_answer": "yes"
 }}"""
 
-KIND_PM = "pm"
-KIND_FV = "fv"
-
 # validation failure reason codes
 NOT_JSON = "NotJson"
 MISSING_KEY = "MissingKey"
@@ -158,44 +157,39 @@ class SaqItem:
 
 @dataclass(frozen=True)
 class RewriteJob:
+    """One SAQ to rewrite as ``kind`` (``TASK_PM`` or ``TASK_FV``);
+    ``expected_label`` is the answer of the job's original record, and
+    ``n_options`` the option count of a PM question."""
+
     job_id: str
     saq: SaqItem
     kind: str
     n_options: int = 5
     expected_label: str | None = None
-    boolean_indicator: bool | None = None
 
     def __post_init__(self):
-        if self.kind == KIND_PM:
+        if self.kind == TASK_PM:
             if not 2 <= self.n_options <= 5:
                 raise SceneQaError("PM jobs support 2 to 5 options")
             labels = list(OPTION_LETTERS[:self.n_options])
-            if self.expected_label not in labels:
-                raise SceneQaError(
-                    f"expected_label must be one of {labels}, got {self.expected_label!r}"
-                )
-        elif self.kind == KIND_FV:
-            if self.boolean_indicator is None:
-                raise SceneQaError("FV jobs need a boolean indicator")
+        elif self.kind == TASK_FV:
+            labels = [ANSWER_YES, ANSWER_NO]
         else:
             raise SceneQaError(f"unknown rewrite kind {self.kind!r}")
+        if self.expected_label not in labels:
+            raise SceneQaError(
+                f"expected_label must be one of {labels}, got {self.expected_label!r}"
+            )
 
 
 def render_prompt(job: RewriteJob) -> str:
-    if job.kind == KIND_PM:
-        return PM_PROMPT_TEMPLATE.format(
-            n_options=job.n_options,
-            n_distractors=job.n_options - 1,
-            question=job.saq.question,
-            answer=job.saq.answer,
-            label=job.expected_label,
-        )
-    return FV_PROMPT_TEMPLATE.format(
-        question=job.saq.question,
-        answer=job.saq.answer,
-        indicator="true" if job.boolean_indicator else "false",
-        affirmative=ANSWER_YES,
-        negative=ANSWER_NO,
+    # str.format ignores the fields a template does not name
+    template = PM_PROMPT_TEMPLATE if job.kind == TASK_PM else FV_PROMPT_TEMPLATE
+    return template.format(
+        question=job.saq.question, answer=job.saq.answer, label=job.expected_label,
+        n_options=job.n_options, n_distractors=job.n_options - 1,
+        indicator="true" if job.expected_label == ANSWER_YES else "false",
+        affirmative=ANSWER_YES, negative=ANSWER_NO,
     )
 
 
@@ -266,16 +260,14 @@ class EchoStubClient:
         return json.dumps(payload)
 
 
-def _urllib_post(url: str, json: dict, timeout: float, headers: dict):
-    """POST ``json`` as the request body with the standard library; the reply
-    has ``status_code``, ``text`` and ``json()``."""
-    import json as jsonlib
+def _urllib_post(url: str, body: dict, timeout: float, headers: dict) -> tuple[int, str]:
+    """POST ``body`` as JSON with the standard library; returns the reply's
+    status and text, for an error status too."""
     import urllib.error
     import urllib.request  # not at module level: it slows ``import sceneqa``
-    from types import SimpleNamespace
 
     request = urllib.request.Request(
-        url, data=jsonlib.dumps(json).encode("utf-8"), method="POST",
+        url, data=json.dumps(body).encode("utf-8"), method="POST",
         headers={"Content-Type": "application/json", **headers},
     )
     try:
@@ -283,21 +275,22 @@ def _urllib_post(url: str, json: dict, timeout: float, headers: dict):
             status, raw = reply.status, reply.read()
     except urllib.error.HTTPError as exc:
         status, raw = exc.code, exc.read()
-    text = raw.decode("utf-8", "replace")
-    return SimpleNamespace(status_code=status, text=text, json=lambda: jsonlib.loads(text))
+    return status, raw.decode("utf-8", "replace")
 
 
 # client errors that a retry can fix: request timeout, rate limiting
 _RETRIABLE_4XX = (408, 429)
+_RETRY_WAIT_S = 1.0  # seconds before each retry
 
 
 class HttpServiceClient:
     """Chat-completion HTTP client with bounded retries.
 
-    ``transport(url, json=, timeout=, headers=)`` is injectable for tests; it
-    returns an object with ``status_code``, ``text`` and ``json()``.  Server
-    errors, 408, 429, transport errors and malformed bodies are retried; other
-    4xx responses fail at once.  Raises :class:`ServiceUnavailableError` once
+    ``transport(url, body, timeout, headers)`` is injectable for tests: it
+    sends the request dict ``body`` as JSON and returns the reply's
+    ``(status, text)``, or raises when no reply arrives.  Server errors, 408,
+    429, transport errors and malformed bodies are retried; other 4xx
+    responses fail at once.  Raises :class:`ServiceUnavailableError` once
     retries are exhausted.
     """
 
@@ -305,8 +298,7 @@ class HttpServiceClient:
                  retries: int = 2, temperature: float | None = None,
                  max_tokens: int | None = None,
                  headers: dict | None = None,
-                 transport: Callable | None = None,
-                 retry_wait: float = 1.0):
+                 transport: Callable | None = None):
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
@@ -314,7 +306,6 @@ class HttpServiceClient:
         self.temperature = temperature
         self.max_tokens = max_tokens
         self.headers = dict(headers or {})
-        self.retry_wait = retry_wait
         self._post = transport if transport is not None else _urllib_post
 
     def complete(self, system_prompt: str, user_prompt: str) -> str:
@@ -332,23 +323,19 @@ class HttpServiceClient:
 
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
-            if attempt and self.retry_wait > 0:
-                time.sleep(self.retry_wait)
+            if attempt:
+                time.sleep(_RETRY_WAIT_S)
             try:
-                response = self._post(
-                    self.endpoint, json=payload, timeout=self.timeout,
-                    headers=self.headers,
-                )
-                status = getattr(response, "status_code", 200)
+                status, text = self._post(self.endpoint, payload, self.timeout,
+                                          self.headers)
                 if status < 400:
-                    body = response.json()
-                    return body["choices"][0]["message"]["content"]
+                    return json.loads(text)["choices"][0]["message"]["content"]
             except Exception as exc:  # noqa: BLE001 - transport errors and malformed bodies
                 last_error = exc
                 continue
             if status < 500 and status not in _RETRIABLE_4XX:
                 raise ServiceUnavailableError(
-                    f"request rejected with {status}: {getattr(response, 'text', '')[:200]}"
+                    f"request rejected with {status}: {text[:200]}"
                 )
             last_error = ServiceUnavailableError(f"server returned {status}")
         raise ServiceUnavailableError(
@@ -460,8 +447,7 @@ def validate_fv_response(text: str, job: RewriteJob) -> ValidationVerdict:
         if ANSWER_YES not in low or ANSWER_NO not in low:
             reasons.append(BAD_ANSWER_WORD)
     if not reasons:
-        expected = ANSWER_YES if job.boolean_indicator else ANSWER_NO
-        if answer != expected:
+        if answer != job.expected_label:
             reasons.append(ANSWER_NOT_AT_EXPECTED_LABEL)
         if cp_answer == answer:
             reasons.append(CP_NOT_INVERTED)
@@ -475,48 +461,39 @@ def validate_fv_response(text: str, job: RewriteJob) -> ValidationVerdict:
 MAX_ATTEMPTS = 5
 
 
-def _llm_record(job: RewriteJob, task: str, qa_id: str, question: str,
-                answer: str, cp_link: str | None = None) -> QaRecord:
-    return QaRecord(
-        qa_id=qa_id, scene_id=job.saq.scene_id, task=task,
-        category=CAT_NON_NUMERIC, question=question, answer=answer,
-        gt_value=None, unit="", cp_link=cp_link, variant=VARIANT_PLAIN,
-        provenance=PROVENANCE_LLM, template_id=None, referents=(),
+def _records(job: RewriteJob, payload: dict) -> tuple[QaRecord, ...]:
+    """The PM record, or the FV original and its contrapositive, from a
+    validated reply; validation has matched the FV reply's answers to
+    ``expected_label`` and its inverse."""
+    if job.kind == TASK_PM:
+        rows = [(job.job_id, payload["question"], job.expected_label, None)]
+    else:
+        cp_id = contrapositive_id(job.job_id)
+        rows = [(job.job_id, payload["question"], job.expected_label, cp_id),
+                (cp_id, payload["cp_question"], INVERSE_ANSWER[job.expected_label],
+                 job.job_id)]
+    return tuple(
+        QaRecord(
+            qa_id=qa_id, scene_id=job.saq.scene_id, task=job.kind,
+            category=CAT_NON_NUMERIC, question=question, answer=answer,
+            gt_value=None, unit="", cp_link=cp_link, variant=VARIANT_PLAIN,
+            provenance=PROVENANCE_LLM, template_id=None, referents=(),
+        )
+        for qa_id, question, answer, cp_link in rows
     )
-
-
-def _pm_records(job: RewriteJob, payload: dict) -> tuple[QaRecord]:
-    return (_llm_record(job, TASK_PM, job.job_id, payload["question"], job.expected_label),)
-
-
-def _fv_records(job: RewriteJob, payload: dict) -> tuple[QaRecord, QaRecord]:
-    cp_id = contrapositive_id(job.job_id)
-    return (
-        _llm_record(job, TASK_FV, job.job_id, payload["question"],
-                    payload["Answer"].strip().lower(), cp_link=cp_id),
-        _llm_record(job, TASK_FV, cp_id, payload["cp_question"],
-                    payload["cp_answer"].strip().lower(), cp_link=job.job_id),
-    )
-
-
-# kind -> (response validator, record builder)
-_KINDS = {
-    KIND_PM: (validate_pm_response, _pm_records),
-    KIND_FV: (validate_fv_response, _fv_records),
-}
 
 
 def _attempt_loop(job: RewriteJob, client: ServiceClient
                   ) -> tuple[tuple[QaRecord, ...], list[ValidationVerdict]]:
     """The job's records from the first valid response, with every verdict."""
-    validate, build = _KINDS[job.kind]
+    validate = validate_pm_response if job.kind == TASK_PM else validate_fv_response
     verdicts: list[ValidationVerdict] = []
     for _ in range(MAX_ATTEMPTS):
         text = client.complete(SYSTEM_PROMPT, render_prompt(job))
         verdict = validate(text, job)
         verdicts.append(verdict)
         if verdict.ok:
-            return build(job, verdict.payload), verdicts
+            return _records(job, verdict.payload), verdicts
     raise ExhaustedAttemptsError(
         f"job {job.job_id}: all {MAX_ATTEMPTS} attempts failed validation "
         f"(last: {verdicts[-1].reasons})",
@@ -555,33 +532,23 @@ def load_saqs(path: str | Path) -> list[SaqItem]:
     return items
 
 
-def _cycle_saqs(saqs: Sequence[SaqItem], count: int, kind: str,
-                records_per_job: int) -> list[tuple[int, str, SaqItem]]:
-    """(schedule index, job id, SAQ) for ``count`` jobs, cycling the SAQs."""
-    if count > 0 and not saqs:
-        raise InsufficientCandidatesError(
-            f"no SAQ items available for {kind.upper()} rewriting",
-            shortfalls={f"{kind}/{CAT_NON_NUMERIC}": (records_per_job * count, 0)},
-        )
-    return [(k, f"llm-{kind}-{k:05d}", saqs[k % len(saqs)]) for k in range(count)]
-
-
-def make_pm_jobs(saqs: Sequence[SaqItem], count: int,
-                 schedules: Schedules, n_options: int = 5) -> list[RewriteJob]:
-    return [
-        RewriteJob(job_id=job_id, saq=saq, kind=KIND_PM, n_options=n_options,
-                   expected_label=schedules.pm_letter(k, n_options))
-        for k, job_id, saq in _cycle_saqs(saqs, count, KIND_PM, 1)
-    ]
-
-
-def make_fv_jobs(saqs: Sequence[SaqItem], count: int,
-                 schedules: Schedules) -> list[RewriteJob]:
-    return [
-        RewriteJob(job_id=job_id, saq=saq, kind=KIND_FV,
-                   boolean_indicator=schedules.fv_indicator(k))
-        for k, job_id, saq in _cycle_saqs(saqs, count, KIND_FV, 2)
-    ]
+def make_jobs(saqs: Sequence[SaqItem], pm_count: int, fv_count: int,
+              schedules: Schedules, n_options: int = 5) -> list[RewriteJob]:
+    """``pm_count`` PM jobs, then ``fv_count`` FV jobs, cycling the SAQs; the
+    ``k``-th job of a kind takes its answer from schedule index ``k``."""
+    jobs = []
+    for kind, count, records_per_job in ((TASK_PM, pm_count, 1), (TASK_FV, fv_count, 2)):
+        if count > 0 and not saqs:
+            raise InsufficientCandidatesError(
+                f"no SAQ items available for {kind.upper()} rewriting",
+                shortfalls={f"{kind}/{CAT_NON_NUMERIC}": (records_per_job * count, 0)},
+            )
+        for k in range(count):
+            label = (schedules.pm_letter(k, n_options) if kind == TASK_PM
+                     else ANSWER_YES if schedules.fv_indicator(k) else ANSWER_NO)
+            jobs.append(RewriteJob(f"llm-{kind}-{k:05d}", saqs[k % len(saqs)], kind,
+                                   n_options, label))
+    return jobs
 
 
 @dataclass
@@ -604,9 +571,7 @@ def run_rewrite_track(
     Jobs that exhaust their attempts are recorded in ``failed_jobs`` rather
     than aborting the batch; the caller decides whether a shortfall is fatal.
     """
-    schedules = build_schedules(master_seed)
-    jobs = (make_pm_jobs(saqs, pm_count, schedules, n_options=n_options)
-            + make_fv_jobs(saqs, fv_count, schedules))
+    jobs = make_jobs(saqs, pm_count, fv_count, build_schedules(master_seed), n_options)
     result = RewriteTrackResult()
     for job in jobs:
         try:

@@ -279,12 +279,20 @@ class RulegenConfig:
     # and true/false are refused
     _COUNTS = ("fv_quantity", "fv_distance", "fv_volume",
                "ni_quantity", "ni_distance", "ni_volume")
+    # fields that must be finite numbers: NaN, infinities, strings and
+    # true/false are refused
+    _FLOATS = ("cot_fraction", "ambiguity_margin", "approx_band_in",
+               "approx_band_out", "min_display_value")
 
     def __post_init__(self):
         for name in self._COUNTS:
             value = getattr(self, name)
             if type(value) is not int or value < 0:
                 raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+        for name in self._FLOATS:
+            value = getattr(self, name)
+            if not finite_number(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("fv_quantity", "fv_distance", "fv_volume"):
             if getattr(self, name) % 2:
                 raise ConfigError(

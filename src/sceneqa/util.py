@@ -61,32 +61,10 @@ _encode_str = json.encoder.encode_basestring
 # One compact encoder, as ``json.dumps(row, ensure_ascii=False)`` would build
 # afresh for every row.
 _encode_compact = json.JSONEncoder(ensure_ascii=False).encode
-_INF = float("inf")
 
 
 class _Unsupported(Exception):
     """A value :func:`_dumps_indented` leaves to the standard library."""
-
-
-def _float_str(value: float) -> str:
-    # json.encoder's floatstr with allow_nan=True.
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key_str(key) -> str:
-    # The key coercions of json.encoder's _iterencode_dict: a str as is; a
-    # float, int, bool or None as its JSON text, quoted.
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, (float, int)) or key is None:
-        return '"' + _dumps_indented(key, "") + '"'
-    raise _Unsupported
 
 
 def _dumps_indented(obj: Any, newline: str) -> str:
@@ -95,7 +73,9 @@ def _dumps_indented(obj: Any, newline: str) -> str:
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, float):
-        return _float_str(obj)
+        if -_FLOAT_MAX <= obj <= _FLOAT_MAX:  # false for NaN and infinities
+            return float.__repr__(obj)
+        raise _Unsupported
     if obj is None:
         return "null"
     if obj is True:
@@ -113,8 +93,11 @@ def _dumps_indented(obj: Any, newline: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [_key_str(key) + ": " + _dumps_indented(value, inner)
-                 for key, value in obj.items()]
+        try:
+            items = [_encode_str(key) + ": " + _dumps_indented(value, inner)
+                     for key, value in obj.items()]
+        except TypeError:  # _encode_str refuses a key that is not a string
+            raise _Unsupported from None
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise _Unsupported
 
@@ -125,10 +108,12 @@ def stable_json_dumps(obj: Any) -> str:
     The text is exactly ``json.dumps(obj, indent=2, ensure_ascii=False)``.
     The standard library lays out indented JSON with a pure-Python generator;
     this builds the same text by recursive joins over the C string encoder
-    and ``float.__repr__``.  Any value it does not handle itself (a type
-    ``json`` would reject or pass to ``default``, a cycle, nesting past the
-    recursion limit) sends the whole document to ``json.dumps``, which then
-    returns the text or raises its own error.
+    and ``float.__repr__``.  It handles what program documents hold: string
+    keys, finite floats and JSON's other types.  Anything else (a key that
+    is not a string, NaN or an infinity, a type ``json`` would reject or pass
+    to ``default``, a cycle, nesting past the recursion limit) sends the
+    whole document to ``json.dumps``, which then returns the text or raises
+    its own error.
     """
     try:
         return _dumps_indented(obj, "\n")

@@ -484,6 +484,21 @@ class TestCliErrors:
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", [
+        "cot_fraction", "ambiguity_margin", "approx_band_in", "approx_band_out",
+        "min_display_value", "solver_tol", "service_timeout", "service_temperature"])
+    @pytest.mark.parametrize("value", ["1e400", "NaN", '"x"', "true"])
+    def test_float_keys_refuse_other_values(self, tmp_path, capsys, key, value):
+        """Float keys must be finite JSON numbers: an overflowing literal,
+        NaN, a string and true are refused naming the key (exit 2), before
+        any scene is written."""
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"seed": {SEED}, "synth_scenes": 1, "{key}": {value}}}')
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.scene.json"))
+
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "config.json"
         write_json({"sede": 1}, config)

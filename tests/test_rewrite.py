@@ -20,14 +20,13 @@ from sceneqa.errors import (
     SchemaViolationError,
     ServiceUnavailableError,
 )
+from sceneqa import rewrite
 from sceneqa.rewrite import (
     ANSWER_LEAK,
     ANSWER_NOT_AT_EXPECTED_LABEL,
     BAD_ANSWER_WORD,
     CP_NOT_INVERTED,
     DUPLICATE_OPTIONS,
-    KIND_FV,
-    KIND_PM,
     MAX_ATTEMPTS,
     MISSING_KEY,
     NOT_JSON,
@@ -39,8 +38,7 @@ from sceneqa.rewrite import (
     SaqItem,
     extract_json_object,
     load_saqs,
-    make_fv_jobs,
-    make_pm_jobs,
+    make_jobs,
     parse_options,
     render_prompt,
     rewrite_fv,
@@ -61,7 +59,7 @@ SAQ = SaqItem("What is the capital of France?", "Parris", scene_id="sc01")
 
 
 def pm_job(**overrides) -> RewriteJob:
-    fields = dict(job_id="llm-pm-00000", saq=SAQ, kind=KIND_PM,
+    fields = dict(job_id="llm-pm-00000", saq=SAQ, kind=TASK_PM,
                   n_options=4, expected_label="B")
     fields.update(overrides)
     return RewriteJob(**fields)
@@ -70,7 +68,7 @@ def pm_job(**overrides) -> RewriteJob:
 def fv_job(**overrides) -> RewriteJob:
     fields = dict(job_id="llm-fv-00000",
                   saq=SaqItem("Who wrote Hamlet?", "Shakespeare"),
-                  kind=KIND_FV, boolean_indicator=True)
+                  kind=TASK_FV, expected_label="yes")
     fields.update(overrides)
     return RewriteJob(**fields)
 
@@ -104,8 +102,10 @@ class TestJobValidation:
             pm_job(n_options=n, expected_label="A")
 
     def test_fv_needs_indicator(self):
-        with pytest.raises(SceneQaError, match="boolean indicator"):
-            fv_job(boolean_indicator=None)
+        for label in (None, "true", "A"):
+            with pytest.raises(SceneQaError,
+                               match=r"expected_label must be one of \['yes', 'no'\]"):
+                fv_job(expected_label=label)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SceneQaError, match="unknown rewrite kind"):
@@ -121,7 +121,7 @@ class TestPromptRendering:
         assert "- Number of Options: 4" in prompt
 
     def test_fv_prompt_carries_indicator_and_words(self):
-        prompt = render_prompt(fv_job(boolean_indicator=False))
+        prompt = render_prompt(fv_job(expected_label="no"))
         assert "- Boolean Indicator: false" in prompt
         assert "- Affirmative Word: yes" in prompt
         assert "- Negative Word: no" in prompt
@@ -332,7 +332,7 @@ class TestEchoStub:
         assert len(options) == 4
 
     def test_fv_round_trip(self):
-        job = fv_job(boolean_indicator=False)
+        job = fv_job(expected_label="no")
         original, contrapositive = rewrite_fv(job, EchoStubClient())
         assert original.answer == "no"
         assert contrapositive.answer == "yes"
@@ -380,7 +380,7 @@ class TestEchoStub:
 
     def test_failed_jobs_do_not_abort_the_track(self):
         saqs = [SaqItem("Q?", "ans")]
-        (track_fv_job,) = make_fv_jobs(saqs, 1, build_schedules(MASTER_SEED))
+        _, track_fv_job = make_jobs(saqs, 1, 1, build_schedules(MASTER_SEED))
         good_fv = EchoStubClient().complete("s", render_prompt(track_fv_job))
         client = ScriptedClient(*["garbage"] * MAX_ATTEMPTS, good_fv)
         # one PM job fails every attempt; the FV job still succeeds
@@ -394,10 +394,30 @@ class TestEchoStub:
 
 
 class TestMakeJobs:
+    def test_job_list_is_pinned(self):
+        saqs = [SaqItem(f"Q{i}?", f"a{i}", f"s{i}") for i in range(3)]
+        schedules = build_schedules(MASTER_SEED)
+        jobs = make_jobs(saqs, 7, 5, schedules)
+        assert [(j.job_id, j.saq, j.kind, j.expected_label, j.n_options)
+                for j in jobs] == [
+            ("llm-pm-00000", saqs[0], TASK_PM, "B", 5),
+            ("llm-pm-00001", saqs[1], TASK_PM, "A", 5),
+            ("llm-pm-00002", saqs[2], TASK_PM, "E", 5),
+            ("llm-pm-00003", saqs[0], TASK_PM, "C", 5),
+            ("llm-pm-00004", saqs[1], TASK_PM, "D", 5),
+            ("llm-pm-00005", saqs[2], TASK_PM, "B", 5),
+            ("llm-pm-00006", saqs[0], TASK_PM, "A", 5),
+            ("llm-fv-00000", saqs[0], TASK_FV, "no", 5),
+            ("llm-fv-00001", saqs[1], TASK_FV, "yes", 5),
+            ("llm-fv-00002", saqs[2], TASK_FV, "no", 5),
+            ("llm-fv-00003", saqs[0], TASK_FV, "yes", 5),
+            ("llm-fv-00004", saqs[1], TASK_FV, "no", 5),
+        ]
+
     def test_pm_ids_and_saq_cycling(self):
         saqs = [SaqItem("Q0?", "a0"), SaqItem("Q1?", "a1")]
         schedules = build_schedules(MASTER_SEED)
-        jobs = make_pm_jobs(saqs, 5, schedules, n_options=4)
+        jobs = make_jobs(saqs, 5, 0, schedules, n_options=4)
         assert [j.job_id for j in jobs] == [f"llm-pm-{k:05d}" for k in range(5)]
         assert [j.saq.question for j in jobs] == ["Q0?", "Q1?"] * 2 + ["Q0?"]
         assert all(j.n_options == 4 for j in jobs)
@@ -407,51 +427,48 @@ class TestMakeJobs:
     def test_fv_indicator_alternates(self):
         saqs = [SaqItem("Q?", "a")]
         schedules = build_schedules(MASTER_SEED)
-        jobs = make_fv_jobs(saqs, 6, schedules)
-        indicators = [j.boolean_indicator for j in jobs]
-        assert indicators.count(True) == 3 and indicators.count(False) == 3
+        jobs = make_jobs(saqs, 0, 6, schedules)
+        labels = [j.expected_label for j in jobs]
+        assert labels.count("yes") == 3 and labels.count("no") == 3
 
     def test_empty_saqs_with_positive_count(self):
         schedules = build_schedules(MASTER_SEED)
-        with pytest.raises(InsufficientCandidatesError):
-            make_pm_jobs([], 3, schedules)
-        with pytest.raises(InsufficientCandidatesError):
-            make_fv_jobs([], 3, schedules)
+        with pytest.raises(InsufficientCandidatesError) as pm_exc:
+            make_jobs([], 3, 3, schedules)
+        assert pm_exc.value.shortfalls == {f"pm/{CAT_NON_NUMERIC}": (3, 0)}
+        with pytest.raises(InsufficientCandidatesError) as fv_exc:
+            make_jobs([], 0, 3, schedules)
+        assert fv_exc.value.shortfalls == {f"fv/{CAT_NON_NUMERIC}": (6, 0)}
 
     def test_zero_count_needs_no_saqs(self):
         schedules = build_schedules(MASTER_SEED)
-        assert make_pm_jobs([], 0, schedules) == []
-        assert make_fv_jobs([], 0, schedules) == []
-
-
-class FakeResponse:
-    def __init__(self, status_code=200, body=None, text=""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-
-    def json(self):
-        if self._body is None:
-            raise ValueError("no body")
-        return self._body
+        assert make_jobs([], 0, 0, schedules) == []
 
 
 def chat_body(content: str) -> dict:
     return {"choices": [{"message": {"content": content}}]}
 
 
+def chat_reply(content: str) -> tuple[int, str]:
+    return 200, json.dumps(chat_body(content))
+
+
 class TestHttpClient:
+    @pytest.fixture(autouse=True)
+    def no_retry_wait(self, monkeypatch):
+        monkeypatch.setattr(rewrite, "_RETRY_WAIT_S", 0.0)
+
     def make_client(self, transport, retries=2):
         return HttpServiceClient("http://svc.local/v1/chat", "rewriter-1",
                                  retries=retries, temperature=0.2,
-                                 transport=transport, retry_wait=0.0)
+                                 transport=transport)
 
     def test_success_and_payload_shape(self):
         calls = []
 
-        def transport(url, json=None, timeout=None, headers=None):
-            calls.append((url, json, timeout, headers))
-            return FakeResponse(body=chat_body("hello"))
+        def transport(url, body, timeout, headers):
+            calls.append((url, body, timeout, headers))
+            return chat_reply("hello")
 
         client = self.make_client(transport)
         out = client.complete("sys prompt", "user prompt")
@@ -466,35 +483,35 @@ class TestHttpClient:
     def test_retries_after_connection_errors(self):
         attempts = []
 
-        def transport(url, **kwargs):
+        def transport(*args):
             attempts.append(1)
             if len(attempts) < 3:
                 raise ConnectionError("boom")
-            return FakeResponse(body=chat_body("ok"))
+            return chat_reply("ok")
 
         client = self.make_client(transport, retries=2)
         assert client.complete("s", "u") == "ok"
         assert len(attempts) == 3
 
     def test_server_errors_exhaust_retries(self):
-        def transport(url, **kwargs):
-            return FakeResponse(status_code=503)
+        def transport(*args):
+            return 503, ""
 
         client = self.make_client(transport, retries=1)
         with pytest.raises(ServiceUnavailableError, match="after 2 attempts"):
             client.complete("s", "u")
 
     def test_client_errors_are_reported(self):
-        def transport(url, **kwargs):
-            return FakeResponse(status_code=401, text="bad key")
+        def transport(*args):
+            return 401, "bad key"
 
         client = self.make_client(transport, retries=0)
         with pytest.raises(ServiceUnavailableError, match="401"):
             client.complete("s", "u")
 
     def test_malformed_body_is_retried_then_fatal(self):
-        def transport(url, **kwargs):
-            return FakeResponse(body={"unexpected": True})
+        def transport(*args):
+            return 200, json.dumps({"unexpected": True})
 
         client = self.make_client(transport, retries=1)
         with pytest.raises(ServiceUnavailableError):
@@ -503,9 +520,9 @@ class TestHttpClient:
     def test_client_errors_are_not_retried(self):
         calls = []
 
-        def transport(url, **kwargs):
+        def transport(*args):
             calls.append(1)
-            return FakeResponse(status_code=401, text="bad key")
+            return 401, "bad key"
 
         client = self.make_client(transport, retries=2)
         with pytest.raises(ServiceUnavailableError, match="401"):
@@ -515,11 +532,11 @@ class TestHttpClient:
     def test_rate_limit_is_retried(self):
         calls = []
 
-        def transport(url, **kwargs):
+        def transport(*args):
             calls.append(1)
             if len(calls) == 1:
-                return FakeResponse(status_code=429)
-            return FakeResponse(body=chat_body("ok"))
+                return 429, ""
+            return chat_reply("ok")
 
         client = self.make_client(transport, retries=2)
         assert client.complete("s", "u") == "ok"
@@ -553,7 +570,7 @@ class TestHttpClient:
         try:
             client = HttpServiceClient(
                 f"http://127.0.0.1:{server.server_port}/v1/chat", "rewriter-1",
-                timeout=5.0, retries=1, retry_wait=0.0,
+                timeout=5.0, retries=1,
                 headers={"Authorization": "Bearer k"},
             )
             assert client.complete("sys", "ping") == "pong"
