@@ -4,12 +4,12 @@ display consistency, self-scoring, balance, and ground-truth agreement.
 ``selfcheck`` answers the question "would this dataset score a perfect
 responder at exactly 1.0, and is every contrapositive pair a true
 inversion?" before anything is shipped to a model.  It walks the records
-once; each check reports the offending record ids so failures are
-actionable.  Self-scoring is a per-record check on numeric records: a
-responder that echoes the stored answer must be a hit at every threshold.
-Yes/no and multiple-choice answers need no such check, because the schema
-check already demands that each record's ``gold`` token is a yes/no word or
-an option letter.
+once, keeping only their ids and the pair halves whose partner is unread,
+and each check names the records that fail it.  Self-scoring is a
+per-record check on numeric records: a responder that echoes the stored
+answer must be a hit at every threshold.  Yes/no and multiple-choice
+answers need no such check, because the schema check already demands that
+each record's ``gold`` token is a yes/no word or an option letter.
 
 Ground-truth agreement and the oracle share one recomputation, which reads
 values through :func:`~sceneqa.rulegen.referent_values`, the resolver
@@ -20,7 +20,8 @@ under ``gt_agreement`` and raised by the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .errors import SceneQaError, SchemaViolationError
 from .evaluate import TA_THRESHOLDS, extract_answer, numeric_truth, parse_numeric, ta_hit
@@ -35,7 +36,7 @@ from .rulegen import (
     QaRecord,
     VARIANT_COT,
     VARIANT_PLAIN,
-    build_balance_report,
+    BalanceReport,
     balance_violations,
     contrapositive_id,
     recomputable,
@@ -66,20 +67,15 @@ _TA_MIN = min(TA_THRESHOLDS)
 # ---------------------------------------------------------------------------
 
 
-def _table_for(record: QaRecord, tables: Mapping[str, NgtTable]) -> NgtTable:
+def _recompute(record: QaRecord, tables: Mapping[str, NgtTable],
+               approx_band: float) -> str:
+    """The answer of a recomputable record, from ground truth; a missing
+    table, or a template, category or referents that do not fit the table,
+    raise :class:`SchemaViolationError`.  A record that fits is FV or NI:
+    the bank has no PM template."""
     table = tables.get(record.scene_id)
     if table is None:
-        raise SceneQaError(
-            f"{record.qa_id}: no ground-truth table for scene {record.scene_id!r}"
-        )
-    return table
-
-
-def _recompute(record: QaRecord, table: NgtTable, approx_band: float) -> str:
-    """The answer of a recomputable record, from ground truth; a template,
-    category or referents that do not fit the table raise
-    :class:`SchemaViolationError`.  A record that fits is FV or NI: the
-    bank has no PM template."""
+        raise SchemaViolationError(f"no ground-truth table for scene {record.scene_id!r}")
     template = BY_ID.get(record.template_id)
     if template is None:
         raise SchemaViolationError(f"unknown template {record.template_id!r}")
@@ -99,17 +95,6 @@ def _recompute(record: QaRecord, table: NgtTable, approx_band: float) -> str:
     return render_answer(record.category, values[0])
 
 
-def _oracle_answer(record: QaRecord, tables: Mapping[str, NgtTable],
-                   approx_band: float) -> str:
-    if not recomputable(record):
-        return record.answer
-    table = _table_for(record, tables)
-    try:
-        return _recompute(record, table, approx_band)
-    except SchemaViolationError as exc:
-        raise SchemaViolationError(f"{record.qa_id}: {exc}") from None
-
-
 def oracle_responses(records: Sequence[QaRecord],
                      tables: Mapping[str, NgtTable],
                      approx_band: float = DEFAULT_APPROX_BAND) -> dict[str, str]:
@@ -121,8 +106,14 @@ def oracle_responses(records: Sequence[QaRecord],
     be recomputed (no template, e.g. service-rewritten items) echo their
     stored answer.
     """
-    return {record.qa_id: _oracle_answer(record, tables, approx_band)
-            for record in records}
+    responses = {}
+    for record in records:
+        try:
+            responses[record.qa_id] = _recompute(record, tables, approx_band) \
+                if recomputable(record) else record.answer
+        except SchemaViolationError as exc:
+            raise SchemaViolationError(f"{record.qa_id}: {exc}") from None
+    return responses
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +187,9 @@ def _schema(record: QaRecord) -> list[str]:
     return failures
 
 
-def _cp_involution(record: QaRecord, by_id: Mapping[str, QaRecord]) -> list[str]:
+def _cp_involution(record: QaRecord, partner: QaRecord) -> list[str]:
+    """The failures of ``record`` against ``partner``, the record it links to."""
     rid = record.qa_id
-    if record.task != TASK_FV:
-        if record.task == TASK_NI and record.cp_link is not None:
-            return [f"{rid}: numeric records must not carry cp_link"]
-        return []
-    if record.cp_link is None:
-        return [f"{rid}: yes/no record without cp_link"]
-    if record.cp_link not in by_id:
-        return [f"{rid}: cp_link {record.cp_link!r} not in dataset"]
-    partner = by_id[record.cp_link]
     failures: list[str] = []
     if partner.cp_link != rid:
         failures.append(f"{rid}: link not mutual ({partner.qa_id} -> {partner.cp_link!r})")
@@ -234,32 +217,83 @@ def _cp_involution(record: QaRecord, by_id: Mapping[str, QaRecord]) -> list[str]
     return failures
 
 
-def selfcheck(records: Sequence[QaRecord],
+class _Links:
+    """The ``cp_involution`` check over a stream of records, each the first
+    with its id.  A yes/no record is held until it and the record its link
+    names link each other, and waits while that record is unread.  A link to
+    a record no longer held (paired with another, or not yes/no) is reported
+    as such.  Failures come out in file order."""
+
+    def __init__(self, seen: set[str]):
+        self.seen = seen  # every id read so far
+        self.unsound: set[str] = set()  # ids of unsound records
+        self._held: dict[str, QaRecord] = {}
+        self._waiting: dict[str, list[tuple[int, QaRecord]]] = {}  # by link
+        self._failures: list[tuple[int, list[str]]] = []
+
+    def add(self, pos: int, record: QaRecord) -> None:
+        rid, link = record.qa_id, record.cp_link
+        if not _sound(record):
+            self.unsound.add(rid)
+            return
+        partner = record if link == rid else self._held.get(link)
+        for waiter_pos, waiter in self._waiting.pop(rid, ()):
+            if failures := _cp_involution(waiter, record):
+                self._failures.append((waiter_pos, failures))
+            if link == waiter.qa_id:  # the pair is closed
+                del self._held[link]
+        if record.task != TASK_FV:
+            failures = [f"{rid}: numeric records must not carry cp_link"] \
+                if record.task == TASK_NI and link is not None else []
+        elif link is None:
+            failures = [f"{rid}: yes/no record without cp_link"]
+        elif partner is not None:
+            failures = _cp_involution(record, partner)
+        elif link in self.seen and link not in self.unsound:
+            failures = [f"{rid}: cp_link {link!r} names a record paired elsewhere "
+                        f"or not yes/no"]
+        else:
+            failures = []
+            self._waiting.setdefault(link, []).append((pos, record))
+        if record.task == TASK_FV and (partner is None or partner.cp_link != rid):
+            self._held[rid] = record  # unpaired: a later record may link to it
+        if failures:
+            self._failures.append((pos, failures))
+
+    def failures(self) -> list[str]:
+        for waiters in self._waiting.values():
+            self._failures += [(pos, [f"{record.qa_id}: cp_link {record.cp_link!r} "
+                                      f"not in dataset"]) for pos, record in waiters]
+        ordered = sorted(self._failures, key=itemgetter(0))
+        return [failure for _, failures in ordered for failure in failures]
+
+
+def selfcheck(records: Iterable[QaRecord],
               tables: Mapping[str, NgtTable] | None = None,
               approx_band: float = DEFAULT_APPROX_BAND,
               n_options: int = 5) -> SelfCheckResult:
-    """Run every dataset audit; ground-truth agreement runs only when the
-    matching tables are supplied.  PM letters are balanced over
-    ``n_options`` choices."""
-    by_id = {r.qa_id: r for r in records if _sound(r)}
+    """Run every dataset audit in one pass over ``records``; ground-truth
+    agreement runs only when the matching tables are supplied.  PM letters
+    are balanced over ``n_options`` choices.  A record whose id repeats an
+    earlier one is a ``schema`` failure and takes no part in pairing."""
     schema: list[str] = []
-    cp_involution: list[str] = []
     ni_display: list[str] = []
     self_scoring: list[str] = []
     gt_agreement: list[str] = []
     seen: set[str] = set()
-    sound: list[QaRecord] = []
-    for record in records:
+    links = _Links(seen)
+    balance = BalanceReport()
+    for pos, record in enumerate(records):
         rid, gold = record.qa_id, record.gold
         if rid in seen:
             schema.append(f"{rid}: duplicate qa_id")
         else:
             seen.add(rid)
             schema += _schema(record)
+            links.add(pos, record)
         if not _sound(record):
             continue
-        sound.append(record)
-        cp_involution += _cp_involution(record, by_id)
+        balance.add(record)
         if record.task == TASK_NI:
             if record.provenance == PROVENANCE_RULE and record.gt_value is not None:
                 try:
@@ -282,9 +316,8 @@ def selfcheck(records: Sequence[QaRecord],
                     f"at ta@{round(_TA_MIN * 100)}"
                 )
         if tables is not None and recomputable(record):
-            table = _table_for(record, tables)
             try:
-                recomputed = _recompute(record, table, approx_band)
+                recomputed = _recompute(record, tables, approx_band)
             except SchemaViolationError as exc:
                 gt_agreement.append(f"{rid}: {exc}")
                 continue
@@ -294,9 +327,9 @@ def selfcheck(records: Sequence[QaRecord],
                     f"with ground truth recomputation {recomputed!r}"
                 )
     checks = {
-        "schema": schema, "cp_involution": cp_involution, "ni_display": ni_display,
+        "schema": schema, "cp_involution": links.failures(), "ni_display": ni_display,
         "self_scoring": self_scoring,
-        "balance": balance_violations(build_balance_report(sound), n_options),
+        "balance": balance_violations(balance, n_options),
     }
     if tables is not None:
         checks["gt_agreement"] = gt_agreement

@@ -1,5 +1,6 @@
-"""Scoring: exact accuracy, threshold accuracy for numeric answers, and
-original/contrapositive consistency.
+"""Scoring, one record at a time: exact accuracy, threshold accuracy for
+numeric answers, and original/contrapositive consistency, for which only the
+pair halves whose partner is unread are held.
 
 A prediction is read by :func:`~sceneqa.rulegen.extract_answer` (the first
 yes/no word, option letter or numeral of plain output, the last of
@@ -15,7 +16,7 @@ unparseable predictions are counted as misses and reported separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import SchemaViolationError
 from .rulegen import INVERSE_ANSWER, QaRecord, VARIANT_PLAIN, extract_answer
@@ -112,42 +113,25 @@ class StratumScores:
 class EvalReport:
     strata: dict[str, StratumScores] = field(default_factory=dict)
 
-    def stratum(self, task: str, category: str, variant: str) -> StratumScores:
+    def add(self, record: QaRecord, output: str | None) -> None:
+        """Score one record's raw model output, None when it has none."""
+        task, category, variant = record.task, record.category, record.variant
+        if task not in TASKS:
+            raise SchemaViolationError(f"{record.qa_id}: unknown task {task!r}")
         key = f"{task}/{category}/{variant}"
-        if key not in self.strata:
+        scores = self.strata.get(key)
+        if scores is None:
             ta_hits = dict.fromkeys(TA_THRESHOLDS, 0) if task == TASK_NI else {}
-            self.strata[key] = StratumScores(task, category, variant, ta_hits=ta_hits)
-        return self.strata[key]
-
-    def to_dict(self) -> dict:
-        return {
-            "thresholds": list(TA_THRESHOLDS),
-            "strata": {key: self.strata[key].to_dict() for key in sorted(self.strata)},
-        }
-
-
-def score_records(records: Sequence[QaRecord],
-                  predictions: Mapping[str, str]) -> EvalReport:
-    """Score raw model outputs against a dataset, stratified by
-    task/category/variant.  Missing and unparseable outputs count as misses;
-    numeric outputs are scored at each of ``TA_THRESHOLDS``.  A record of an
-    unknown task raises :class:`SchemaViolationError`, whether or not it has
-    a prediction.
-    """
-    report = EvalReport()
-    for record in records:
-        if record.task not in TASKS:
-            raise SchemaViolationError(f"{record.qa_id}: unknown task {record.task!r}")
-        scores = report.stratum(record.task, record.category, record.variant)
+            scores = self.strata[key] = StratumScores(task, category, variant,
+                                                      ta_hits=ta_hits)
         scores.n_records += 1
-        output = predictions.get(record.qa_id)
         if output is None:
             scores.n_missing += 1
-            continue
+            return
         token = extract_answer(output, record.task, record.variant)
         if token is None:
             scores.n_unparsed += 1
-            continue
+            return
         if record.task == TASK_NI:
             pred = float(token)  # an extracted numeral always parses
             gt = numeric_truth(record)
@@ -160,6 +144,24 @@ def score_records(records: Sequence[QaRecord],
                     scores.ta_hits[t] += 1
         elif token == record.gold:
             scores.n_correct += 1
+
+    def to_dict(self) -> dict:
+        return {
+            "thresholds": list(TA_THRESHOLDS),
+            "strata": {key: self.strata[key].to_dict() for key in sorted(self.strata)},
+        }
+
+
+def score_records(records: Iterable[QaRecord],
+                  predictions: Mapping[str, str]) -> EvalReport:
+    """Score raw model outputs against a dataset, stratified by
+    task/category/variant.  Missing and unparseable outputs count as misses;
+    numeric outputs are scored at each of ``TA_THRESHOLDS``.  A record of an
+    unknown task raises :class:`SchemaViolationError`, whether or not it has
+    a prediction."""
+    report = EvalReport()
+    for record in records:
+        report.add(record, predictions.get(record.qa_id))
     return report
 
 
@@ -205,13 +207,43 @@ class ConsistencyScores:
 @dataclass
 class ConsistencyReport:
     strata: dict[str, ConsistencyScores] = field(default_factory=dict)
-    orphans: list[str] = field(default_factory=list)
+    # unpaired halves read so far: originals by the id they link to, cps by their own
+    _originals: dict[str, list[QaRecord]] = field(default_factory=dict, repr=False)
+    _cps: dict[str, QaRecord] = field(default_factory=dict, repr=False)
 
-    def stratum(self, category: str, variant: str) -> ConsistencyScores:
-        key = f"{category}/{variant}"
-        if key not in self.strata:
-            self.strata[key] = ConsistencyScores(category, variant)
-        return self.strata[key]
+    @property
+    def orphans(self) -> list[str]:
+        """Originals whose contrapositive has not been read."""
+        return [r.qa_id for waiting in self._originals.values() for r in waiting]
+
+    def add(self, record: QaRecord, predictions: Mapping[str, str]) -> None:
+        """Take the next record; a pair is scored once both halves are read."""
+        pairs = []
+        if record.task == TASK_FV and not record.is_contrapositive \
+                and record.cp_link is not None:
+            partner = self._cps.pop(record.cp_link, None)
+            if partner is None:
+                self._originals.setdefault(record.cp_link, []).append(record)
+            else:
+                pairs.append((record, partner))
+        originals = self._originals.pop(record.qa_id, [])
+        if not originals and record.is_contrapositive:
+            self._cps[record.qa_id] = record
+        for original, partner in pairs + [(original, record) for original in originals]:
+            key = f"{original.category}/{original.variant}"
+            scores = self.strata.get(key)
+            if scores is None:
+                scores = self.strata[key] = ConsistencyScores(original.category,
+                                                              original.variant)
+            scores.n_pairs += 1
+            p_ori = extract_answer(predictions.get(original.qa_id), TASK_FV, original.variant)
+            p_cp = extract_answer(predictions.get(partner.qa_id), TASK_FV, partner.variant)
+            if p_ori == original.gold:
+                scores.n_original_correct += 1
+            if p_cp == partner.gold:
+                scores.n_cp_correct += 1
+            if p_ori is not None and p_cp is not None and p_cp == INVERSE_ANSWER[p_ori]:
+                scores.n_consistent += 1
 
     def to_dict(self) -> dict:
         return {
@@ -220,30 +252,14 @@ class ConsistencyReport:
         }
 
 
-def consistency_report(records: Sequence[QaRecord],
+def consistency_report(records: Iterable[QaRecord],
                        predictions: Mapping[str, str]) -> ConsistencyReport:
     """Pair yes/no originals with their contrapositives and measure how often
     a responder answers them oppositely (both must parse to count).
     """
-    by_id = {r.qa_id: r for r in records}
     report = ConsistencyReport()
     for record in records:
-        if record.task != TASK_FV or record.is_contrapositive or record.cp_link is None:
-            continue
-        partner = by_id.get(record.cp_link)
-        if partner is None:
-            report.orphans.append(record.qa_id)
-            continue
-        scores = report.stratum(record.category, record.variant)
-        scores.n_pairs += 1
-        p_ori = extract_answer(predictions.get(record.qa_id), TASK_FV, record.variant)
-        p_cp = extract_answer(predictions.get(partner.qa_id), TASK_FV, partner.variant)
-        if p_ori == record.gold:
-            scores.n_original_correct += 1
-        if p_cp == partner.gold:
-            scores.n_cp_correct += 1
-        if p_ori is not None and p_cp is not None and p_cp == INVERSE_ANSWER[p_ori]:
-            scores.n_consistent += 1
+        report.add(record, predictions)
     return report
 
 

@@ -34,10 +34,8 @@ from .errors import (
 from .evaluate import (
     ConsistencyReport,
     EvalReport,
-    consistency_report,
     format_report_table,
     read_predictions,
-    score_records,
 )
 from .ngt import NgtTable, extract_ngt, read_ngt, write_ngt
 from .rewrite import (
@@ -51,7 +49,7 @@ from .rulegen import (
     RulegenConfig,
     assemble_dataset,
     generate_rule_dataset,
-    read_dataset,
+    iter_dataset,
     recomputable,
     write_dataset,
 )
@@ -124,8 +122,9 @@ class PipelineConfig(RulegenConfig):
             raise ConfigError("service_temperature must be a finite number or null, "
                               f"got {self.service_temperature!r}")
         super().__post_init__()
-        if self.solver_tol <= 0:
-            raise ConfigError("solver_tol must be positive")
+        for key in ("solver_tol", "service_timeout"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)!r}")
         object.__setattr__(self, "excluded_labels", tuple(
             str(label).strip().lower() for label in self.excluded_labels
         ))
@@ -378,18 +377,19 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
 def run_score(dataset_path: str | Path, predictions_path: str | Path,
               out_path: str | Path | None = None,
               ) -> tuple[EvalReport, ConsistencyReport, str]:
-    """Score a predictions file against a dataset; returns the reports and an
-    aligned text table, optionally writing the combined JSON report.  A
-    record that cannot be scored raises :class:`SchemaViolationError` naming
-    the dataset file and the record."""
-    records = read_dataset(dataset_path)
+    """Score a predictions file against a dataset, read once a line at a
+    time into both reports; returns them and an aligned text table,
+    optionally writing the combined JSON report.  A record that cannot be
+    scored raises :class:`SchemaViolationError` naming file, line and record."""
     predictions = read_predictions(predictions_path)
-    try:
-        report = score_records(records, predictions)
-    except SchemaViolationError as exc:
-        raise SchemaViolationError(f"{dataset_path}: {exc}") from None
-    consistency = consistency_report(records, predictions)
-    variants = sorted({r.variant for r in records})
+    report, consistency = EvalReport(), ConsistencyReport()
+    for line, record in iter_dataset(dataset_path):
+        try:
+            report.add(record, predictions.get(record.qa_id))
+        except SchemaViolationError as exc:
+            raise SchemaViolationError(f"{dataset_path}:{line}: {exc}") from None
+        consistency.add(record, predictions)
+    variants = sorted({scores.variant for scores in report.strata.values()})
     tables = [
         f"[variant: {variant}]\n{format_report_table(report, variant=variant)}"
         for variant in variants
@@ -407,22 +407,29 @@ def run_selfcheck(dataset_path: str | Path,
                   ngt_dir: str | Path | None = None,
                   approx_band: float = DEFAULT_APPROX_BAND,
                   n_options: int = 5) -> SelfCheckResult:
-    """Audit a dataset; with a table directory the stored answers are also
-    re-derived from ground truth, using ``approx_band`` (the generating
-    ``approx_band_in``) for "approximately equal".  PM letters are checked
+    """Audit a dataset in one pass; with a table directory the stored answers
+    are also re-derived from ground truth, using ``approx_band`` (the
+    generating ``approx_band_in``) for "approximately equal", and the scenes
+    it has no table for are raised after the pass.  PM letters are checked
     for balance over ``n_options`` choices."""
-    records = read_dataset(dataset_path)
-    tables = None
-    if ngt_dir is not None:
-        tables = {table.scene_id: table for table in _load_tables(Path(ngt_dir))}
-        needed = {r.scene_id for r in records if recomputable(r)}
-        missing = sorted(needed - set(tables))
-        if missing:
-            raise FileNotFoundError(
-                f"no ground-truth table for scenes: {missing[:5]}"
-            )
-    return selfcheck(records, tables=tables, approx_band=approx_band,
-                     n_options=n_options)
+    tables = None if ngt_dir is None else {
+        table.scene_id: table for table in _load_tables(Path(ngt_dir))}
+    missing: set[str] = set()
+
+    def records():
+        for _, record in iter_dataset(dataset_path):
+            if tables is not None and record.scene_id not in tables \
+                    and recomputable(record):
+                missing.add(record.scene_id)
+            yield record
+
+    result = selfcheck(records(), tables=tables, approx_band=approx_band,
+                       n_options=n_options)
+    if missing:
+        raise FileNotFoundError(
+            f"no ground-truth table for scenes: {sorted(missing)[:5]}"
+        )
+    return result
 
 
 def apply_overrides(cfg: PipelineConfig, **overrides) -> PipelineConfig:

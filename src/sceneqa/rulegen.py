@@ -28,7 +28,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -244,9 +244,15 @@ def write_dataset(records: Iterable[QaRecord], path: str | Path) -> int:
     return write_jsonl((r.to_dict() for r in records), path)
 
 
-def read_dataset(path: str | Path) -> list[QaRecord]:
+def iter_dataset(path: str | Path) -> Iterator[tuple[int, QaRecord]]:
+    """``(line number, record)`` for each row of a dataset file, one at a time."""
     source = str(path)
-    return [record_from_dict(row, source, line) for line, row in read_jsonl(path)]
+    for line, row in read_jsonl(path):
+        yield line, record_from_dict(row, source, line)
+
+
+def read_dataset(path: str | Path) -> list[QaRecord]:
+    return [record for _, record in iter_dataset(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -871,13 +877,13 @@ def generate_rule_dataset(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StratumBalance:
-    total: int
-    answers: dict[str, int]
-    original_answers: dict[str, int]
-    cp_answers: dict[str, int]
-    template_usage: dict[str, int]
+    total: int = 0
+    answers: dict[str, int] = field(default_factory=dict)
+    original_answers: dict[str, int] = field(default_factory=dict)
+    cp_answers: dict[str, int] = field(default_factory=dict)
+    template_usage: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -891,7 +897,26 @@ class StratumBalance:
 
 @dataclass(frozen=True)
 class BalanceReport:
-    strata: dict[str, StratumBalance]
+    strata: dict[str, StratumBalance] = field(default_factory=dict)
+
+    def add(self, rec: QaRecord) -> None:
+        """Count one record into its stratum."""
+        key = stratum_key(rec)
+        s = self.strata.get(key)
+        if s is None:
+            s = self.strata[key] = StratumBalance()
+        if rec.task == TASK_NI:
+            label = "numeric"
+        else:
+            # a record without a gold token is tallied under its answer
+            label = rec.gold if rec.gold is not None else rec.answer
+        s.total += 1
+        s.answers[label] = s.answers.get(label, 0) + 1
+        if rec.task == TASK_FV:
+            side = s.cp_answers if rec.is_contrapositive else s.original_answers
+            side[label] = side.get(label, 0) + 1
+        if rec.template_id is not None:
+            s.template_usage[rec.template_id] = s.template_usage.get(rec.template_id, 0) + 1
 
     def to_dict(self) -> dict:
         return {key: self.strata[key].to_dict() for key in sorted(self.strata)}
@@ -902,29 +927,10 @@ def stratum_key(record: QaRecord) -> str:
 
 
 def build_balance_report(records: Iterable[QaRecord]) -> BalanceReport:
-    buckets: dict[str, list[QaRecord]] = {}
+    report = BalanceReport()
     for rec in records:
-        buckets.setdefault(stratum_key(rec), []).append(rec)
-    strata = {}
-    for key, recs in buckets.items():
-        answers: dict[str, int] = {}
-        originals: dict[str, int] = {}
-        cps: dict[str, int] = {}
-        usage: dict[str, int] = {}
-        for rec in recs:
-            if rec.task == TASK_NI:
-                label = "numeric"
-            else:
-                # a record without a gold token is tallied under its answer
-                label = rec.gold if rec.gold is not None else rec.answer
-            answers[label] = answers.get(label, 0) + 1
-            if rec.task == TASK_FV:
-                side = cps if rec.is_contrapositive else originals
-                side[label] = side.get(label, 0) + 1
-            if rec.template_id is not None:
-                usage[rec.template_id] = usage.get(rec.template_id, 0) + 1
-        strata[key] = StratumBalance(len(recs), answers, originals, cps, usage)
-    return BalanceReport(strata)
+        report.add(rec)
+    return report
 
 
 def balance_violations(report: BalanceReport, n_options: int = 5) -> list[str]:

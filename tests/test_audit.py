@@ -335,6 +335,41 @@ class TestSelfCheckCorruptions:
         assert any(line.startswith("schema: FAILED") for line in lines)
 
 
+class TestSelfCheckLinkShapes:
+    """Links the one-pass walk must not report as missing: each names a
+    record that was read, paired and let go before the link was read."""
+
+    def test_duplicate_id_with_a_changed_cp_link(self, dataset):
+        records, _ = dataset
+        first = records[0]
+        elsewhere = next(r.qa_id for r in records[2:] if r.task == TASK_FV
+                         and r.is_contrapositive)
+        duplicate = dataclasses.replace(first, cp_link=elsewhere)
+        result = selfcheck(list(records) + [duplicate])
+        # links name the first record with an id; the repeat is only a duplicate
+        assert pinned(result) == {
+            "schema": [f"{first.qa_id}: duplicate qa_id"],
+            "cp_involution": [],
+            "ni_display": [],
+        }
+
+    def test_link_to_a_record_already_paired_with_another(self, dataset):
+        records, _ = dataset
+        idx = max(i for i, r in enumerate(records) if r.task == TASK_FV
+                  and not r.is_contrapositive)
+        rid, partner, taken = records[idx].qa_id, records[idx].cp_link, records[0].cp_link
+        corrupted = swap(records, idx, cp_link=taken)
+        result = selfcheck(corrupted)
+        assert pinned(result) == {
+            "schema": [],
+            "cp_involution": [
+                f"{rid}: cp_link {taken!r} names a record paired elsewhere or not yes/no",
+                f"{partner}: link not mutual ({rid} -> {taken!r})",
+            ],
+            "ni_display": [],
+        }
+
+
 class TestResponders:
     def test_oracle_scores_perfectly(self, dataset, tables):
         records, _ = dataset

@@ -323,6 +323,19 @@ class TestConsistency:
         assert report.orphans == ["s0-fv-quantity-00000"]
         assert report.strata == {}
 
+    def test_contrapositive_read_first_still_pairs(self):
+        records = [
+            make_record("s0-fv-quantity-00000-cp", TASK_FV, "no",
+                        cp_link="s0-fv-quantity-00000"),
+            make_record("s0-fv-quantity-00000", TASK_FV, "yes",
+                        cp_link="s0-fv-quantity-00000-cp"),
+        ]
+        predictions = {"s0-fv-quantity-00000": "yes", "s0-fv-quantity-00000-cp": "no"}
+        report = consistency_report(iter(records), predictions)
+        assert report.strata["quantity/plain"].n_pairs == 1
+        assert report.strata["quantity/plain"].consistency == 1.0
+        assert report.orphans == []
+
     def test_dataset_fixture_pairs_fully(self, dataset):
         records, _ = dataset
         predictions = {r.qa_id: r.gold for r in records

@@ -6,6 +6,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,8 @@ from sceneqa.pipeline import (
     load_config,
     run_extract,
     run_generate,
+    run_score,
+    run_selfcheck,
     run_synth,
 )
 from sceneqa.rulegen import read_dataset
@@ -290,6 +293,56 @@ class TestCliEndToEnd:
         assert consistency["delta"] == 0.0
 
 
+class TestOnePassStages:
+    """score and selfcheck read the dataset once, a line at a time, so the
+    order of its rows changes nothing they report."""
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "dangling-cp-link"])
+    def test_shuffled_dataset_scores_and_audits_the_same(self, cli_run, tmp_path, corrupt):
+        rows = [json.loads(line) for line in cli_run["dataset"].read_text().splitlines()]
+        if corrupt:
+            victim = next(r for r in rows if r["task"] == "fv" and "-cp" not in r["qa_id"])
+            victim["cp_link"] = "s9-fv-quantity-99999-cp"
+        shuffled = list(rows)
+        random.Random(SEED).shuffle(shuffled)
+        predictions = tmp_path / "predictions.jsonl"
+        # right, wrong and missing answers
+        write_jsonl([{"qa_id": r["qa_id"], "output": r["answer"] if i % 3 else "yes"}
+                     for i, r in enumerate(rows) if i % 7], predictions)
+        outcomes = []
+        for name, dataset_rows in (("ordered", rows), ("shuffled", shuffled)):
+            dataset, report = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.report.json"
+            write_jsonl(dataset_rows, dataset)
+            run_score(dataset, predictions, out_path=report)
+            audit = run_selfcheck(dataset, ngt_dir=cli_run["ngt_dir"])
+            outcomes.append((report.read_bytes(), {check: sorted(failures) for check, failures
+                                                   in audit.checks.items()}))
+        assert outcomes[1] == outcomes[0]
+        report, checks = json.loads(outcomes[0][0]), outcomes[0][1]
+        if corrupt:
+            assert report["consistency"]["orphans"] == [victim["qa_id"]]
+            assert checks["cp_involution"] == sorted([
+                f"{victim['qa_id']}: cp_link 's9-fv-quantity-99999-cp' not in dataset",
+                f"{victim['qa_id']}-cp: link not mutual "
+                f"({victim['qa_id']} -> 's9-fv-quantity-99999-cp')",
+            ])
+        else:
+            assert report["consistency"]["orphans"] == []
+            assert not any(checks.values()), checks
+
+    def test_score_names_the_line_of_a_record_of_an_unknown_task(self, cli_run, tmp_path,
+                                                                   capsys):
+        rows = [json.loads(text) for text in
+                cli_run["dataset"].read_text().splitlines()[:3]]
+        rows[1]["task"] = "truthiness"
+        dataset, predictions = tmp_path / "dataset.jsonl", tmp_path / "predictions.jsonl"
+        write_jsonl(rows, dataset)
+        write_jsonl([], predictions)
+        assert main(["score", "--dataset", str(dataset), "--predictions", str(predictions)]) == 3
+        assert (f"{dataset}:2: {rows[1]['qa_id']}: unknown task 'truthiness'"
+                in capsys.readouterr().err)
+
+
 class TestDeterminism:
     def run_pipeline(self, cli_run, tmp_path_factory, jobs: str | None):
         out = tmp_path_factory.mktemp("rerun")
@@ -499,6 +552,17 @@ class TestCliErrors:
         assert f"{key} must be" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.scene.json"))
 
+    @pytest.mark.parametrize("value", ["-1.0", "0.0", "0"])
+    def test_service_timeout_must_be_positive(self, tmp_path, capsys, value):
+        """A timeout of zero or less is refused naming the key (exit 2),
+        not found out as an unreachable service after every retry."""
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"seed": {SEED}, "synth_scenes": 1, "service_timeout": {value}}}')
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "service_timeout must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.scene.json"))
+
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "config.json"
         write_json({"sede": 1}, config)
@@ -599,6 +663,20 @@ class TestCliErrors:
                      "--ngt-dir", str(cli_run["ngt_dir"])])
         assert code == 5
         assert "selfcheck: FAILED" in capsys.readouterr().out
+
+    def test_selfcheck_names_a_scene_without_a_table(self, cli_run, tmp_path, capsys):
+        """A table directory that lacks a scene's table is an input error
+        (exit 3) naming the scene."""
+        tables = sorted(cli_run["ngt_dir"].glob("*.ngt.json"))
+        partial = tmp_path / "ngt"
+        partial.mkdir()
+        for path in tables[1:]:
+            (partial / path.name).write_bytes(path.read_bytes())
+        missing = tables[0].name.removesuffix(".ngt.json")
+        code = main(["selfcheck", "--dataset", str(cli_run["dataset"]),
+                     "--ngt-dir", str(partial)])
+        assert code == 3
+        assert f"no ground-truth table for scenes: [{missing!r}]" in capsys.readouterr().err
 
     def test_selfcheck_reports_a_numeric_record_without_ground_truth(
             self, cli_run, tmp_path, capsys):

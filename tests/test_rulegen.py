@@ -34,6 +34,7 @@ from sceneqa.rulegen import (
     build_schedules,
     gen_cot_variant,
     generate_rule_dataset,
+    iter_dataset,
     read_dataset,
     record_from_dict,
     referent_values,
@@ -458,6 +459,14 @@ class TestSerialization:
         n = write_dataset(records, path)
         assert n == len(records)
         assert read_dataset(path) == list(records)
+
+    def test_iter_dataset_numbers_every_line(self, dataset, tmp_path):
+        records, _ = dataset
+        path = tmp_path / "dataset.jsonl"
+        write_dataset(records[:2], path)
+        lines = path.read_text().splitlines()
+        path.write_text(f"{lines[0]}\n\n{lines[1]}\n")
+        assert list(iter_dataset(path)) == [(1, records[0]), (3, records[1])]
 
     def test_missing_key_names_source(self):
         row = {"qa_id": "x"}
