@@ -202,13 +202,15 @@ def load_config(path: str | Path) -> PipelineConfig:
 _WORKER_START_S = 0.5
 
 # Scene time per unit of size, for choosing a pool before any scene has run.
-# BENCH_11.json ("size_rates", same host) measured 0.51-0.93 us per point
-# for synth and 14-26 ns per scene-file byte for extract on scenes of 0.2-2
-# million points, the lower figures on the larger scenes (legacy text-point
-# files take 40-47 ns per byte).  Both constants sit near the low end, so
-# the estimate tends to fall below the real time and to err towards running
-# serially.
-_SYNTH_S_PER_POINT = 0.6e-6
+# For extract, BENCH_11.json ("size_rates", same host) measured 14-26 ns per
+# scene-file byte on scenes of 0.2-2 million points, the lower figures on the
+# larger scenes (legacy text-point files take 40-47 ns per byte).  Synth,
+# with the scene file streamed, measured 0.21-0.43 us per point on scenes of
+# 0.2-2 million points (BENCH_19.json "synth_rates"; it was 0.51-0.93 while
+# the writer built the whole document).  Both constants sit near the low
+# end, so the estimate tends to fall below the real time and to err towards
+# running serially.
+_SYNTH_S_PER_POINT = 0.25e-6
 _EXTRACT_S_PER_BYTE = 15e-9
 
 

@@ -34,7 +34,7 @@ from .errors import (
     MalformedFileError,
     SchemaViolationError,
 )
-from .util import read_json, write_json
+from .util import _encode_str, _write_replacing, read_json
 
 DEFAULT_EXCLUDED_LABELS = frozenset({"item", "object"})
 
@@ -166,20 +166,42 @@ def load_scene(path: str | Path) -> Scene:
     return scene_from_dict(read_json(path), source=str(path))
 
 
+# Coordinates are encoded this many bytes at a time: a whole number of points
+# (24 bytes each) and so of base64's 3-byte groups, which makes the slices'
+# base64 join into the base64 of the whole instance.
+_PACK_SLICE_BYTES = 24 * 4096
+
+
 def write_scene(scene: Scene, path: str | Path) -> None:
     """Write ``scene`` as native JSON, replacing ``path`` only once complete.
 
     The document is ``{"scene_id", "instances": [{"instance_id", "label",
-    "points_b64"}, ...]}``, written by :func:`sceneqa.util.write_json` as
-    ``json.dumps(doc, indent=2, ensure_ascii=False)`` plus a newline.  Packed
-    float64 is about a third the size of the points as JSON text and needs no
-    per-coordinate formatting or parsing.
+    "points_b64"}, ...]}``, where ``points_b64`` is the base64 of the
+    instance's row-major ``<f8`` coordinates.  Packed float64 is about a third
+    the size of the points as JSON text and needs no per-coordinate
+    formatting or parsing.
+
+    The text is exactly ``json.dumps(doc, indent=2, ensure_ascii=False)``
+    plus a newline, but it is streamed: one instance at a time, its base64 a
+    :data:`_PACK_SLICE_BYTES` slice at a time.  So beyond the scene itself
+    the writer holds one slice's encodings, not the whole document.
     """
-    write_json({"scene_id": scene.scene_id, "instances": [
-        {"instance_id": inst.instance_id, "label": inst.label, "points_b64":
-         base64.b64encode(inst.points.coords.astype("<f8").tobytes()).decode("ascii")}
-        for inst in scene.instances
-    ]}, path)
+    def write(fh) -> None:
+        fh.write(f'{{\n  "scene_id": {_encode_str(scene.scene_id)},\n  "instances": [')
+        separator = "\n"
+        for inst in scene.instances:
+            fh.write(f'{separator}    {{\n'
+                     f'      "instance_id": {_encode_str(inst.instance_id)},\n'
+                     f'      "label": {_encode_str(inst.label)},\n'
+                     f'      "points_b64": "')
+            packed = memoryview(np.ascontiguousarray(inst.points.coords, "<f8")).cast("B")
+            for start in range(0, len(packed), _PACK_SLICE_BYTES):
+                fh.write(base64.b64encode(packed[start:start + _PACK_SLICE_BYTES]).decode("ascii"))
+            fh.write('"\n    }')
+            separator = ",\n"
+        fh.write("\n  ]\n}\n")
+
+    _write_replacing(path, write)
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +265,18 @@ def read_ply_vertices(path: str | Path) -> np.ndarray:
             raise MalformedFileError(f"{path}: vertex element lacks property {axis!r}")
 
     if fmt == "ascii":
-        text = raw[data_start:].decode("ascii", errors="replace").split("\n")
-        rows = []
-        for line in text:
-            if line.strip():
-                rows.append(line.split())
-            if len(rows) == n_vertices:
-                break
+        # The vertex rows are the first n_vertices lines that are not blank.
+        lines = raw[data_start:].decode("ascii", errors="replace").split("\n")
+        rows = list(itertools.islice(filter(str.strip, lines), n_vertices))
         if len(rows) < n_vertices:
             raise MalformedFileError(f"{path}: truncated vertex data")
-        cols = [prop_names.index(a) for a in ("x", "y", "z")]
+        if not rows:
+            return np.empty((0, 3))
         try:
-            out = np.array(
-                [[float(r[c]) for c in cols] for r in rows], dtype=np.float64
-            )
-        except (ValueError, IndexError) as exc:
+            return np.loadtxt(rows, usecols=[prop_names.index(a) for a in "xyz"],
+                              comments=None, ndmin=2)
+        except ValueError as exc:
             raise MalformedFileError(f"{path}: bad vertex row: {exc}") from exc
-        return out
 
     dtype = np.dtype(
         [(name, "<" + _PLY_NUMPY_TYPES[typ]) for name, typ in vertex_props]

@@ -6,6 +6,7 @@ import pickle
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from sceneqa.errors import (
 )
 from sceneqa.pipeline import PipelineConfig, run_extract
 from sceneqa.scene import (
+    _PACK_SLICE_BYTES,
     BoxSpec,
     DEFAULT_EXCLUDED_LABELS,
     Instance,
@@ -106,6 +108,19 @@ def scenes(draw):
         _TRICKY_TEXT.filter(lambda t: t.strip()), min_size=len(ids), max_size=len(ids)))
     return Scene(draw(_TRICKY_TEXT), tuple(
         Instance(iid, label, PointSet(draw(_ROWS))) for iid, label in zip(ids, labels)
+    ))
+
+
+# Points in one slice of the writer's base64.
+SLICE_POINTS = _PACK_SLICE_BYTES // 24
+
+
+def sliced_scene(*sizes):
+    """A scene with one instance of each point count in ``sizes``."""
+    rng = np.random.default_rng(len(sizes))
+    return Scene("sliced", tuple(
+        Instance(f"i{k}", "box", PointSet(rng.normal(size=(n, 3)) * 1e3))
+        for k, n in enumerate(sizes)
     ))
 
 
@@ -280,6 +295,11 @@ class TestSceneInterchange:
     @given(scenes())
     @example(Scene('"\\', (Instance("\x00\u2028", "é 漢", PointSet(
         [[-0.0, 5e-324, 1e-05], [1e16, 1e300, -1e300], [1.0, 2.0, -3.0]])),)))
+    @example(sliced_scene(SLICE_POINTS))                 # exactly one slice
+    @example(sliced_scene(SLICE_POINTS - 1))             # a slice less 24 bytes
+    @example(sliced_scene(SLICE_POINTS + 1))             # a slice and 24 bytes
+    @example(sliced_scene(3 * SLICE_POINTS + 5, 2))      # several slices
+    @example(sliced_scene(1))                            # a single point
     def test_written_bytes_equal_json_dumps_of_the_document(self, scene):
         assert written_bytes(scene) == reference_bytes(scene)
 
@@ -310,6 +330,41 @@ class TestSceneInterchange:
             write_scene(make_scene(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["toy.scene.json"]
+
+    def test_write_interrupted_inside_an_instance_keeps_previous_file(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "toy.scene.json"
+        write_scene(make_scene(), path)
+        before = path.read_bytes()
+        encoded = []
+        real = base64.b64encode
+
+        def b64encode(data):
+            encoded.append(len(data))
+            if len(encoded) == 3:   # the second instance's second slice
+                raise RuntimeError("interrupted")
+            return real(data)
+
+        monkeypatch.setattr(base64, "b64encode", b64encode)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_scene(sliced_scene(1, 2 * SLICE_POINTS), path)
+        assert encoded == [24, _PACK_SLICE_BYTES, _PACK_SLICE_BYTES]
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.scene.json"]
+
+    def test_write_holds_no_copy_of_the_scene(self, tmp_path):
+        # Streamed, the writer needs one slice's encodings; the allowance is
+        # one instance's coordinates plus 1 MiB.  Building the whole document
+        # took about five times the scene's coordinates.
+        scene = sliced_scene(*[50_000] * 4)
+        largest = max(inst.points.coords.nbytes for inst in scene.instances)
+        tracemalloc.start()
+        try:
+            write_scene(scene, tmp_path / "s.scene.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= largest + 2**20
 
 
 class TestPackedPoints:
@@ -438,6 +493,45 @@ class TestPlyReader:
         data = path.read_bytes()
         path.write_bytes(data[:-4])
         with pytest.raises(MalformedFileError, match="truncated"):
+            read_ply_vertices(path)
+
+    def test_ascii_coordinates_equal_python_float_parse(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(10_000, 3)) * 10.0 ** rng.integers(-12, 13, (10_000, 3))
+        formats = (repr, "{:.6f}".format, "{:.9e}".format, "{:g}".format)
+        rows = [[formats[(k + axis) % 4](v) for axis, v in enumerate(row)]
+                for k, row in enumerate(values.tolist())]
+        path = tmp_path / "m.ply"
+        path.write_bytes((
+            "ply\nformat ascii 1.0\n"
+            f"element vertex {len(rows)}\n"
+            "property float x\nproperty uchar red\nproperty float y\n"
+            "property float z\nproperty float nx\n"
+            "element face 1\nproperty list uchar int vertex_indices\n"
+            "end_header\n"
+            + "".join(f"{x} 7 {y} {z} 0.5\n" + ("\n" if k == 100 else "")
+                      for k, (x, y, z) in enumerate(rows))
+            + "3 0 1 2\n"
+        ).encode())
+        want = np.array([[float(v) for v in row] for row in rows])
+        got = read_ply_vertices(path)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    ASCII_HEADER = (b"ply\nformat ascii 1.0\nelement vertex 3\n"
+                    b"property float x\nproperty float y\nproperty float z\nend_header\n")
+
+    def test_truncated_ascii_rows(self, tmp_path):
+        path = tmp_path / "m.ply"
+        path.write_bytes(self.ASCII_HEADER + b"0 0 0\n\n1 1 1\n")
+        with pytest.raises(MalformedFileError, match="truncated"):
+            read_ply_vertices(path)
+
+    @pytest.mark.parametrize("row", [b"2 2", b"2 two 2"])
+    def test_bad_ascii_row(self, tmp_path, row):
+        path = tmp_path / "m.ply"
+        path.write_bytes(self.ASCII_HEADER + b"0 0 0\n1 1 1\n" + row + b"\n")
+        with pytest.raises(MalformedFileError, match="bad vertex row"):
             read_ply_vertices(path)
 
     def test_missing_axis_property(self, tmp_path):
