@@ -15,7 +15,7 @@ from sceneqa.rewrite import (
     RewriteJob,
     SaqItem,
     render_prompt,
-    rewrite_pm,
+    rewrite_job,
     run_rewrite_track,
     validate_pm_response,
 )
@@ -69,7 +69,7 @@ class Replay:
 
 always_bad = Replay(*["not even json"] * 5)
 try:
-    rewrite_pm(job, always_bad)
+    rewrite_job(job, always_bad)
 except ExhaustedAttemptsError as exc:
     print(f"\ngave up after {always_bad.call_count} calls;",
           f"per-attempt verdicts: {[v.reasons for v in exc.verdicts]}")
@@ -83,7 +83,7 @@ scripted = Replay(json.dumps({
                 "A) Berlin  B) Parris  C) Madrid  D) Rome",
     "Answer": "B",
 }))
-record = rewrite_pm(job, scripted)
+(record,), _ = rewrite_job(job, scripted)
 print("\naccepted rewrite")
 print("  question:", record.question)
 print("  answer:  ", record.answer)

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .errors import ConfigError, SceneQaError
 from .pipeline import (
+    CONFIG_KEYS,
     PipelineConfig,
     apply_overrides,
     load_config,
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--config", help="JSON configuration file")
         sp.add_argument("--seed", type=int, help="master seed override")
-        sp.add_argument("--out", help="output directory override")
+        sp.add_argument("--out", dest="out_dir", help="output directory override")
         sp.add_argument("--jobs", type=int,
                         help="most worker processes for per-scene synth and "
                              "extract; workers start only when the per-scene "
@@ -60,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="write synthetic scenes with analytic ground truth")
     add_common(sp)
-    sp.add_argument("--count", type=int, help="number of scenes to synthesize")
+    sp.add_argument("--count", type=int, dest="synth_scenes",
+                    help="number of scenes to synthesize")
 
     sp = sub.add_parser("extract", help="extract ground-truth tables from scenes")
     add_common(sp)
@@ -91,20 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _configure(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    overrides = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "jobs": args.jobs,
-    }
-    if getattr(args, "scenes", None) is not None:
-        overrides["scenes"] = args.scenes
-    if getattr(args, "ngt_dir", None) is not None:
-        overrides["ngt_dir"] = args.ngt_dir
-    if getattr(args, "stub_llm", None) is not None:
-        overrides["stub_llm"] = args.stub_llm
-    if getattr(args, "count", None) is not None:
-        overrides["synth_scenes"] = args.count
-    return apply_overrides(cfg, **overrides)
+    return apply_overrides(cfg, **{key: value for key, value in vars(args).items()
+                                   if key in CONFIG_KEYS})
 
 
 def _dataset_path(args: argparse.Namespace, cfg: PipelineConfig) -> Path:

@@ -4,7 +4,9 @@ Everything raised on purpose derives from :class:`SceneQaError` so callers can
 catch one base class at pipeline boundaries.  Each class carries the exit
 code the command line returns for it as ``exit_code``: 1 for an unexpected
 failure, 2 for configuration, 3 for unreadable or inconsistent input, and 4
-for a generation shortfall.
+for a generation shortfall.  A point cloud that is not an (n, 3) block of
+finite numbers is a :class:`SchemaViolationError`, whether it was read from
+a scene file or handed to the geometry functions as an array.
 """
 
 from __future__ import annotations
@@ -37,11 +39,6 @@ class InconsistentTripletError(SceneQaError):
 
 class InvalidSpecError(SceneQaError):
     """A synthetic-scene specification is unsatisfiable (bad dims, counts...)."""
-    exit_code = 3
-
-
-class DegenerateInputError(SceneQaError):
-    """An operation received geometry it cannot work with (e.g. empty set)."""
     exit_code = 3
 
 

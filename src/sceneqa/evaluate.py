@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SchemaViolationError
-from .rulegen import INVERSE_ANSWER, QaRecord, VARIANT_PLAIN, extract_answer
+from .rulegen import INVERSE_ANSWER, QaRecord, VARIANT_PLAIN, extract_answer, stratum_key
 from .templates import (
     CAT_DISTANCE,
     CAT_NON_NUMERIC,
@@ -118,7 +118,7 @@ class EvalReport:
         task, category, variant = record.task, record.category, record.variant
         if task not in TASKS:
             raise SchemaViolationError(f"{record.qa_id}: unknown task {task!r}")
-        key = f"{task}/{category}/{variant}"
+        key = stratum_key(record)
         scores = self.strata.get(key)
         if scores is None:
             ta_hits = dict.fromkeys(TA_THRESHOLDS, 0) if task == TASK_NI else {}

@@ -17,10 +17,12 @@ Hull distance comes in two independent implementations:
 Both treat a point set's convex hull implicitly; intersecting hulls yield a
 distance of exactly 0.0.
 
-A :class:`PointSet` is checked once and keeps its per-axis bounds from then
-on.  :func:`aabb` and :func:`hull_distance` read those stored bounds, so an
-instance measured once and solved against 40 others reduces its coordinates
-once, not once per pair.
+A :class:`PointSet` is the one checked form of a point cloud.  Every function
+here takes one, or turns any other input into one first, so a bad raw array
+raises the same :class:`SchemaViolationError` with the same text as a bad
+cloud in a scene file.  A point set keeps its per-axis bounds, so an instance
+measured once and solved against 40 others reduces its coordinates once, not
+once per pair.
 """
 
 from __future__ import annotations
@@ -30,37 +32,33 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import DegenerateInputError, NotConvergedError, SchemaViolationError
+from .errors import NotConvergedError, SchemaViolationError
 
 DEFAULT_TOL = 1e-9
-
-
-def _check_coords(arr: np.ndarray, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``arr`` is an (n, 3) block of finite values, n >= 1."""
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise error(f"point set must have shape (n, 3), got {arr.shape}")
-    if arr.shape[0] < 1:
-        raise error("point set must contain at least one point")
-    if not np.all(np.isfinite(arr)):
-        raise error("point set contains non-finite coordinates")
 
 
 class PointSet:
     """An immutable (n, 3) block of finite float64 coordinates, n >= 1.
 
     This is the one checked form of a point cloud: the functions below take
-    its coordinates as they are and check only inputs of any other type.  Its
-    per-axis minimum and maximum are computed once, here, and kept read-only
-    beside the coordinates, so :func:`aabb` and every :func:`hull_distance`
-    solve that the cloud takes part in read them instead of reducing the
-    array again.
+    its coordinates as they are and build one from an input of any other
+    type.  Its per-axis minimum and maximum are computed once, here, and kept
+    read-only beside the coordinates, so :func:`aabb` and every
+    :func:`hull_distance` solve that the cloud takes part in read them
+    instead of reducing the array again.
     """
 
     __slots__ = ("_coords", "_lo", "_hi")
 
     def __init__(self, coords):
         arr = np.array(coords, dtype=np.float64, order="C")
-        _check_coords(arr, SchemaViolationError)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise SchemaViolationError(
+                f"point set must have shape (n, 3), got {arr.shape}")
+        if arr.shape[0] < 1:
+            raise SchemaViolationError("point set must contain at least one point")
+        if not np.all(np.isfinite(arr)):
+            raise SchemaViolationError("point set contains non-finite coordinates")
         lo, hi = arr.min(axis=0), arr.max(axis=0)
         for block in (arr, lo, hi):
             block.setflags(write=False)
@@ -95,26 +93,8 @@ class PointSet:
         return f"PointSet(n={len(self)})"
 
 
-def as_coords(points) -> np.ndarray:
-    """The (n, 3) float64 coordinates of a :class:`PointSet` or an array.
-
-    A :class:`PointSet` was checked when it was built and is returned as is;
-    any other input is checked here and raises :class:`DegenerateInputError`.
-    """
-    if isinstance(points, PointSet):
-        return points.coords
-    arr = np.ascontiguousarray(points, dtype=np.float64)
-    _check_coords(arr, DegenerateInputError)
-    return arr
-
-
-def _coords_and_bounds(points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`as_coords` plus the per-axis minimum and maximum: a
-    :class:`PointSet`'s stored bounds, or reduced from the checked array."""
-    if isinstance(points, PointSet):
-        return (points.coords, *points.bounds)
-    arr = as_coords(points)
-    return arr, arr.min(axis=0), arr.max(axis=0)
+def _point_set(points) -> PointSet:
+    return points if isinstance(points, PointSet) else PointSet(points)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +117,7 @@ class Aabb:
 
 
 def aabb(points) -> Aabb:
-    _, lo, hi = _coords_and_bounds(points)
+    lo, hi = _point_set(points).bounds
     return Aabb(tuple(lo.tolist()), tuple(hi.tolist()))
 
 
@@ -147,8 +127,7 @@ def aabb_volume(box: Aabb) -> float:
 
 
 def centroid(points) -> tuple[float, float, float]:
-    arr = as_coords(points)
-    c = arr.mean(axis=0)
+    c = _point_set(points).coords.mean(axis=0)
     return (float(c[0]), float(c[1]), float(c[2]))
 
 
@@ -328,15 +307,17 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
     ``10 * (len(a) + len(b)) + 100``) is hit before the sandwich bound closes;
     intersecting hulls return distance 0.0.
 
-    The bounding diagonal comes from each set's per-axis bounds: a
-    :class:`PointSet` carries them from construction, so a solve over two
-    point sets reduces neither array; any other input is checked and reduced
-    on every call.  Only the rows the solver touches (the first pair, each
+    Either input may be a :class:`PointSet` or anything that builds one; an
+    input that is not an (n, 3) block of finite numbers raises
+    :class:`SchemaViolationError`.  The bounding diagonal comes from each
+    set's stored per-axis bounds, so a solve over two point sets reduces
+    neither array.  Only the rows the solver touches (the first pair, each
     support pair and the final simplex) are converted to Python floats, so
     the per-call Python work does not grow with the number of points.
     """
-    arr_a, lo_a, hi_a = _coords_and_bounds(a)
-    arr_b, lo_b, hi_b = _coords_and_bounds(b)
+    a, b = _point_set(a), _point_set(b)
+    arr_a, (lo_a, hi_a) = a.coords, a.bounds
+    arr_b, (lo_b, hi_b) = b.coords, b.bounds
     na, nb = arr_a.shape[0], arr_b.shape[0]
 
     # sqrt of the dot product is what np.linalg.norm computes for a vector,
@@ -466,9 +447,10 @@ def hull_distance_oracle(a, b, tol: float = DEFAULT_TOL,
     ``64 * eps * max_p ||p||^2``; otherwise, and at the iteration cap, it
     raises :class:`NotConvergedError`.
     """
-    arr_a, arr_b = as_coords(a), as_coords(b)
-    lo = np.minimum(arr_a.min(axis=0), arr_b.min(axis=0))
-    hi = np.maximum(arr_a.max(axis=0), arr_b.max(axis=0))
+    a, b = _point_set(a), _point_set(b)
+    arr_a, (lo_a, hi_a) = a.coords, a.bounds
+    arr_b, (lo_b, hi_b) = b.coords, b.bounds
+    lo, hi = np.minimum(lo_a, lo_b), np.maximum(hi_a, hi_b)
     atol = tol * float(np.linalg.norm(hi - lo))
 
     P = (arr_a[:, None, :] - arr_b[None, :, :]).reshape(-1, 3)

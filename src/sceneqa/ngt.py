@@ -200,45 +200,35 @@ def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
     if not isinstance(raw_pairs, list) or not isinstance(raw_skipped, list):
         raise SchemaViolationError(f"{source}: 'pairs'/'skipped_pairs' must be lists")
 
-    instances = []
-    for pos, row in enumerate(raw_instances):
-        try:
-            instances.append(
-                InstanceMeasurement(
-                    instance_id=sys.intern(_string(row, "instance_id")),
-                    label=sys.intern(_string(row, "label")),
-                    centroid=_point(row, "centroid"),
-                    aabb_min=_point(row, "aabb_min"),
-                    aabb_max=_point(row, "aabb_max"),
-                    dims=_point(row, "dims"),
-                    volume=_number(row, "volume"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolationError(
-                f"{source}: instances[{pos}] malformed: {exc}"
-            ) from exc
+    def rows(name: str, raw: list, parse) -> list:
+        parsed = []
+        for pos, row in enumerate(raw):
+            try:
+                parsed.append(parse(row))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaViolationError(
+                    f"{source}: {name}[{pos}] malformed: {exc}") from exc
+        return parsed
 
+    instances = rows("instances", raw_instances, lambda row: InstanceMeasurement(
+        instance_id=sys.intern(_string(row, "instance_id")),
+        label=sys.intern(_string(row, "label")),
+        centroid=_point(row, "centroid"),
+        aabb_min=_point(row, "aabb_min"),
+        aabb_max=_point(row, "aabb_max"),
+        dims=_point(row, "dims"),
+        volume=_number(row, "volume"),
+    ))
     ids = [inst.instance_id for inst in instances]
     if len(set(ids)) != len(ids):
         raise SchemaViolationError(f"{source}: duplicate instance ids")
 
-    pairs: dict[tuple[str, str], float] = {}
-    for pos, row in enumerate(raw_pairs):
-        try:
-            key = pair_key(sys.intern(_string(row, "a")), sys.intern(_string(row, "b")))
-            pairs[key] = _number(row, "distance")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolationError(f"{source}: pairs[{pos}] malformed: {exc}") from exc
-    skipped = []
-    for pos, row in enumerate(raw_skipped):
-        try:
-            skipped.append((sys.intern(_string(row, "a")), sys.intern(_string(row, "b")),
-                            _string(row, "reason")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolationError(
-                f"{source}: skipped_pairs[{pos}] malformed: {exc}"
-            ) from exc
+    pairs = dict(rows("pairs", raw_pairs, lambda row: (
+        pair_key(sys.intern(_string(row, "a")), sys.intern(_string(row, "b"))),
+        _number(row, "distance"))))
+    skipped = rows("skipped_pairs", raw_skipped, lambda row: (
+        sys.intern(_string(row, "a")), sys.intern(_string(row, "b")),
+        _string(row, "reason")))
 
     id_set = set(ids)
     expected = {pair_key(a, b) for a, b in itertools.combinations(sorted(id_set), 2)}

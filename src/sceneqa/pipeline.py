@@ -62,7 +62,7 @@ from .scene import (
     write_scene,
 )
 from .templates import DEFAULT_APPROX_BAND, TEMPLATE_BANK_VERSION
-from .util import derive_seed, finite_number, write_json, write_jsonl
+from .util import derive_seed, finite_number, read_json, write_json, write_jsonl
 
 FORMAT_VERSION = "1.0.0"
 
@@ -153,13 +153,13 @@ class PipelineConfig(RulegenConfig):
         return row
 
 
-_CONFIG_FIELDS = {f.name for f in fields(PipelineConfig)}
+CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
-    unknown = sorted(set(data) - _CONFIG_FIELDS)
+    unknown = sorted(set(data) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {unknown}")
     kwargs = dict(data)
@@ -175,8 +175,6 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    from .util import read_json
-
     if not Path(path).is_file():
         raise ConfigError(f"configuration file not found: {path}")
     try:

@@ -455,7 +455,7 @@ def validate_fv_response(text: str, job: RewriteJob) -> ValidationVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Rewrite loops
+# Rewrite loop
 # ---------------------------------------------------------------------------
 
 MAX_ATTEMPTS = 5
@@ -483,9 +483,12 @@ def _records(job: RewriteJob, payload: dict) -> tuple[QaRecord, ...]:
     )
 
 
-def _attempt_loop(job: RewriteJob, client: ServiceClient
-                  ) -> tuple[tuple[QaRecord, ...], list[ValidationVerdict]]:
-    """The job's records from the first valid response, with every verdict."""
+def rewrite_job(job: RewriteJob, client: ServiceClient
+                ) -> tuple[tuple[QaRecord, ...], list[ValidationVerdict]]:
+    """Rewrite one SAQ into its records (the PM record, or the FV original
+    and its contrapositive) from the first valid response, with every
+    attempt's verdict; raises :class:`ExhaustedAttemptsError` after
+    ``MAX_ATTEMPTS`` invalid ones."""
     validate = validate_pm_response if job.kind == TASK_PM else validate_fv_response
     verdicts: list[ValidationVerdict] = []
     for _ in range(MAX_ATTEMPTS):
@@ -499,18 +502,6 @@ def _attempt_loop(job: RewriteJob, client: ServiceClient
         f"(last: {verdicts[-1].reasons})",
         verdicts=verdicts,
     )
-
-
-def rewrite_pm(job: RewriteJob, client: ServiceClient) -> QaRecord:
-    """Rewrite one SAQ into a PM record; raises after ``MAX_ATTEMPTS`` failures."""
-    (record,), _ = _attempt_loop(job, client)
-    return record
-
-
-def rewrite_fv(job: RewriteJob, client: ServiceClient) -> tuple[QaRecord, QaRecord]:
-    """Rewrite one SAQ into an FV original/contrapositive pair."""
-    records, _ = _attempt_loop(job, client)
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +566,7 @@ def run_rewrite_track(
     result = RewriteTrackResult()
     for job in jobs:
         try:
-            records, verdicts = _attempt_loop(job, client)
+            records, verdicts = rewrite_job(job, client)
             result.records.extend(records)
             ok = True
         except ExhaustedAttemptsError as exc:

@@ -407,9 +407,6 @@ class _ValuePool:
         self.band_in = band_in
         self.band_out = band_out
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def _separated(self, i: int, j: int) -> bool:
         vi, vj = self.values[i], self.values[j]
         return vi != vj and abs(vi - vj) >= self.margin * max(abs(vi), abs(vj))
@@ -790,8 +787,7 @@ def _twin_selector(total: int, fraction: float):
     quota_r = ceil((T - r) / 10) <= ceil((total - r) / 10) = size_r.)
     """
     twins = int(round(fraction * total))
-    base, extra = divmod(twins, 10)
-    quotas = [base + (1 if r < extra else 0) for r in range(10)]
+    quotas = _split_quota(twins, 10)
     sizes = [(total - r + 9) // 10 if total > r else 0 for r in range(10)]
 
     def selected(k: int) -> bool:

@@ -10,6 +10,8 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from .errors import MalformedFileError, SceneQaError, SchemaViolationError
+
 _SEED_MASK = (1 << 63) - 1
 _FLOAT_MAX = sys.float_info.max
 
@@ -47,8 +49,6 @@ def render_count(value: float) -> str:
     Counts are integral by construction, so anything else is a logic error
     upstream and must not be silently rounded away.
     """
-    from .errors import SceneQaError
-
     rounded = round(float(value))
     if abs(float(value) - rounded) > 1e-9:
         raise SceneQaError(f"count value {value!r} is not integral")
@@ -147,8 +147,6 @@ def write_json(obj: Any, path: str | Path) -> None:
 
 
 def read_json(path: str | Path):
-    from .errors import MalformedFileError
-
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -175,8 +173,6 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     errors.  A line that is not JSON raises :class:`MalformedFileError`, and
     one that holds anything but an object raises
     :class:`SchemaViolationError`; both name the line."""
-    from .errors import MalformedFileError, SchemaViolationError
-
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()

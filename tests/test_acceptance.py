@@ -40,7 +40,7 @@ from sceneqa.rewrite import (
     EchoStubClient,
     RewriteJob,
     SaqItem,
-    rewrite_pm,
+    rewrite_job,
     run_rewrite_track,
 )
 from sceneqa.rulegen import (
@@ -358,7 +358,7 @@ def test_criterion_7_rewrite_stub(criterion, pm_track):
                          "option. A) Berlin  B) Parris  C) Madrid  D) Rome"),
             "Answer": "B",
         }))
-        record = rewrite_pm(job, scripted)
+        (record,), _ = rewrite_job(job, scripted)
         assert scripted.call_count == 1
         assert record.answer == "B"
         assert "B) Parris" in record.question
@@ -370,7 +370,7 @@ def test_criterion_7_rewrite_stub(criterion, pm_track):
                                              "Answer": "B"}),
                                  "never consumed")
         with pytest.raises(ExhaustedAttemptsError) as exc_info:
-            rewrite_pm(job, failing)
+            rewrite_job(job, failing)
         assert failing.call_count == 5
         assert len(exc_info.value.verdicts) == 5
 

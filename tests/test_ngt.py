@@ -7,9 +7,15 @@ import re
 import numpy as np
 import pytest
 
-from sceneqa.errors import EmptyAfterFilterError, SchemaViolationError
+from sceneqa import geometry
+from sceneqa.audit import selfcheck
+from sceneqa.errors import EmptyAfterFilterError, NotConvergedError, SchemaViolationError
 from sceneqa.ngt import extract_ngt, ngt_from_dict, ngt_to_dict, pair_key, read_ngt, write_ngt
+from sceneqa.rulegen import generate_rule_dataset
 from sceneqa.scene import Instance, PointSet, Scene
+from sceneqa.templates import CAT_DISTANCE, TASK_NI
+
+from conftest import MASTER_SEED
 
 
 def unit_box_points(offset):
@@ -170,3 +176,41 @@ class TestSerialization:
                 assert inst.aabb_max == expected.aabb_max
             assert len(table.pairs) == math.comb(len(table.instances), 2)
             assert table.skipped_pairs == ()
+
+
+class TestSkippedPair:
+    def test_an_unconverged_pair_is_skipped_end_to_end(self, scene_bank, tables, dataset,
+                                                      dataset_cfg, monkeypatch, tmp_path):
+        """A pair whose solve does not converge is recorded with its reason,
+        survives a file round trip, and no generated question names it."""
+        records, _ = dataset
+        victim = next(r for r in records if r.task == TASK_NI
+                      and r.category == CAT_DISTANCE and r.scene_id == "scene0000")
+        scene = scene_bank["scene0000"][0]
+        unique = tables["scene0000"].unique_label_instances()
+        ids = {unique[label].instance_id for label in victim.referents}
+        stuck = {id(inst.points) for inst in scene.instances if inst.instance_id in ids}
+        solve = geometry.hull_distance
+
+        def hull_distance(a, b, **kwargs):
+            if {id(a), id(b)} == stuck:
+                raise NotConvergedError("stalled on purpose", iterations=3, gap=0.5)
+            return solve(a, b, **kwargs)
+
+        monkeypatch.setattr(geometry, "hull_distance", hull_distance)
+        table = extract_ngt(scene)
+        a, b = sorted(ids)
+        assert table.skipped_pairs == ((a, b, "not_converged: stalled on purpose"),)
+        assert not table.has_pair(a, b)
+        assert len(table.pairs) == math.comb(len(table.instances), 2) - 1
+        write_ngt(table, tmp_path / "scene0000.ngt.json")
+        assert read_ngt(tmp_path / "scene0000.ngt.json") == table
+
+        bank = {**tables, "scene0000": table}
+        regenerated = generate_rule_dataset(list(bank.values()), dataset_cfg, MASTER_SEED)
+        # label pairs sit at even offsets: (a, b) for NI, (a, b, c, d) for FV
+        assert not any(r.scene_id == "scene0000" and r.category == CAT_DISTANCE
+                       and any(set(r.referents[k:k + 2]) == set(victim.referents)
+                               for k in range(0, len(r.referents), 2))
+                       for r in regenerated)
+        assert selfcheck(regenerated, tables=bank).ok

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -11,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from sceneqa import pipeline
+from sceneqa import cli, pipeline
 from sceneqa.cli import main
-from sceneqa.errors import ConfigError
+from sceneqa.errors import ConfigError, InsufficientCandidatesError, SceneQaError
 from sceneqa.geometry import hull_distance
 from sceneqa.pipeline import (
     PipelineConfig,
@@ -26,6 +27,7 @@ from sceneqa.pipeline import (
     run_selfcheck,
     run_synth,
 )
+from sceneqa.rewrite import EchoStubClient
 from sceneqa.rulegen import read_dataset
 from sceneqa.scene import load_scene
 from sceneqa.util import read_json, write_json, write_jsonl
@@ -789,3 +791,61 @@ class TestCliErrors:
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestCliFlags:
+    """Each override flag sets the configuration key of the same meaning."""
+
+    @pytest.mark.parametrize("argv,key,value", [
+        (["synth", "--out", "elsewhere"], "out_dir", "elsewhere"),
+        (["synth", "--count", "7"], "synth_scenes", 7),
+        (["synth", "--seed", "5"], "seed", 5),
+        (["extract", "--jobs", "3"], "jobs", 3),
+        (["extract", "--scenes", "scans/*.json"], "scenes", "scans/*.json"),
+        (["extract", "--ngt-dir", "tables"], "ngt_dir", "tables"),
+        (["generate", "--ngt-dir", "tables"], "ngt_dir", "tables"),
+        (["generate", "--stub-llm"], "stub_llm", True),
+    ])
+    def test_each_flag_sets_its_key_alone(self, monkeypatch, argv, key, value):
+        seen = []
+
+        def stage(cfg):
+            seen.append(cfg)
+            raise SceneQaError("stage reached")
+
+        monkeypatch.setattr(cli, f"run_{argv[0]}", stage)
+        assert main(argv) == SceneQaError.exit_code
+        assert seen == [dataclasses.replace(PipelineConfig(), **{key: value})]
+
+    @pytest.fixture
+    def rewrite_config(self, tmp_path):
+        write_jsonl([{"question": "What color is the sofa?", "answer": "teal"}],
+                    tmp_path / "saqs.jsonl")
+        config = tmp_path / "config.json"
+        write_json({"seed": SEED, "fv_quantity": 4, "rewrite_pm": 2, "rewrite_fv": 1,
+                    "saq_file": str(tmp_path / "saqs.jsonl")}, config)
+        return config
+
+    def test_stub_llm_flag_stands_in_for_a_service(self, cli_run, tmp_path, capsys,
+                                                   rewrite_config):
+        args = ["generate", "--config", str(rewrite_config), "--out", str(tmp_path),
+                "--ngt-dir", str(cli_run["ngt_dir"])]
+        assert main(args) == 2
+        assert "service_endpoint" in capsys.readouterr().err
+        assert main([*args, "--stub-llm"]) == 0
+        assert read_json(tmp_path / "manifest.json")["task_counts"]["pm"] == 2
+
+    def test_every_rewrite_attempt_failing_is_a_shortfall(self, cli_run, tmp_path, capsys,
+                                                          monkeypatch, rewrite_config):
+        monkeypatch.setattr(EchoStubClient, "complete", lambda self, system, user: "no")
+        args = ["generate", "--config", str(rewrite_config), "--out", str(tmp_path),
+                "--ngt-dir", str(cli_run["ngt_dir"]), "--stub-llm"]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "3 rewrite jobs exhausted their attempts (first: llm-pm-00000)" in err
+        assert not (tmp_path / "dataset.jsonl").exists()
+        with pytest.raises(InsufficientCandidatesError) as excinfo:
+            run_generate(apply_overrides(load_config(rewrite_config),
+                                         out_dir=str(tmp_path),
+                                         ngt_dir=str(cli_run["ngt_dir"]), stub_llm=True))
+        assert excinfo.value.shortfalls == {"rewrite": (3, 0)}

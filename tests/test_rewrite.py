@@ -41,8 +41,7 @@ from sceneqa.rewrite import (
     make_jobs,
     parse_options,
     render_prompt,
-    rewrite_fv,
-    rewrite_pm,
+    rewrite_job,
     run_rewrite_track,
     validate_fv_response,
     validate_pm_response,
@@ -272,7 +271,7 @@ class TestFvValidation:
 class TestRewriteLoop:
     def test_success_first_try(self):
         client = ScriptedClient(pm_response(GOOD_PM_OPTIONS))
-        record = rewrite_pm(pm_job(), client)
+        (record,), _ = rewrite_job(pm_job(), client)
         assert client.call_count == 1
         assert record.qa_id == "llm-pm-00000"
         assert record.task == TASK_PM
@@ -285,8 +284,9 @@ class TestRewriteLoop:
     def test_recovers_after_invalid_attempts(self):
         client = ScriptedClient("garbage", '{"question": "Q?"}',
                                 pm_response(GOOD_PM_OPTIONS))
-        record = rewrite_pm(pm_job(), client)
+        (record,), verdicts = rewrite_job(pm_job(), client)
         assert client.call_count == 3
+        assert [v.reasons for v in verdicts] == [(NOT_JSON,), (MISSING_KEY,), ()]
         assert record.answer == "B"
 
     def test_exhaustion_after_exactly_max_attempts(self):
@@ -299,7 +299,7 @@ class TestRewriteLoop:
         ]
         client = ScriptedClient(*bad, pm_response(GOOD_PM_OPTIONS))
         with pytest.raises(ExhaustedAttemptsError) as exc_info:
-            rewrite_pm(pm_job(), client)
+            rewrite_job(pm_job(), client)
         assert client.call_count == 5
         verdicts = exc_info.value.verdicts
         assert len(verdicts) == 5
@@ -312,7 +312,7 @@ class TestRewriteLoop:
     def test_fv_pair_links_and_lowercasing(self):
         payload = dict(GOOD_FV_PAYLOAD, Answer="Yes", cp_answer="No")
         client = ScriptedClient(json.dumps(payload))
-        original, contrapositive = rewrite_fv(fv_job(), client)
+        (original, contrapositive), _ = rewrite_job(fv_job(), client)
         assert original.qa_id == "llm-fv-00000"
         assert contrapositive.qa_id == "llm-fv-00000-cp"
         assert original.cp_link == contrapositive.qa_id
@@ -325,7 +325,7 @@ class TestRewriteLoop:
 
 class TestEchoStub:
     def test_pm_round_trip(self):
-        record = rewrite_pm(pm_job(), EchoStubClient())
+        (record,), _ = rewrite_job(pm_job(), EchoStubClient())
         assert record.answer == "B"
         _, options = parse_options(record.question)
         assert dict(options)["B"] == "Parris"
@@ -333,7 +333,7 @@ class TestEchoStub:
 
     def test_fv_round_trip(self):
         job = fv_job(expected_label="no")
-        original, contrapositive = rewrite_fv(job, EchoStubClient())
+        (original, contrapositive), _ = rewrite_job(job, EchoStubClient())
         assert original.answer == "no"
         assert contrapositive.answer == "yes"
         assert "is not Shakespeare" in original.question

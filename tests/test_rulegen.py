@@ -229,6 +229,25 @@ class TestValuePool:
         assert self.indices(pool.draw_approx(np.random.default_rng(seed),
                                              close=False)) == f"{i}{far}"
 
+    # per seed: the seeded permutation's first item and its partner
+    @pytest.mark.parametrize("seed,expected", enumerate([
+        "45", "78", "24", "78", "02", "12", "24", "02",
+    ]))
+    def test_strict_systematic_scan(self, monkeypatch, seed, expected):
+        """With no random attempts, a strict draw takes items in seeded
+        permutation order and pairs the first with a partner with the
+        smallest value at least the margin above it.  Seed 7's permutation
+        starts at the largest item, which has none, so the scan moves on."""
+        monkeypatch.setattr(rulegen, "_MAX_DRAW_ATTEMPTS", 0)
+        draw = self.pool().draw_strict(np.random.default_rng(seed))
+        assert self.indices(draw) == expected
+
+    @pytest.mark.parametrize("values", [(3.0, 3.0, 3.0), (1.0, 1.02, 1.04), (5.0,)])
+    def test_strict_draw_without_a_separated_pair(self, monkeypatch, values):
+        monkeypatch.setattr(rulegen, "_MAX_DRAW_ATTEMPTS", 0)
+        pool = _ValuePool([(f"l{i}", v) for i, v in enumerate(values)], 0.05, 0.1, 0.3)
+        assert pool.draw_strict(np.random.default_rng(0)) is None
+
 
 class TestGeneratedDataset:
     """Structural checks on the session-wide generated dataset fixture."""
