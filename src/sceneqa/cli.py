@@ -26,7 +26,6 @@ from .errors import ConfigError, SceneQaError
 from .pipeline import (
     CONFIG_KEYS,
     PipelineConfig,
-    apply_overrides,
     load_config,
     run_extract,
     run_generate,
@@ -92,9 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    return apply_overrides(cfg, **{key: value for key, value in vars(args).items()
-                                   if key in CONFIG_KEYS})
+    return load_config(args.config, **{key: value for key, value in vars(args).items()
+                                       if key in CONFIG_KEYS})
 
 
 def _dataset_path(args: argparse.Namespace, cfg: PipelineConfig) -> Path:

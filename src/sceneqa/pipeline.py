@@ -14,7 +14,6 @@ back in sorted scene order.
 
 from __future__ import annotations
 
-import dataclasses
 import glob as globlib
 import math
 import time
@@ -62,7 +61,7 @@ from .scene import (
     write_scene,
 )
 from .templates import DEFAULT_APPROX_BAND, TEMPLATE_BANK_VERSION
-from .util import derive_seed, finite_number, read_json, write_json, write_jsonl
+from .util import derive_seed, read_json, write_json, write_jsonl
 
 FORMAT_VERSION = "1.0.0"
 
@@ -75,8 +74,9 @@ _EXECUTION_ONLY_KEYS = ("jobs", "out_dir", "scenes", "ngt_dir", "synth_dir", "sa
 
 @dataclass(frozen=True)
 class PipelineConfig(RulegenConfig):
-    """Run settings; the question-generation fields and their checks are
-    inherited from :class:`RulegenConfig`, so a config is whole or refused."""
+    """Run settings; the question-generation fields and the check of every
+    field against its annotation are inherited from :class:`RulegenConfig`,
+    so a config is whole or refused."""
 
     seed: int = 0
     out_dir: str = "out"
@@ -103,30 +103,17 @@ class PipelineConfig(RulegenConfig):
     synth_points_per_box: int = 24
     synth_dir: str = ""
 
-    _COUNTS = RulegenConfig._COUNTS + (
-        "seed", "rewrite_pm", "rewrite_fv", "service_retries",
-        "synth_scenes", "synth_boxes", "synth_points_per_box")
-    _FLOATS = RulegenConfig._FLOATS + ("solver_tol", "service_timeout")
-
     def __post_init__(self):
-        if type(self.jobs) is not int or self.jobs < 1:
-            raise ConfigError(f"jobs must be an integer of at least 1, got {self.jobs!r}")
-        if type(self.n_options) is not int or not 2 <= self.n_options <= 5:
-            raise ConfigError(f"n_options must be an integer 2 to 5, got {self.n_options!r}")
-        if self.service_max_tokens is not None and (
-                type(self.service_max_tokens) is not int or self.service_max_tokens < 1):
-            raise ConfigError("service_max_tokens must be a positive integer or null, "
-                              f"got {self.service_max_tokens!r}")
-        if self.service_temperature is not None and not finite_number(
-                self.service_temperature):
-            raise ConfigError("service_temperature must be a finite number or null, "
-                              f"got {self.service_temperature!r}")
         super().__post_init__()
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be at least 1, got {self.jobs!r}")
+        if not 2 <= self.n_options <= 5:
+            raise ConfigError(f"n_options must be 2 to 5, got {self.n_options!r}")
         for key in ("solver_tol", "service_timeout"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)!r}")
         object.__setattr__(self, "excluded_labels", tuple(
-            str(label).strip().lower() for label in self.excluded_labels
+            label.strip().lower() for label in self.excluded_labels
         ))
 
     @property
@@ -156,32 +143,31 @@ class PipelineConfig(RulegenConfig):
 CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
+def config_from_dict(data: dict, **overrides) -> PipelineConfig:
+    """The config of a JSON object, with each override that is not None (a
+    command-line flag) put over its key; an unknown key or a value of the
+    wrong kind raises :class:`ConfigError` naming the key."""
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
+    data = {**data, **{key: value for key, value in overrides.items() if value is not None}}
     unknown = sorted(set(data) - CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {unknown}")
-    kwargs = dict(data)
-    if "excluded_labels" in kwargs:
-        value = kwargs["excluded_labels"]
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ConfigError("excluded_labels must be a list of strings")
-        kwargs["excluded_labels"] = tuple(value)
-    try:
-        return PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return PipelineConfig(**data)
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    if not Path(path).is_file():
-        raise ConfigError(f"configuration file not found: {path}")
-    try:
-        data = read_json(path)
-    except SceneQaError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config_from_dict(data)
+def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
+    """The config read from the JSON file at ``path`` (the defaults without
+    one), with ``overrides`` applied as :func:`config_from_dict` does."""
+    data = {}
+    if path is not None:
+        if not Path(path).is_file():
+            raise ConfigError(f"configuration file not found: {path}")
+        try:
+            data = read_json(path)
+        except SceneQaError as exc:
+            raise ConfigError(str(exc)) from exc
+    return config_from_dict(data, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +341,10 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
     write_jsonl(log_rows, out / "run_log.jsonl")
 
     task_counts: dict[str, int] = {}
-    for record in records:
-        task_counts[record.task] = task_counts.get(record.task, 0) + 1
+    for key, stratum in balance.strata.items():  # keyed "task/category/variant"
+        task = key.split("/", 1)[0]
+        task_counts[task] = task_counts.get(task, 0) + stratum.total
+    n_records = sum(task_counts.values())
     manifest = {
         "format_version": FORMAT_VERSION,
         "package_version": __version__,
@@ -365,12 +353,12 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
         "seed": cfg.seed,
         "config": cfg.echo(),
         "scenes": [table.scene_id for table in tables],
-        "n_records": len(records),
+        "n_records": n_records,
         "task_counts": {k: task_counts[k] for k in sorted(task_counts)},
         "artifacts": ["dataset.jsonl", "balance_report.json", "run_log.jsonl"],
     }
     write_json(manifest, out / "manifest.json")
-    return GenerateResult(n_records=len(records), dataset_path=dataset_path,
+    return GenerateResult(n_records=n_records, dataset_path=dataset_path,
                           task_counts=task_counts)
 
 
@@ -430,14 +418,3 @@ def run_selfcheck(dataset_path: str | Path,
             f"no ground-truth table for scenes: {sorted(missing)[:5]}"
         )
     return result
-
-
-def apply_overrides(cfg: PipelineConfig, **overrides) -> PipelineConfig:
-    """Return a copy of ``cfg`` with non-None overrides applied."""
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    if not changes:
-        return cfg
-    try:
-        return dataclasses.replace(cfg, **changes)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc

@@ -155,6 +155,9 @@ class QaRecord:
 
 
 _RECORD_KEYS = tuple(f.name for f in fields(QaRecord) if f.init)
+_TEXT_KEYS = tuple(f.name for f in fields(QaRecord) if f.init and f.type == "str")
+_NULLABLE_TEXT_KEYS = tuple(f.name for f in fields(QaRecord)
+                            if f.init and f.type == "str | None")
 
 
 def contrapositive_id(qa_id: str) -> str:
@@ -182,11 +185,10 @@ _row_values = itemgetter(*_RECORD_KEYS)
 def _text_problem(row: dict) -> str:
     """The complaint about the first text field of ``row`` that is not a
     string (or null, where null is allowed)."""
-    for key in ("qa_id", "scene_id", "task", "category", "question", "answer",
-                "unit", "variant", "provenance"):
+    for key in _TEXT_KEYS:
         if type(row[key]) is not str:
             return f"{key!r} must be a string, got {row[key]!r}"
-    for key in ("cp_link", "template_id"):
+    for key in _NULLABLE_TEXT_KEYS:
         if row[key] is not None and type(row[key]) is not str:
             return f"{key!r} must be a string or null, got {row[key]!r}"
     raise AssertionError("every text field of the row is well typed")
@@ -260,6 +262,23 @@ def read_dataset(path: str | Path) -> list[QaRecord]:
 # ---------------------------------------------------------------------------
 
 
+# What a config field's annotation admits, and how a refusal words it.  Every
+# field is checked against the entry of its annotation, so the annotation is
+# the one declaration of a key's type.  true/false are neither integers nor
+# numbers here (``type()``, not ``isinstance()``), and nothing is coerced.
+_KINDS = {
+    "int": (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    "float": (finite_number, "a finite number"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "int | None": (lambda v: v is None or type(v) is int and v > 0,
+                   "a positive integer or null"),
+    "float | None": (lambda v: v is None or finite_number(v), "a finite number or null"),
+    "tuple[str, ...]": (lambda v: type(v) in (list, tuple)
+                        and all(type(item) is str for item in v), "a list of strings"),
+}
+
+
 @dataclass(frozen=True)
 class RulegenConfig:
     """Counts are total records per stratum across the whole dataset."""
@@ -281,24 +300,14 @@ class RulegenConfig:
     # two-decimal answer inside the tightest scoring threshold
     min_display_value: float = 0.15
 
-    # fields that must be non-negative integers: a float, even a whole one,
-    # and true/false are refused
-    _COUNTS = ("fv_quantity", "fv_distance", "fv_volume",
-               "ni_quantity", "ni_distance", "ni_volume")
-    # fields that must be finite numbers: NaN, infinities, strings and
-    # true/false are refused
-    _FLOATS = ("cot_fraction", "ambiguity_margin", "approx_band_in",
-               "approx_band_out", "min_display_value")
-
     def __post_init__(self):
-        for name in self._COUNTS:
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
-        for name in self._FLOATS:
-            value = getattr(self, name)
-            if not finite_number(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        # fields(self): a subclass's fields are checked here too, before
+        # any range rule compares a value
+        for f in fields(self):
+            admits, kind = _KINDS[f.type]
+            value = getattr(self, f.name)
+            if not admits(value):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         for name in ("fv_quantity", "fv_distance", "fv_volume"):
             if getattr(self, name) % 2:
                 raise ConfigError(

@@ -18,7 +18,6 @@ from sceneqa.errors import ConfigError, InsufficientCandidatesError, SceneQaErro
 from sceneqa.geometry import hull_distance
 from sceneqa.pipeline import (
     PipelineConfig,
-    apply_overrides,
     config_from_dict,
     load_config,
     run_extract,
@@ -88,6 +87,7 @@ class TestConfig:
         ({"solver_tol": 0.0}, "solver_tol"),
         ({"rewrite_pm": -1}, "rewrite_pm"),
         ({"excluded_labels": "object"}, "excluded_labels"),
+        ({"excluded_labels": {"object"}}, "excluded_labels"),
     ])
     def test_validation(self, data, complaint):
         with pytest.raises(ConfigError, match=complaint):
@@ -115,14 +115,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_apply_overrides(self):
-        cfg = PipelineConfig(seed=1, out_dir="a")
-        same = apply_overrides(cfg, seed=None, out_dir=None)
-        assert same == cfg
-        changed = apply_overrides(cfg, seed=5, jobs=2)
+    def test_overrides(self, tmp_path):
+        data = {"seed": 1, "out_dir": "a"}
+        cfg = PipelineConfig(**data)
+        assert config_from_dict(data, seed=None, out_dir=None) == cfg
+        changed = config_from_dict(data, seed=5, jobs=2)
         assert (changed.seed, changed.jobs, changed.out_dir) == (5, 2, "a")
-        with pytest.raises(ConfigError):
-            apply_overrides(cfg, nonsense=1)
+        path = tmp_path / "config.json"
+        write_json(data, path)
+        assert load_config(path, jobs=2) == dataclasses.replace(cfg, jobs=2)
+        assert load_config(seed=5) == PipelineConfig(seed=5)
+        assert load_config(seed=None) == load_config() == PipelineConfig()
+        with pytest.raises(ConfigError, match="nonsense"):
+            config_from_dict(data, nonsense=1)
+        with pytest.raises(ConfigError, match="jobs must be"):
+            load_config(path, jobs=0)
 
     def test_echo_omits_execution_keys(self):
         cfg = PipelineConfig(seed=3, out_dir="/somewhere", jobs=4,
@@ -570,13 +577,43 @@ class TestCliErrors:
         write_json({"sede": 1}, config)
         assert main(["generate", "--config", str(config)]) == 2
 
-    def test_rewrite_without_service_or_stub(self, cli_run, tmp_path):
+    def test_rewrite_without_saq_file(self, cli_run, tmp_path, capsys):
         config = tmp_path / "config.json"
         write_json({"seed": SEED, "fv_quantity": 4, "rewrite_pm": 2}, config)
         code = main(["generate", "--config", str(config),
                      "--out", str(tmp_path),
                      "--ngt-dir", str(cli_run["ngt_dir"])])
         assert code == 2
+        assert "rewriting needs saq_file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(PipelineConfig)])
+    def test_every_key_refuses_a_value_of_the_wrong_kind(self, tmp_path, capsys,
+                                                         monkeypatch, key):
+        """Each key's annotation is its type: a value of another kind is
+        refused naming the key (exit 2) before any file is written, the
+        output directory included (so no --out: ``out_dir`` is a key too)."""
+        value = {"int": "3", "int | None": 2.5, "float": "x", "float | None": "x",
+                 "str": 5, "bool": "false", "tuple[str, ...]": "object",
+                 }[PipelineConfig.__dataclass_fields__[key].type]
+        monkeypatch.chdir(tmp_path)
+        write_json({"seed": SEED, "synth_scenes": 1, key: value}, tmp_path / "config.json")
+        assert main(["synth", "--config", "config.json"]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("key,value", [("stub_llm", "false"), ("saq_file", 1)])
+    def test_generate_refuses_a_rewrite_key_of_the_wrong_kind(self, cli_run, tmp_path,
+                                                              capsys, key, value):
+        write_jsonl([{"question": "What color is the sofa?", "answer": "teal"}],
+                    tmp_path / "saqs.jsonl")
+        config = tmp_path / "config.json"
+        write_json({"seed": SEED, "fv_quantity": 4, "rewrite_pm": 2,
+                    "saq_file": str(tmp_path / "saqs.jsonl"), key: value}, config)
+        code = main(["generate", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--ngt-dir", str(cli_run["ngt_dir"])])
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "dataset.jsonl").exists()
 
     def test_no_scenes_matched(self, tmp_path):
         assert main(["extract", "--out", str(tmp_path)]) == 3
@@ -845,7 +882,6 @@ class TestCliFlags:
         assert "3 rewrite jobs exhausted their attempts (first: llm-pm-00000)" in err
         assert not (tmp_path / "dataset.jsonl").exists()
         with pytest.raises(InsufficientCandidatesError) as excinfo:
-            run_generate(apply_overrides(load_config(rewrite_config),
-                                         out_dir=str(tmp_path),
-                                         ngt_dir=str(cli_run["ngt_dir"]), stub_llm=True))
+            run_generate(load_config(rewrite_config, out_dir=str(tmp_path),
+                                     ngt_dir=str(cli_run["ngt_dir"]), stub_llm=True))
         assert excinfo.value.shortfalls == {"rewrite": (3, 0)}
