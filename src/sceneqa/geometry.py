@@ -17,6 +17,15 @@ Hull distance comes in two independent implementations:
 Both treat a point set's convex hull implicitly; intersecting hulls yield a
 distance of exactly 0.0.
 
+:func:`pairwise_hull_distances` runs :func:`hull_distance` on every pair of
+a scene's point sets in lockstep: one iteration of all pairs per step, in
+numpy, with the same float operations in the same order, and one support
+product per point set per step.  A pair retires when it certifies.  A pair
+whose next step would leave that path (the iteration cap, a repeated support
+vertex, the exact re-solve after no descent, a simplex of 4 points) is
+handed back to :func:`hull_distance` and solved again from scratch, so
+every result, distance or error, is that function's.
+
 A :class:`PointSet` is the one checked form of a point cloud.  Every function
 here takes one, or turns any other input into one first, so a bad raw array
 raises the same :class:`SchemaViolationError` with the same text as a bad
@@ -27,6 +36,7 @@ once per pair.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import sqrt
 
@@ -298,6 +308,12 @@ def _exact_min_norm(ws):
     return idxs, tuple(float(l) for l in lam), _dot(v, v), v
 
 
+def _iteration_cap(na, nb, max_iterations):
+    """The iteration cap of a pair of sets of ``na`` and ``nb`` points
+    (numbers or arrays of them)."""
+    return max_iterations if max_iterations is not None else 10 * (na + nb) + 100
+
+
 def hull_distance(a, b, tol: float = DEFAULT_TOL,
                   max_iterations: int | None = None) -> HullDistanceResult:
     """Distance between the convex hulls of two point sets.
@@ -325,7 +341,7 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
     span = np.maximum(hi_a, hi_b) - np.minimum(lo_a, lo_b)
     diag = sqrt(float(span.dot(span)))
     eps = tol * diag if diag > 0.0 else tol
-    cap = max_iterations if max_iterations is not None else 10 * (na + nb) + 100
+    cap = _iteration_cap(na, nb, max_iterations)
 
     pa, pb = arr_a[0].tolist(), arr_b[0].tolist()
     w0 = (pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2])
@@ -419,6 +435,204 @@ def hull_distance(a, b, tol: float = DEFAULT_TOL,
     raise NotConvergedError(
         f"iteration cap {cap} reached (gap {gap:.3e})", iterations=cap, gap=gap
     )
+
+
+# ---------------------------------------------------------------------------
+# Every pair of a scene in lockstep
+# ---------------------------------------------------------------------------
+
+
+def pairwise_hull_distances(sets, tol: float = DEFAULT_TOL,
+                            max_iterations: int | None = None) -> list:
+    """:func:`hull_distance` of every unordered pair of ``sets``, in
+    :func:`itertools.combinations` order: each entry is the pair's distance,
+    or the :class:`NotConvergedError` its solve raised.
+
+    The pairs advance together, one iteration of :func:`hull_distance` per
+    step, with numpy in place of the per-pair Python arithmetic, and retire
+    as they certify.  A pair that reaches the iteration cap, repeats a
+    support vertex, makes no descent (so needs the exact re-solve) or would
+    grow its simplex to 4 points is handed back to :func:`hull_distance`
+    and solved again from scratch, so every entry is that function's
+    result for the pair.
+    """
+    sets = [_point_set(s) for s in sets]
+    results = _lockstep(sets, tol, max_iterations)
+    for k, (i, j) in enumerate(itertools.combinations(range(len(sets)), 2)):
+        if results[k] is None:
+            try:
+                results[k] = hull_distance(sets[i], sets[j], tol=tol,
+                                           max_iterations=max_iterations).distance
+            except NotConvergedError as exc:
+                results[k] = exc
+    return results
+
+
+def _rows_dot(u, v):
+    """:func:`_dot` of each row of two (m, 3) arrays, with its rounding."""
+    p = u * v
+    return (p[:, 0] + p[:, 1]) + p[:, 2]
+
+
+def _rows_subset(ys):
+    """:func:`_solve_subset` over the rows of 2 or 3 stacked (m, 3) points.
+
+    Returns ``(ok, lam, v, n2)``: ``ok`` is False on the rows where that
+    function returns None, and ``lam`` lists one weight column per point.
+    The float steps are its own, in its order.
+    """
+    if len(ys) == 2:
+        y1, y2 = ys
+        d = y1 - y2
+        den = _rows_dot(d, d)
+        ok = ~(den <= 0.0)
+        t = _rows_dot(y1, d) / den
+        lam = (1.0 - t, t)
+    else:
+        y1, y2, y3 = ys
+        u, w3 = y2 - y1, y3 - y1
+        g11, g12, g22 = _rows_dot(u, u), _rows_dot(u, w3), _rows_dot(w3, w3)
+        det = g11 * g22 - g12 * g12
+        ok = ~(det <= 0.0)
+        b1, b2 = -_rows_dot(y1, u), -_rows_dot(y1, w3)
+        s = (b1 * g22 - b2 * g12) / det
+        t = (g11 * b2 - g12 * b1) / det
+        lam = (1.0 - s - t, s, t)
+    total = 0.0
+    clamped = []
+    for l in lam:
+        ok &= ~(l < _LAMBDA_FEASIBLE)
+        l = np.where(l > 0.0, l, 0.0)
+        clamped.append(l)
+        total = total + l
+    ok &= ~(total <= 0.0)
+    lam = [l / total for l in clamped]
+    v = 0.0
+    for l, y in zip(lam, ys):
+        v = v + l[:, None] * y
+    return ok, lam, v, _rows_dot(v, v)
+
+
+def _supports(sets, a, b, v):
+    """Support indices and points of every row r:
+    ``argmin(sets[a[r]].coords.dot(v[r]))`` and
+    ``argmax(sets[b[r]].coords.dot(v[r]))``, as in :func:`hull_distance`.
+
+    Each point set takes one product, over the directions of every row that
+    uses it on either side.  A stacked matrix-vector product is the BLAS call
+    of ``ndarray.dot`` with one direction, hence the same bits; one
+    matrix-matrix product over all the directions would round differently.
+    """
+    m = len(v)
+    # Sorted by set, the a-side rows (order < m) of each set come first.
+    order = np.argsort(np.concatenate([a, b]), kind="stable")
+    dirs = v[order % m, :, None]
+    mins = np.bincount(a, minlength=len(sets)).tolist()
+    maxs = np.bincount(b, minlength=len(sets)).tolist()
+    found = np.empty(2 * m, dtype=np.intp)
+    points = np.empty((2 * m, 3))
+    s = 0
+    for point_set, k_min, k_max in zip(sets, mins, maxs):
+        e = s + k_min + k_max
+        if e > s:
+            coords = point_set.coords
+            values = np.matmul(coords, dirs[s:e])[:, :, 0]
+            found[s:s + k_min] = values[:k_min].argmin(axis=1)
+            found[s + k_min:e] = values[k_min:].argmax(axis=1)
+            points[s:e] = coords[found[s:e]]
+        s = e
+    idx, pts = np.empty_like(found), np.empty_like(points)
+    idx[order], pts[order] = found, points
+    return idx[:m], pts[:m], idx[m:], pts[m:]
+
+
+def _lockstep(sets, tol, max_iterations) -> list:
+    """Run :func:`hull_distance` on every pair of ``sets`` at once.
+
+    Returns one entry per pair in combinations order: the distance of each
+    pair this path certified, and None for each pair it hands back (the
+    cases :func:`pairwise_hull_distances` lists, where :func:`hull_distance`
+    raises, re-solves exactly or solves a tetrahedron).  Every other step
+    repeats that function's float operations in its order, so a certified
+    distance is its distance, bit for bit.
+    """
+    a, b = np.triu_indices(len(sets), 1)
+    results = [None] * len(a)
+    if not len(a):
+        return results
+    lo = np.array([s.bounds[0] for s in sets])
+    hi = np.array([s.bounds[1] for s in sets])
+    sizes = np.array([len(s) for s in sets])
+    span = np.maximum(hi[a], hi[b]) - np.minimum(lo[a], lo[b])
+    # The stacked product runs the ddot of ``span.dot(span)``; an
+    # elementwise sum would round differently.
+    diag = np.sqrt(np.matmul(span[:, None, :], span[:, :, None])[:, 0, 0])
+    eps = np.where(diag > 0.0, tol * diag, tol)
+    cap = np.full(len(a), _iteration_cap(sizes[a], sizes[b], max_iterations))
+
+    # Per live pair: its index, its simplex (points and support indices in
+    # hull_distance's order, ``size`` of them; slot 2 takes the new support
+    # point, and a simplex of 3 is handed back on its next step), the
+    # iterate v, its squared norm and the best lower bound.
+    pair = np.arange(len(a))
+    first = np.array([s.coords[0] for s in sets])
+    v = first[a] - first[b]
+    simplex = v[:, None, :].repeat(3, axis=1)
+    simplex_ij = np.zeros((len(a), 3, 2), dtype=np.intp)
+    size = np.ones(len(a), dtype=np.intp)
+    n2 = _rows_dot(v, v)
+    best_lb = np.zeros(len(a))
+
+    iteration = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while len(pair):
+            iteration += 1
+            over = cap < iteration
+            vn = np.sqrt(n2)
+            zero = ~over & (vn <= eps)
+
+            ia, pa, ib, pb = _supports(sets, a, b, v)
+            w = pa - pb
+            lb = _rows_dot(v, w) / vn
+            best_lb = np.where(lb > best_lb, lb, best_lb)
+            certified = ~over & ~zero & (vn - best_lb <= eps)
+            repeat = ((simplex_ij[:, :, 0] == ia[:, None])
+                      & (simplex_ij[:, :, 1] == ib[:, None])
+                      & (np.arange(3) < size[:, None])).any(axis=1)
+
+            # The subsets with the new point, in _SUBSETS_WITH_LAST order; the
+            # first strict minimum wins.  Those with slot 1 exist only where
+            # the simplex held 2 points.
+            simplex[:, 2], simplex_ij[:, 2, 0], simplex_ij[:, 2, 1] = w, ia, ib
+            two = size == 2
+            best_n2, best_v = _rows_dot(w, w), w
+            keep = np.zeros((len(pair), 3), dtype=bool)
+            keep[:, 2] = True
+            for idxs in _SUBSETS_WITH_LAST[3][1:]:
+                ok, lam, cand_v, cand_n2 = _rows_subset([simplex[:, i] for i in idxs])
+                better = ok & (cand_n2 < best_n2) & (two if 1 in idxs else True)
+                best_n2 = np.where(better, cand_n2, best_n2)
+                best_v = np.where(better[:, None], cand_v, best_v)
+                cand_keep = np.zeros_like(keep)
+                for i, l in zip(idxs, lam):
+                    cand_keep[:, i] = l > 0.0
+                keep = np.where(better[:, None], cand_keep, keep)
+
+            done = zero | certified
+            for k, distance in zip(pair[done].tolist(),
+                                   np.where(zero, 0.0, vn)[done].tolist()):
+                results[k] = distance
+            handed_back = over | (~done & (repeat | (size == 3) | (best_n2 >= n2)))
+            live = ~(done | handed_back)
+
+            # The points with positive weight, in order, are the next simplex.
+            order = np.argsort(~keep, axis=1, kind="stable")[live]
+            simplex = np.take_along_axis(simplex[live], order[:, :, None], axis=1)
+            simplex_ij = np.take_along_axis(simplex_ij[live], order[:, :, None], axis=1)
+            pair, a, b, eps, cap = (x[live] for x in (pair, a, b, eps, cap))
+            size = keep.sum(axis=1)[live]
+            v, n2, best_lb = best_v[live], best_n2[live], best_lb[live]
+    return results
 
 
 # ---------------------------------------------------------------------------

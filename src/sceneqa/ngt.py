@@ -7,6 +7,12 @@ uses too, so both files write the same instance keys); for every unordered
 pair of retained instances, the convex-hull distance.  Non-informative labels
 (by default "item" and "object") are dropped before anything is measured.
 
+The pair distances of a scene come from one call to
+:func:`~sceneqa.geometry.pairwise_hull_distances`, which solves all pairs in
+lockstep and hands the few that leave its path back to
+:func:`~sceneqa.geometry.hull_distance`; every distance is the one that
+function returns for the pair.
+
 Pairs whose distance solve fails to certify are recorded in ``skipped_pairs``
 with a reason instead of aborting the scene; question generation never uses
 them.
@@ -110,14 +116,15 @@ def extract_ngt(
 
     pairs: dict[tuple[str, str], float] = {}
     skipped: list[tuple[str, str, str]] = []
-    for inst_a, inst_b in itertools.combinations(retained, 2):
+    distances = geometry.pairwise_hull_distances(
+        [inst.points for inst in retained], tol=tol)
+    for (inst_a, inst_b), distance in zip(itertools.combinations(retained, 2),
+                                          distances):
         key = pair_key(inst_a.instance_id, inst_b.instance_id)
-        try:
-            pairs[key] = geometry.hull_distance(
-                inst_a.points, inst_b.points, tol=tol
-            ).distance
-        except NotConvergedError as exc:
-            skipped.append((key[0], key[1], f"not_converged: {exc}"))
+        if isinstance(distance, NotConvergedError):
+            skipped.append((key[0], key[1], f"not_converged: {distance}"))
+        else:
+            pairs[key] = distance
 
     return NgtTable(scene.scene_id, measured, pairs, tuple(skipped))
 

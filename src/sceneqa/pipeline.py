@@ -186,16 +186,18 @@ def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
 _WORKER_START_S = 0.5
 
 # Scene time per unit of size, for choosing a pool before any scene has run.
-# For extract, BENCH_11.json ("size_rates", same host) measured 14-26 ns per
-# scene-file byte on scenes of 0.2-2 million points, the lower figures on the
-# larger scenes (legacy text-point files take 40-47 ns per byte).  Synth,
+# For extract, with every pair of a scene solved in lockstep, BENCH_22.json
+# ("extract_rates", same host) measured 14.3-19.2 ns per scene-file byte on
+# 41 x 20,000-point scenes and 17.4-21.1 on 41 x 5,000, and 290-510 on the
+# 35 kB acceptance-size scenes, where the 820 pair solves outweigh the
+# bytes (legacy text-point files took 40-47 ns per byte, BENCH_11.json).  Synth,
 # with the scene file streamed, measured 0.21-0.43 us per point on scenes of
 # 0.2-2 million points (BENCH_19.json "synth_rates"; it was 0.51-0.93 while
 # the writer built the whole document).  Both constants sit near the low
 # end, so the estimate tends to fall below the real time and to err towards
 # running serially.
 _SYNTH_S_PER_POINT = 0.25e-6
-_EXTRACT_S_PER_BYTE = 15e-9
+_EXTRACT_S_PER_BYTE = 14e-9
 
 
 def _map_scenes(fn, cfg: PipelineConfig, items: list, estimate_s: float) -> list:

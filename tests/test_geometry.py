@@ -3,14 +3,18 @@
 Closed-form constructions (segments, point-to-triangle, separated boxes)
 provide exact expected values; a frozen bank of random point-cloud pairs
 pins the solver against oracle distances computed once at a 1e-10
-certificate and recorded here as literals.
+certificate and recorded here as literals.  The lockstep pass over every
+pair of a scene is checked against the per-pair solver, pair for pair.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sceneqa import geometry
 from sceneqa.errors import NotConvergedError, SchemaViolationError
 from sceneqa.geometry import (
     DEFAULT_TOL,
@@ -20,8 +24,10 @@ from sceneqa.geometry import (
     centroid,
     hull_distance,
     hull_distance_oracle,
+    pairwise_hull_distances,
 )
-from sceneqa.scene import PointSet
+from sceneqa.pipeline import PipelineConfig, run_synth
+from sceneqa.scene import PointSet, load_scene
 
 
 class TestAabbAndCentroid:
@@ -262,3 +268,145 @@ class TestOracle:
             b = np.vstack([b, a.mean(axis=0)])
             assert hull_distance_oracle(a, b) == 0.0
             assert hull_distance_oracle(a, a) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Every pair of a scene in lockstep
+# ---------------------------------------------------------------------------
+
+
+def _per_pair(sets, **kwargs):
+    """hull_distance on each pair in turn: its distance, or the skip reason
+    extraction records for it."""
+    out = []
+    for a, b in itertools.combinations(sets, 2):
+        try:
+            out.append(hull_distance(a, b, **kwargs).distance)
+        except NotConvergedError as exc:
+            out.append(f"not_converged: {exc}")
+    return out
+
+
+def _in_lockstep(sets, **kwargs):
+    return [f"not_converged: {r}" if isinstance(r, NotConvergedError) else r
+            for r in pairwise_hull_distances(sets, **kwargs)]
+
+
+@pytest.fixture()
+def handed_back(monkeypatch):
+    """The pairs the lockstep pass hands back to hull_distance."""
+    calls = []
+
+    def spy(a, b, **kwargs):
+        calls.append((a, b))
+        return hull_distance(a, b, **kwargs)
+
+    monkeypatch.setattr(geometry, "hull_distance", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def pinned_scenes(tmp_path_factory):
+    """The instances of the two scenes the pipeline digests pin (seed
+    424243), in extraction order."""
+    cfg = PipelineConfig(seed=424243, out_dir=str(tmp_path_factory.mktemp("pinned")),
+                         synth_scenes=2)
+    return [[inst.points for inst in sorted(load_scene(path).instances,
+                                            key=lambda inst: inst.instance_id)]
+            for path in run_synth(cfg)]
+
+
+_CUBE = np.array(np.meshgrid([0, 1], [0, 1], [0, 1])).T.reshape(-1, 3).astype(float)
+_LINE = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                  [2.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+_TETRA = np.array([[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]], dtype=float)
+_ORIGIN = np.zeros((1, 3))
+
+_small = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
+_cloud = st.lists(st.tuples(_small, _small, _small), min_size=1, max_size=10)
+
+
+class TestPairwiseHullDistances:
+    """Distances equal hull_distance's by ==, and an unconverged pair fails
+    with the same text, hence the same skip reason."""
+
+    def test_every_pair_of_the_pinned_scenes(self, pinned_scenes, handed_back):
+        for sets in pinned_scenes:
+            assert _in_lockstep(sets) == _per_pair(sets)
+        assert handed_back == []
+
+    def test_pinned_scenes_under_an_iteration_cap(self, pinned_scenes):
+        """With two iterations allowed, pairs that certify in time and pairs
+        that fail at the cap sit side by side."""
+        sets = pinned_scenes[0]
+        expected = _per_pair(sets, max_iterations=2)
+        assert {type(r) for r in expected} == {float, str}
+        assert _in_lockstep(sets, max_iterations=2) == expected
+
+    @pytest.mark.parametrize("sets,handbacks", [
+        # duplicated and collinear points certify in lockstep
+        ([_LINE, _LINE + np.array([0.0, 3.0, 4.0])], 0),
+        # a unit-cube pair 1e-7 apart certifies in lockstep
+        ([_CUBE, _CUBE + np.array([1.0 + 1e-7, 0.0, 0.0])], 0),
+        # nearly touching: no subset descends, so the exact re-solve is due
+        ([_ORIGIN, np.array([[0.0, 1e-7, 0.0], [0.0, 0.0, 8.0]])], 1),
+        # nearly touching: the support pair is already in the simplex
+        ([_ORIGIN, np.array([[0.0, 2.0, 1.0], [0.0, -1e-7, 0.0]])], 1),
+        # intersecting hulls: the simplex would grow to 4 points
+        ([_TETRA, _TETRA * 0.25 + 0.2], 1),
+        # all of them as one scene
+        ([_LINE, _CUBE, _ORIGIN, _TETRA, _TETRA * 0.25 + 0.2,
+          np.array([[0.0, 2.0, 1.0], [0.0, -1e-7, 0.0]])], None),
+    ])
+    def test_hand_made_cases(self, sets, handbacks, handed_back):
+        assert _in_lockstep(sets) == _per_pair(sets)
+        if handbacks is not None:
+            assert len(handed_back) == handbacks
+
+    def test_the_iteration_cap_hands_every_pair_back(self, handed_back):
+        sets = [_LINE, _CUBE + 5.0, _TETRA - 5.0]
+        expected = _per_pair(sets, max_iterations=0)
+        assert expected == ["not_converged: iteration cap 0 reached (gap inf)"] * 3
+        assert _in_lockstep(sets, max_iterations=0) == expected
+        assert len(handed_back) == 3
+
+    def test_fewer_than_two_sets_have_no_pairs(self):
+        assert pairwise_hull_distances([]) == []
+        assert pairwise_hull_distances([_CUBE]) == []
+
+    @given(st.lists(_cloud, min_size=2, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_small_random_scenes(self, clouds):
+        sets = [np.asarray(c, dtype=np.float64) for c in clouds]
+        assert _in_lockstep(sets) == _per_pair(sets)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=2, max_value=5))
+    @settings(max_examples=25, deadline=None)
+    def test_dense_clouds_at_room_coordinates(self, seed, count):
+        """A few boxes of a few hundred jittered points, up to 1.5 m across
+        and within 3 m of each other, about 10^3 from the origin."""
+        rng = np.random.default_rng(seed)
+        offset = rng.uniform(-1500.0, 1500.0, 3)
+        sets = [offset + rng.uniform(-3.0, 3.0, 3)
+                + rng.uniform(-1.0, 1.0, (int(rng.integers(100, 400)), 3))
+                * rng.uniform(0.01, 0.75, 3)
+                for _ in range(count)]
+        assert _in_lockstep(sets) == _per_pair(sets)
+
+    def test_rotated_lattices_at_room_coordinates(self):
+        """Rotated boxes of lattice points about 2e3 from the origin, where
+        support values tie to within rounding: a support query that rounds
+        otherwise than ``ndarray.dot`` (as a matrix-matrix product over all
+        directions does with some BLAS kernels) picks other vertices and
+        moves some distances in their last bits."""
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            offset = rng.uniform(-2e3, 2e3, 3)
+            sets = []
+            for _ in range(6):
+                side = np.linspace(0, rng.uniform(0.2, 1.5), int(rng.integers(2, 5)))
+                grid = np.array(np.meshgrid(side, side, side)).T.reshape(-1, 3)
+                rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+                sets.append(offset + rng.uniform(-2, 2, 3) + grid @ rotation)
+            assert _in_lockstep(sets) == _per_pair(sets)
