@@ -96,9 +96,7 @@ def _configure(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _dataset_path(args: argparse.Namespace, cfg: PipelineConfig) -> Path:
-    if getattr(args, "dataset", None):
-        return Path(args.dataset)
-    return Path(cfg.out_dir) / "dataset.jsonl"
+    return Path(args.dataset) if args.dataset else cfg.dataset_path
 
 
 def main(argv=None) -> int:

@@ -237,14 +237,23 @@ def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
         sys.intern(_string(row, "a")), sys.intern(_string(row, "b")),
         _string(row, "reason")))
 
-    id_set = set(ids)
-    expected = {pair_key(a, b) for a, b in itertools.combinations(sorted(id_set), 2)}
-    covered = set(pairs) | {pair_key(a, b) for a, b, _ in skipped}
-    if covered != expected:
+    # Every unordered pair of instances exactly once, in one of the lists.
+    skipped_keys = {pair_key(a, b) for a, b, _ in skipped}
+    if len(pairs) < len(raw_pairs) or len(skipped_keys) < len(skipped):
+        raise SchemaViolationError(f"{source}: a pair is listed twice")
+    if not skipped_keys.isdisjoint(pairs):
+        raise SchemaViolationError(f"{source}: a pair is both measured and skipped")
+    recorded, expected = len(pairs) + len(skipped_keys), len(ids) * (len(ids) - 1) // 2
+    if recorded != expected:
         raise SchemaViolationError(
-            f"{source}: pair coverage mismatch: {len(covered)} recorded vs "
-            f"{len(expected)} expected unordered pairs"
+            f"{source}: pair coverage mismatch: {recorded} recorded vs "
+            f"{expected} expected unordered pairs"
         )
+    id_set = set(ids)
+    for a, b in itertools.chain(pairs, skipped_keys):
+        if a == b or a not in id_set or b not in id_set:
+            raise SchemaViolationError(
+                f"{source}: pair ({a!r}, {b!r}) is not two distinct instances")
 
     return NgtTable(scene_id, tuple(instances), pairs, tuple(skipped))
 

@@ -117,16 +117,20 @@ class PipelineConfig(RulegenConfig):
         ))
 
     @property
+    def synth_path(self) -> Path:
+        return Path(self.synth_dir) if self.synth_dir else Path(self.out_dir) / "scenes"
+
+    @property
     def scene_glob(self) -> str:
-        return self.scenes or str(Path(self.out_dir) / "scenes" / "*.scene.json")
+        return self.scenes or str(self.synth_path / "*.scene.json")
 
     @property
     def ngt_path(self) -> Path:
         return Path(self.ngt_dir) if self.ngt_dir else Path(self.out_dir) / "ngt"
 
     @property
-    def synth_path(self) -> Path:
-        return Path(self.synth_dir) if self.synth_dir else Path(self.out_dir) / "scenes"
+    def dataset_path(self) -> Path:
+        return Path(self.out_dir) / "dataset.jsonl"
 
     def echo(self) -> dict:
         row = {}
@@ -337,8 +341,7 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset_path = out / "dataset.jsonl"
-    write_dataset(records, dataset_path)
+    write_dataset(records, cfg.dataset_path)
     write_json(balance.to_dict(), out / "balance_report.json")
     write_jsonl(log_rows, out / "run_log.jsonl")
 
@@ -360,7 +363,7 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
         "artifacts": ["dataset.jsonl", "balance_report.json", "run_log.jsonl"],
     }
     write_json(manifest, out / "manifest.json")
-    return GenerateResult(n_records=n_records, dataset_path=dataset_path,
+    return GenerateResult(n_records=n_records, dataset_path=cfg.dataset_path,
                           task_counts=task_counts)
 
 
@@ -377,7 +380,7 @@ def run_score(dataset_path: str | Path, predictions_path: str | Path,
         try:
             report.add(record, predictions.get(record.qa_id))
         except SchemaViolationError as exc:
-            raise SchemaViolationError(f"{dataset_path}:{line}: {exc}") from None
+            raise SchemaViolationError(f"{dataset_path}: line {line}: {exc}") from None
         consistency.add(record, predictions)
     variants = sorted({scores.variant for scores in report.strata.values()})
     tables = [

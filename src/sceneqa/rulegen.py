@@ -555,23 +555,19 @@ def gen_fv_numeric(
     start_index: int,
     schedules: Schedules,
 ) -> list[QaRecord]:
-    """Generate ``count`` FV original/contrapositive pairs (two records each)
+    """Up to ``count`` FV original/contrapositive pairs (two records each)
     for one scene and category.
 
     ``start_index`` is the absolute pair index of this scene's first pair
-    within the global stratum, which drives the balance schedules.  Raises
-    :class:`InsufficientCandidatesError` when the scene cannot supply enough
-    referent tuples.
+    within the global stratum, which drives the balance schedules.  Fewer
+    pairs come back when the scene's value pool runs dry; drawing stops at
+    the first draw that finds nothing, and the caller counts the shortfall.
     """
-    if count == 0:
-        return []
-
     pool = _ValuePool(_candidate_items(table, category), cfg.ambiguity_margin,
                       cfg.approx_band_in, cfg.approx_band_out)
     pairs = fv_pairs(category)
 
     records: list[QaRecord] = []
-    produced = 0
     for offset in range(count):
         k = start_index + offset
         target = schedules.fv_target(category, k)
@@ -608,14 +604,6 @@ def gen_fv_numeric(
             variant=VARIANT_PLAIN, provenance=PROVENANCE_RULE,
             template_id=t_cp.template_id, referents=bindings,
         ))
-        produced += 1
-
-    if produced < count:
-        raise InsufficientCandidatesError(
-            f"scene {table.scene_id}: fv/{category} produced {produced} of "
-            f"{count} pairs",
-            shortfalls={f"fv/{category}": (2 * count, 2 * produced)},
-        )
     return records
 
 
@@ -634,23 +622,19 @@ def gen_ni(
     start_index: int,
     schedules: Schedules,
 ) -> list[QaRecord]:
-    """Generate ``count`` NI records for one scene and category.
+    """``count`` NI records for one scene and category, or none when no
+    referent is eligible (the caller counts the shortfall).
 
     Distance and volume referents must display at or above
     ``cfg.min_display_value`` so the two-decimal rendered answer stays within
-    the tightest scoring threshold of the true value.
+    the tightest scoring threshold of the true value.  Referents are drawn
+    with replacement, so an eligible pool never runs dry.
     """
-    if count == 0:
-        return []
-
     items = _candidate_items(table, category)
     if category != CAT_QUANTITY:
         items = [(refs, value) for refs, value in items if value >= cfg.min_display_value]
     if not items:
-        raise InsufficientCandidatesError(
-            f"scene {table.scene_id}: ni/{category} has no eligible referents",
-            shortfalls={f"ni/{category}": (count, 0)},
-        )
+        return []
     ordered = templates_for(TASK_NI, category)
 
     records: list[QaRecord] = []
@@ -818,9 +802,12 @@ def generate_rule_dataset(
 
     Scenes are processed in sorted scene-id order with per-scene derived RNG
     streams; quotas are split evenly with the remainder on the earliest
-    scenes.  Chain-of-thought twins are added for the leading
-    ``cot_fraction`` share of each scene's stream.  All per-scene shortfalls
-    are gathered into one :class:`InsufficientCandidatesError`.
+    scenes, and a zero quota is not asked for.  Chain-of-thought twins are
+    added for the leading ``cot_fraction`` share of each scene's stream.  A
+    scene that returns fewer records than its quota adds them to the
+    shortfall of its stratum (``fv/<category>`` or ``ni/<category>``, in
+    records) and names itself on a detail line; after the last scene, any
+    shortfall raises one :class:`InsufficientCandidatesError`.
     """
     schedules = build_schedules(master_seed)
     ordered = sorted(tables, key=lambda t: t.scene_id)
@@ -828,38 +815,39 @@ def generate_rule_dataset(
         raise SceneQaError("no NGT tables supplied")
     n = len(ordered)
 
-    # (generator, records per schedule index, category, schedule indices in
-    # the stratum), in RNG draw order.  Built per call so the generators are
-    # read from the module at call time.
-    strata = [(gen_fv_numeric, 2, cat, cfg.fv_count(cat) // 2) for cat in NUMERIC_CATEGORIES]
-    strata += [(gen_ni, 1, cat, cfg.ni_count(cat)) for cat in NUMERIC_CATEGORIES]
+    # (generator, records per schedule index, stratum, category, schedule
+    # indices in the stratum), in RNG draw order.  Built per call so the
+    # generators are read from the module at call time.
+    strata = [(gen_fv_numeric, 2, f"{TASK_FV}/{cat}", cat, cfg.fv_count(cat) // 2)
+              for cat in NUMERIC_CATEGORIES]
+    strata += [(gen_ni, 1, f"{TASK_NI}/{cat}", cat, cfg.ni_count(cat))
+               for cat in NUMERIC_CATEGORIES]
     quotas = [_split_quota(total, n) for *_, total in strata]
     twins = [_twin_selector(total, cfg.cot_fraction) for *_, total in strata]
 
     records: list[QaRecord] = []
-    shortfalls: dict[str, list[int]] = {}
+    shortfalls: dict[str, tuple[int, int]] = {}
     details: list[str] = []
 
     for si, table in enumerate(ordered):
         rng = np.random.default_rng(derive_seed(master_seed, f"rulegen:{table.scene_id}"))
         plain: list[QaRecord] = []
         cot: list[QaRecord] = []
-        for (generate, width, cat, _), quota, twin in zip(strata, quotas, twins):
+        for (generate, width, stratum, cat, _), quota, twin in zip(strata, quotas, twins):
+            count = quota[si]
+            if count == 0:
+                continue
             start = sum(quota[:si])
-            try:
-                chunk = generate(
-                    table, cfg, rng, category=cat, count=quota[si],
-                    start_index=start, schedules=schedules,
-                )
-            except InsufficientCandidatesError as exc:
-                for stratum, (req, got) in exc.shortfalls.items():
-                    agg = shortfalls.setdefault(stratum, [0, 0])
-                    agg[0] += req
-                    agg[1] += got
-                details.append(str(exc))
+            chunk = generate(table, cfg, rng, category=cat, count=count,
+                             start_index=start, schedules=schedules)
+            if len(chunk) < width * count:
+                req, got = shortfalls.get(stratum, (0, 0))
+                shortfalls[stratum] = (req + width * count, got + len(chunk))
+                details.append(f"scene {table.scene_id}: {stratum} produced "
+                               f"{len(chunk)} of {width * count}")
                 continue
             plain.extend(chunk)
-            for offset in range(quota[si]):
+            for offset in range(count):
                 if twin(start + offset):
                     for rec in chunk[width * offset: width * offset + width]:
                         cot.append(gen_cot_variant(rec, table, cfg))
@@ -872,7 +860,7 @@ def generate_rule_dataset(
         )
         raise InsufficientCandidatesError(
             f"generation shortfall ({summary}): " + " | ".join(details[:5]),
-            shortfalls={k: (req, got) for k, (req, got) in shortfalls.items()},
+            shortfalls=shortfalls,
         )
     return records
 

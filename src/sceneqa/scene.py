@@ -239,17 +239,22 @@ def read_ply_vertices(path: str | Path) -> np.ndarray:
         parts = line.split()
         if not parts or parts[0] == "comment":
             continue
-        if parts[0] == "format":
-            fmt = parts[1]
-        elif parts[0] == "element":
-            current = parts[1]
-            elements.append((parts[1], int(parts[2])))
-            properties[current] = []
-        elif parts[0] == "property" and current is not None:
-            if parts[1] == "list":
-                properties[current].append(("list", f"{parts[2]}:{parts[3]}:{parts[4]}"))
-            else:
-                properties[current].append((parts[2], parts[1]))
+        try:
+            if parts[0] == "format":
+                fmt = parts[1]
+            elif parts[0] == "element":
+                current, count = parts[1], int(parts[2])
+                if count < 0:
+                    raise ValueError
+                elements.append((current, count))
+                properties[current] = []
+            elif parts[0] == "property" and current is not None:
+                if parts[1] == "list":
+                    properties[current].append(("list", f"{parts[2]}:{parts[3]}:{parts[4]}"))
+                else:
+                    properties[current].append((parts[2], _PLY_NUMPY_TYPES[parts[1]]))
+        except (IndexError, KeyError, ValueError):
+            raise MalformedFileError(f"{path}: bad PLY header line {line!r}") from None
 
     if fmt not in ("ascii", "binary_little_endian"):
         raise MalformedFileError(f"{path}: unsupported PLY format {fmt!r}")
@@ -279,7 +284,7 @@ def read_ply_vertices(path: str | Path) -> np.ndarray:
             raise MalformedFileError(f"{path}: bad vertex row: {exc}") from exc
 
     dtype = np.dtype(
-        [(name, "<" + _PLY_NUMPY_TYPES[typ]) for name, typ in vertex_props]
+        [(name, "<" + typ) for name, typ in vertex_props]
     )
     needed = n_vertices * dtype.itemsize
     if len(raw) - data_start < needed:
@@ -443,14 +448,12 @@ def _validate_spec(spec: SyntheticSpec) -> None:
             raise InvalidSpecError(f"{spec.scene_id}: empty box label")
 
 
-def _box_points(rng: np.random.Generator, box: BoxSpec) -> np.ndarray:
-    center = np.asarray(box.center, dtype=np.float64)
-    half = np.asarray(box.dims, dtype=np.float64) / 2.0
-    lo, hi = center - half, center + half
+def _box_points(rng: np.random.Generator, n_points: int, center: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     corners = np.array(
         list(itertools.product(*zip(lo, hi))), dtype=np.float64
     )
-    rest = box.n_points - 8
+    rest = n_points - 8
     pairs = rest // 2
     blocks = [corners]
     if pairs:
@@ -501,10 +504,12 @@ def generate_synthetic_scene(
     box_ids: list[tuple[str, tuple, tuple]] = []
 
     for k, box in enumerate(spec.boxes):
-        inst = Instance(f"o{k:03d}", box.label, PointSet(_box_points(rng, box)))
         center = np.asarray(box.center, dtype=np.float64)
         half = np.asarray(box.dims, dtype=np.float64) / 2.0
-        lo, hi = tuple((center - half).tolist()), tuple((center + half).tolist())
+        lo, hi = center - half, center + half
+        inst = Instance(f"o{k:03d}", box.label,
+                        PointSet(_box_points(rng, box.n_points, center, lo, hi)))
+        lo, hi = tuple(lo.tolist()), tuple(hi.tolist())
         bbox = geometry.aabb(inst.points)
         instances.append(inst)
         truth_instances[inst.instance_id] = InstanceMeasurement(

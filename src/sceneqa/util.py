@@ -181,8 +181,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise MalformedFileError(f"{path}:{lineno}: {exc}") from exc
+                raise MalformedFileError(f"{path}: line {lineno}: {exc}") from exc
             if type(row) is not dict:
                 raise SchemaViolationError(
-                    f"{path}:{lineno}: expected a JSON object, got {type(row).__name__}")
+                    f"{path}: line {lineno}: expected a JSON object, got {type(row).__name__}")
             yield lineno, row

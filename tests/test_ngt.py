@@ -161,10 +161,24 @@ class TestSerialization:
             read_ngt(path)
 
     def test_incomplete_pair_coverage_rejected(self, toy_scene):
+        """Each unordered pair of instances is listed exactly once, in
+        ``pairs`` or in ``skipped_pairs``, and names two instances."""
         doc = ngt_to_dict(extract_ngt(toy_scene))
-        doc["pairs"] = doc["pairs"][:-1]
-        with pytest.raises(SchemaViolationError, match="pair"):
-            ngt_from_dict(doc)
+        first, *_, last = doc["pairs"]
+        swapped = {"a": first["b"], "b": first["a"], "distance": 5.0}
+        skip_first = [{"a": first["a"], "b": first["b"], "reason": "x"}]
+        cases = {
+            "pair coverage mismatch": {"pairs": doc["pairs"][:-1]},
+            "a pair is listed twice": {"pairs": doc["pairs"] + [swapped]},
+            "a pair is both measured and skipped": {"skipped_pairs": skip_first},
+            "pair .* is not two distinct instances": {
+                "pairs": doc["pairs"][:-1] + [{**last, "b": "ghost"}]},
+            "pair .*'i1'.*'i1'.* is not two distinct instances": {
+                "pairs": doc["pairs"][:-1] + [{**last, "b": last["a"]}]},
+        }
+        for message, changes in cases.items():
+            with pytest.raises(SchemaViolationError, match=message):
+                ngt_from_dict({**doc, **changes})
 
     def test_extraction_on_synthetic_bank(self, scene_bank, tables):
         # volumes recorded in the analytic truth appear verbatim in the table

@@ -74,6 +74,9 @@ class TestConfig:
         assert cfg.scene_glob == "/data/*.json"
         assert str(cfg.ngt_path) == "/tables"
         assert str(cfg.synth_path) == "/synth"
+        assert str(cfg.dataset_path) == "x/dataset.jsonl"
+        # extract reads by default what synth wrote
+        assert PipelineConfig(synth_dir="/synth").scene_glob == "/synth/*.scene.json"
 
     def test_unknown_keys_are_named(self):
         with pytest.raises(ConfigError, match="temperatur"):
@@ -189,6 +192,16 @@ class TestCliEndToEnd:
         scenes = sorted(cli_run["scenes_dir"].glob("*.scene.json"))
         truths = sorted(cli_run["scenes_dir"].glob("*.truth.json"))
         assert len(scenes) == len(truths) == 3
+
+    def test_extract_reads_the_scenes_synth_wrote_to_synth_dir(self, tmp_path, monkeypatch):
+        """With only ``synth_dir`` set, extract and generate find what the
+        stage before them wrote (out_dir is the default, under the cwd)."""
+        monkeypatch.chdir(tmp_path)
+        write_json({"synth_dir": "elsewhere", "synth_scenes": 1}, "config.json")
+        for command in ("synth", "extract", "generate"):
+            assert main([command, "--config", "config.json"]) == 0
+        assert [p.name for p in (tmp_path / "out" / "ngt").iterdir()] == ["synth0000.ngt.json"]
+        assert (tmp_path / "out" / "dataset.jsonl").is_file()
 
     def test_extract_artifacts(self, cli_run):
         tables = sorted(cli_run["ngt_dir"].glob("*.ngt.json"))
@@ -348,7 +361,7 @@ class TestOnePassStages:
         write_jsonl(rows, dataset)
         write_jsonl([], predictions)
         assert main(["score", "--dataset", str(dataset), "--predictions", str(predictions)]) == 3
-        assert (f"{dataset}:2: {rows[1]['qa_id']}: unknown task 'truthiness'"
+        assert (f"{dataset}: line 2: {rows[1]['qa_id']}: unknown task 'truthiness'"
                 in capsys.readouterr().err)
 
 
@@ -794,7 +807,7 @@ class TestCliErrors:
         assert main([command, "--config", str(config), *args]) == 3
         err = capsys.readouterr().err
         assert f"{target}.jsonl" in err
-        assert "line 2" in err or ".jsonl:2:" in err
+        assert f"{target}.jsonl: line 2:" in err
 
     @pytest.mark.parametrize("predicted", [True, False], ids=["predicted", "unpredicted"])
     def test_score_refuses_a_record_of_an_unknown_task(self, cli_run, tmp_path,

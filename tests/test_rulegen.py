@@ -17,6 +17,7 @@ from sceneqa.errors import (
     SchemaViolationError,
 )
 from sceneqa import rulegen
+from sceneqa.ngt import extract_ngt
 from sceneqa.rulegen import (
     ANSWER_NO,
     ANSWER_YES,
@@ -53,6 +54,7 @@ from sceneqa.templates import (
     TASK_NI,
     evaluate_predicate,
 )
+from sceneqa.scene import Instance, PointSet, Scene
 from sceneqa.util import render_count, render_decimal, write_jsonl
 
 from conftest import MASTER_SEED
@@ -444,6 +446,64 @@ class TestShortfall:
         cfg = RulegenConfig(ni_quantity=200)
         records = generate_rule_dataset(list(tables.values()), cfg, MASTER_SEED)
         assert len(records) == 200
+
+    def test_shortfall_names_each_scene(self, tables):
+        """Quotas of 2, 1 and 1 over the three scenes, none of them met."""
+        cfg = RulegenConfig(ni_distance=4, min_display_value=1000.0)
+        with pytest.raises(InsufficientCandidatesError) as exc_info:
+            generate_rule_dataset(list(tables.values()), cfg, MASTER_SEED)
+        assert exc_info.value.shortfalls == {"ni/distance": (4, 0)}
+        message = str(exc_info.value)
+        assert message.startswith("generation shortfall (ni/distance: 0/4): ")
+        for scene_id, quota in zip(sorted(tables), (2, 1, 1)):
+            assert f"scene {scene_id}: ni/distance produced 0 of {quota}" in message
+
+    def test_exhausted_fv_pool_returns_fewer_pairs(self):
+        """Two instances of volumes 1 and 8 have no pair within the inner
+        band, so drawing stops at the first "approximately equal" pair and
+        what came before it is returned; those pairs are the ones a call
+        for just that many draws."""
+        def box(side, offset):
+            corners = np.array(np.meshgrid([0, side], [0, side], [0, side])).T.reshape(-1, 3)
+            return corners.astype(float) + offset
+
+        table = extract_ngt(Scene("two", (
+            Instance("i0", "chair", PointSet(box(1.0, 0.0))),
+            Instance("i1", "table", PointSet(box(2.0, 5.0))),
+        )))
+
+        def generate(count):
+            return rulegen.gen_fv_numeric(
+                table, RulegenConfig(), np.random.default_rng(0), category=CAT_VOLUME,
+                count=count, start_index=0, schedules=build_schedules(MASTER_SEED))
+
+        records = generate(20)
+        assert 0 < len(records) < 40 and len(records) % 2 == 0
+        assert records == generate(len(records) // 2)
+
+    def test_no_eligible_ni_referent_returns_nothing(self, tables):
+        table = tables[sorted(tables)[0]]
+        rng = np.random.default_rng(0)
+        records = rulegen.gen_ni(
+            table, RulegenConfig(min_display_value=1000.0), rng, category=CAT_DISTANCE,
+            count=3, start_index=0, schedules=build_schedules(MASTER_SEED))
+        assert records == []
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_zero_quota_is_never_asked_for(self, tables, monkeypatch):
+        """Two NI distance records over three scenes leave the last scene a
+        quota of zero, and the other strata have none at all."""
+        calls = []
+        for name in ("gen_fv_numeric", "gen_ni"):
+            def spy(*args, real=getattr(rulegen, name), name=name, **kwargs):
+                calls.append((name, args[0].scene_id, kwargs["category"], kwargs["count"]))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(rulegen, name, spy)
+        records = generate_rule_dataset(list(tables.values()),
+                                        RulegenConfig(ni_distance=2), MASTER_SEED)
+        assert len(records) == 2
+        first, second, _ = sorted(tables)
+        assert calls == [("gen_ni", first, CAT_DISTANCE, 1), ("gen_ni", second, CAT_DISTANCE, 1)]
 
 
 class TestCotVariantFunction:

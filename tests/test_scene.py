@@ -534,6 +534,27 @@ class TestPlyReader:
         with pytest.raises(MalformedFileError, match="bad vertex row"):
             read_ply_vertices(path)
 
+    @pytest.mark.parametrize("fmt,at,bad", [
+        ("ascii", 0, "format"),
+        ("ascii", 1, "element vertex"),
+        ("ascii", 2, "property float"),
+        ("ascii", 1, "element vertex abc"),
+        ("ascii", 1, "element vertex -1"),
+        ("binary_little_endian", 2, "property half x"),
+        ("binary_little_endian", 1, "element vertex -1"),
+    ])
+    def test_bad_header_line(self, tmp_path, fmt, at, bad):
+        """A header line with missing fields, a count that is not a
+        non-negative integer or a type PLY does not define is refused,
+        naming the line, before any vertex data is read."""
+        lines = [f"format {fmt} 1.0", "element vertex 3", "property float x",
+                 "property float y", "property float z"]
+        lines[at] = bad
+        path = tmp_path / "m.ply"
+        path.write_text("\n".join(["ply", *lines, "end_header", "0 0 0", "1 1 1", "2 2 2"]))
+        with pytest.raises(MalformedFileError, match=re.escape(f"bad PLY header line {bad!r}")):
+            read_ply_vertices(path)
+
     def test_missing_axis_property(self, tmp_path):
         path = tmp_path / "m.ply"
         path.write_bytes(

@@ -183,14 +183,15 @@ class TestJsonHelpers:
     def test_jsonl_reports_offending_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"ok": 1}\nnot json\n')
-        with pytest.raises(MalformedFileError, match=r":2:"):
+        with pytest.raises(MalformedFileError, match=r"rows\.jsonl: line 2: "):
             list(read_jsonl(path))
 
     @pytest.mark.parametrize("line", ["[1, 2, 3]", "7", '"text"', "null"])
     def test_jsonl_rows_must_be_objects(self, tmp_path, line):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"ok": 1}\n\n' + line + "\n")
-        with pytest.raises(SchemaViolationError, match=r"rows\.jsonl:3: expected a JSON object"):
+        with pytest.raises(SchemaViolationError,
+                           match=r"rows\.jsonl: line 3: expected a JSON object"):
             list(read_jsonl(path))
 
     def test_failed_jsonl_write_keeps_previous_file(self, tmp_path):
