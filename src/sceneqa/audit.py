@@ -5,7 +5,9 @@ display consistency, self-scoring, balance, and ground-truth agreement.
 responder at exactly 1.0, and is every contrapositive pair a true
 inversion?" before anything is shipped to a model.  It walks the records
 once, keeping only their ids and the pair halves whose partner is unread,
-and each check names the records that fail it.  Self-scoring is a
+and each check names the records that fail it.  A record's task, variant,
+provenance and category are checked where it is built, by
+:class:`~sceneqa.rulegen.QaRecord`, not here.  Self-scoring is a
 per-record check on numeric records: a responder that echoes the stored
 answer must be a hit at every threshold.  Yes/no and multiple-choice
 answers need no such check, because the schema check already demands that
@@ -31,11 +33,8 @@ from .rulegen import (
     ANSWER_YES,
     INVERSE_ANSWER,
     OPTION_LETTERS,
-    PROVENANCE_LLM,
     PROVENANCE_RULE,
     QaRecord,
-    VARIANT_COT,
-    VARIANT_PLAIN,
     BalanceReport,
     balance_violations,
     contrapositive_id,
@@ -45,20 +44,14 @@ from .rulegen import (
 )
 from .templates import (
     BY_ID,
-    CAT_NON_NUMERIC,
     DEFAULT_APPROX_BAND,
-    NUMERIC_CATEGORIES,
     TASK_FV,
     TASK_NI,
     TASK_PM,
-    TASKS,
     UNITS,
     evaluate_predicate,
 )
 
-_NUMERIC = frozenset(NUMERIC_CATEGORIES)
-_VALID_VARIANTS = {VARIANT_PLAIN, VARIANT_COT}
-_VALID_PROVENANCE = {PROVENANCE_RULE, PROVENANCE_LLM}
 _TA_MIN = min(TA_THRESHOLDS)
 
 
@@ -143,37 +136,20 @@ class SelfCheckResult:
         return lines
 
 
-def _sound(record: QaRecord) -> bool:
-    """Recognizable task and variant; the checks after schema assume both."""
-    return record.task in TASKS and record.variant in _VALID_VARIANTS
-
-
 def _schema(record: QaRecord) -> list[str]:
     rid, gold = record.qa_id, record.gold
-    if record.task not in TASKS:
-        return [f"{rid}: unknown task {record.task!r}"]
     failures: list[str] = []
-    if record.variant not in _VALID_VARIANTS:
-        failures.append(f"{rid}: unknown variant {record.variant!r}")
-    if record.provenance not in _VALID_PROVENANCE:
-        failures.append(f"{rid}: unknown provenance {record.provenance!r}")
     if not record.question.strip():
         failures.append(f"{rid}: empty question")
     if record.task == TASK_FV:
         if gold not in (ANSWER_YES, ANSWER_NO):
             failures.append(f"{rid}: yes/no answer expected, got {record.answer!r}")
-        if record.category not in _NUMERIC and record.category != CAT_NON_NUMERIC:
-            failures.append(f"{rid}: bad category {record.category!r}")
     elif record.task == TASK_PM:
         if gold not in OPTION_LETTERS:
             failures.append(f"{rid}: option letter expected, got {record.answer!r}")
-        if record.category != CAT_NON_NUMERIC:
-            failures.append(f"{rid}: PM records are non-numeric, got {record.category!r}")
     else:  # NI
         if parse_numeric(gold) is None:
             failures.append(f"{rid}: numeric answer expected, got {record.answer!r}")
-        if record.category not in _NUMERIC:
-            failures.append(f"{rid}: bad category {record.category!r}")
         if record.gt_value is None:
             failures.append(f"{rid}: numeric record without gt_value")
     if record.provenance == PROVENANCE_RULE:
@@ -226,16 +202,12 @@ class _Links:
 
     def __init__(self, seen: set[str]):
         self.seen = seen  # every id read so far
-        self.unsound: set[str] = set()  # ids of unsound records
         self._held: dict[str, QaRecord] = {}
         self._waiting: dict[str, list[tuple[int, QaRecord]]] = {}  # by link
         self._failures: list[tuple[int, list[str]]] = []
 
     def add(self, pos: int, record: QaRecord) -> None:
         rid, link = record.qa_id, record.cp_link
-        if not _sound(record):
-            self.unsound.add(rid)
-            return
         partner = record if link == rid else self._held.get(link)
         for waiter_pos, waiter in self._waiting.pop(rid, ()):
             if failures := _cp_involution(waiter, record):
@@ -249,7 +221,7 @@ class _Links:
             failures = [f"{rid}: yes/no record without cp_link"]
         elif partner is not None:
             failures = _cp_involution(record, partner)
-        elif link in self.seen and link not in self.unsound:
+        elif link in self.seen:
             failures = [f"{rid}: cp_link {link!r} names a record paired elsewhere "
                         f"or not yes/no"]
         else:
@@ -275,7 +247,8 @@ def selfcheck(records: Iterable[QaRecord],
     """Run every dataset audit in one pass over ``records``; ground-truth
     agreement runs only when the matching tables are supplied.  PM letters
     are balanced over ``n_options`` choices.  A record whose id repeats an
-    earlier one is a ``schema`` failure and takes no part in pairing."""
+    earlier one is a ``schema`` failure and takes no part in pairing.  Every
+    record is of a known task and variant, as :class:`QaRecord` checks."""
     schema: list[str] = []
     ni_display: list[str] = []
     self_scoring: list[str] = []
@@ -291,8 +264,6 @@ def selfcheck(records: Iterable[QaRecord],
             seen.add(rid)
             schema += _schema(record)
             links.add(pos, record)
-        if not _sound(record):
-            continue
         balance.add(record)
         if record.task == TASK_NI:
             if record.provenance == PROVENANCE_RULE and record.gt_value is not None:

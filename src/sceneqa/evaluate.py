@@ -28,7 +28,6 @@ from .templates import (
     TASK_FV,
     TASK_NI,
     TASK_PM,
-    TASKS,
 )
 from .util import read_jsonl
 
@@ -116,8 +115,6 @@ class EvalReport:
     def add(self, record: QaRecord, output: str | None) -> None:
         """Score one record's raw model output, None when it has none."""
         task, category, variant = record.task, record.category, record.variant
-        if task not in TASKS:
-            raise SchemaViolationError(f"{record.qa_id}: unknown task {task!r}")
         key = stratum_key(record)
         scores = self.strata.get(key)
         if scores is None:
@@ -156,9 +153,9 @@ def score_records(records: Iterable[QaRecord],
                   predictions: Mapping[str, str]) -> EvalReport:
     """Score raw model outputs against a dataset, stratified by
     task/category/variant.  Missing and unparseable outputs count as misses;
-    numeric outputs are scored at each of ``TA_THRESHOLDS``.  A record of an
-    unknown task raises :class:`SchemaViolationError`, whether or not it has
-    a prediction."""
+    numeric outputs are scored at each of ``TA_THRESHOLDS``.  Every record is
+    of a known task, variant and category, because :class:`QaRecord` refuses
+    any other where it is built."""
     report = EvalReport()
     for record in records:
         report.add(record, predictions.get(record.qa_id))

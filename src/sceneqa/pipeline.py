@@ -17,6 +17,7 @@ from __future__ import annotations
 import glob as globlib
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -60,7 +61,8 @@ from .scene import (
     truth_to_dict,
     write_scene,
 )
-from .templates import DEFAULT_APPROX_BAND, TEMPLATE_BANK_VERSION
+from .templates import (CAT_NON_NUMERIC, DEFAULT_APPROX_BAND, TASK_FV, TASK_PM,
+                        TEMPLATE_BANK_VERSION)
 from .util import derive_seed, read_json, write_json, write_jsonl
 
 FORMAT_VERSION = "1.0.0"
@@ -330,11 +332,15 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
                                   n_options=cfg.n_options)
         log_rows = track.log_rows
         if track.failed_jobs:
-            requested = cfg.rewrite_pm + cfg.rewrite_fv
+            # records, as every stratum counts them: an FV job makes a pair
+            requested = {f"{TASK_PM}/{CAT_NON_NUMERIC}": cfg.rewrite_pm,
+                         f"{TASK_FV}/{CAT_NON_NUMERIC}": 2 * cfg.rewrite_fv}
+            produced = Counter(f"{r.task}/{r.category}" for r in track.records)
             raise InsufficientCandidatesError(
                 f"{len(track.failed_jobs)} rewrite jobs exhausted their attempts "
                 f"(first: {track.failed_jobs[0]})",
-                shortfalls={"rewrite": (requested, requested - len(track.failed_jobs))},
+                shortfalls={key: (n, produced[key]) for key, n in requested.items()
+                            if produced[key] < n},
             )
         streams.append(track.records)
     records, balance = assemble_dataset(streams, cfg.n_options)

@@ -42,6 +42,7 @@ from .ngt import NgtTable
 from .templates import (
     BY_ID,
     CAT_DISTANCE,
+    CAT_NON_NUMERIC,
     CAT_QUANTITY,
     CAT_VOLUME,
     DEFAULT_APPROX_BAND,
@@ -55,7 +56,6 @@ from .templates import (
     TASK_FV,
     TASK_NI,
     TASK_PM,
-    TASKS,
     Template,
     evaluate_predicate,
     fill_text,
@@ -114,8 +114,21 @@ def extract_answer(output: str | None, task: str,
     return case(matches[-1] if variant == VARIANT_COT else matches[0])
 
 
+_CATEGORIES = {  # the categories each task allows
+    TASK_FV: frozenset((*NUMERIC_CATEGORIES, CAT_NON_NUMERIC)),
+    TASK_PM: frozenset((CAT_NON_NUMERIC,)),
+    TASK_NI: frozenset(NUMERIC_CATEGORIES),
+}
+_VARIANTS = frozenset((VARIANT_PLAIN, VARIANT_COT))
+_PROVENANCES = frozenset((PROVENANCE_RULE, PROVENANCE_LLM))
+
+
 @dataclass(frozen=True, slots=True)
 class QaRecord:
+    """One dataset item.  Its task, variant, provenance and category are
+    checked here and nowhere else: a value outside its vocabulary, such as a
+    PM ``quantity``, raises ``"<qa_id>: unknown category 'quantity'"``."""
+
     qa_id: str
     scene_id: str
     task: str
@@ -129,16 +142,21 @@ class QaRecord:
     provenance: str
     template_id: str | None
     referents: tuple[str, ...]
-    # The token a prediction must match, None for an unknown task or an
-    # unreadable chain; not an init field, so replace() recomputes it and
-    # to_dict() leaves it out.
+    # The token a prediction must match, None for an unreadable chain; not
+    # an init field, so replace() recomputes it and to_dict() leaves it out.
     gold: str | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gold = None
-        if self.task in TASKS:
-            gold = self.answer if self.variant == VARIANT_PLAIN else \
-                extract_answer(self.answer, self.task, self.variant)
+        # one chained test per record built; the loop only words a refusal
+        if not (self.category in _CATEGORIES.get(self.task, ())
+                and self.variant in _VARIANTS and self.provenance in _PROVENANCES):
+            for name, allowed in (("task", _CATEGORIES), ("variant", _VARIANTS),
+                                  ("provenance", _PROVENANCES),
+                                  ("category", _CATEGORIES.get(self.task, ()))):
+                if (value := getattr(self, name)) not in allowed:
+                    raise SchemaViolationError(f"{self.qa_id}: unknown {name} {value!r}")
+        gold = self.answer if self.variant == VARIANT_PLAIN else \
+            extract_answer(self.answer, self.task, self.variant)
         if gold is not None and self.variant != VARIANT_PLAIN and self.task != TASK_NI:
             gold = sys.intern(gold)  # a chain's yes/no or letter: one string per value
         object.__setattr__(self, "gold", gold)
@@ -200,10 +218,12 @@ def record_from_dict(row: dict, source: str = "<dict>",
     :class:`SchemaViolationError` naming ``source`` and ``line``.
 
     Every text field must be a JSON string (``cp_link`` and ``template_id``
-    may be null); nothing is coerced.  The categorical fields (``scene_id``,
-    ``task``, ``category``, ``unit``, ``variant``, ``provenance``,
-    ``template_id`` and each referent) go through :func:`sys.intern`, so the
-    records of a dataset share one string object per distinct value.  A
+    may be null); nothing is coerced.  A value :class:`QaRecord` refuses
+    reads ``"<source>: line <n>: <qa_id>: unknown task 'essay'"``.  The
+    categorical fields (``scene_id``, ``task``, ``category``, ``unit``,
+    ``variant``, ``provenance``, ``template_id`` and each referent) go through
+    :func:`sys.intern`, so the records of a dataset share one string object
+    per distinct value.  A
     dataset holds a few hundred such values however many records it has, so
     this about halves the memory a loaded record holds.  Ids, questions and
     answers differ per record and are kept as read: an interned string may
@@ -233,13 +253,16 @@ def record_from_dict(row: dict, source: str = "<dict>",
     if type(referents) is not list or not all(type(r) is str for r in referents):
         raise _row_error(source, line, "'referents' must be a list of strings")
     intern = sys.intern
-    # positional, in field order, as _row_values read them
-    return QaRecord(
-        qa_id, intern(scene_id), intern(task), intern(category), question,
-        answer, gt, intern(unit), cp_link, intern(variant), intern(provenance),
-        None if template_id is None else intern(template_id),
-        tuple(map(intern, referents)),
-    )
+    try:
+        # positional, in field order, as _row_values read them
+        return QaRecord(
+            qa_id, intern(scene_id), intern(task), intern(category), question,
+            answer, gt, intern(unit), cp_link, intern(variant), intern(provenance),
+            None if template_id is None else intern(template_id),
+            tuple(map(intern, referents)),
+        )
+    except SchemaViolationError as exc:
+        raise _row_error(source, line, str(exc)) from None
 
 
 def write_dataset(records: Iterable[QaRecord], path: str | Path) -> int:

@@ -25,7 +25,6 @@ TEMPLATE_BANK_VERSION = "1.0.0"
 TASK_FV = "fv"
 TASK_PM = "pm"
 TASK_NI = "ni"
-TASKS = (TASK_FV, TASK_PM, TASK_NI)
 
 CAT_QUANTITY = "quantity"
 CAT_DISTANCE = "distance"

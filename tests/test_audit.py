@@ -8,7 +8,7 @@ import re
 import pytest
 
 from sceneqa.audit import oracle_responses, selfcheck
-from sceneqa.errors import SceneQaError
+from sceneqa.errors import SceneQaError, SchemaViolationError
 from sceneqa.evaluate import consistency_report, score_records
 from sceneqa.rulegen import (
     ANSWER_NO,
@@ -192,30 +192,21 @@ class TestSelfCheckCorruptions:
             "ni_display": [],
         }
 
-    def test_invalid_task_trips_schema(self, dataset, tables):
+    def test_invalid_task_trips_schema(self, dataset):
+        """An unknown task is refused where the record is built, so no
+        selfcheck sees it."""
         records, _ = dataset
-        rid, partner = records[0].qa_id, records[0].cp_link
-        corrupted = swap(records, 0, task="essay")
-        result = selfcheck(corrupted, tables=tables)
-        # the record is only reported by schema; its partner loses it
-        assert pinned(result) == {
-            "schema": [f"{rid}: unknown task 'essay'"],
-            "cp_involution": [f"{partner}: cp_link {rid!r} not in dataset"],
-            "ni_display": [],
-            "gt_agreement": [],
-        }
+        rid = records[0].qa_id
+        with pytest.raises(SchemaViolationError,
+                           match=f"^{re.escape(rid)}: unknown task 'essay'$"):
+            swap(records, 0, task="essay")
 
-    def test_unknown_variant_stops_after_schema(self, dataset, tables):
+    def test_unknown_variant_stops_after_schema(self, dataset):
         records, _ = dataset
-        rid, partner = records[0].qa_id, records[0].cp_link
-        corrupted = swap(records, 0, variant="sketch")
-        result = selfcheck(corrupted, tables=tables)
-        assert pinned(result) == {
-            "schema": [f"{rid}: unknown variant 'sketch'"],
-            "cp_involution": [f"{partner}: cp_link {rid!r} not in dataset"],
-            "ni_display": [],
-            "gt_agreement": [],
-        }
+        rid = records[0].qa_id
+        with pytest.raises(SchemaViolationError,
+                           match=f"^{re.escape(rid)}: unknown variant 'sketch'$"):
+            swap(records, 0, variant="sketch")
 
     def test_consistent_but_wrong_value_needs_tables(self, dataset, tables):
         records, _ = dataset

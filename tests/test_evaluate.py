@@ -128,7 +128,8 @@ class TestGoldAnswer:
         assert rec.gold == "3.81"
 
     def test_unknown_task_and_unreadable_chain_have_no_gold(self):
-        assert make_record("s0-x-00000", "truthiness", "yes").gold is None
+        with pytest.raises(SchemaViolationError, match="unknown task 'truthiness'"):
+            make_record("s0-x-00000", "truthiness", "yes")
         rec = make_record("s0-fv-quantity-00000-cot", TASK_FV, "Hard to tell.",
                           variant=VARIANT_COT)
         assert rec.gold is None
@@ -146,7 +147,8 @@ class TestGoldAnswer:
         assert dataclasses.replace(rec, answer="So the answer is no.").gold == "no"
         assert dataclasses.replace(rec, variant=VARIANT_PLAIN).gold == \
             "So the answer is yes."
-        assert dataclasses.replace(rec, task="truthiness").gold is None
+        assert dataclasses.replace(rec, task=TASK_PM, category="non-numeric",
+                                   answer="So the answer is B.").gold == "B"
 
     def test_gold_is_not_written(self, tmp_path):
         rec = make_record("s0-fv-quantity-00000-cot", TASK_FV,

@@ -809,6 +809,27 @@ class TestCliErrors:
         assert f"{target}.jsonl" in err
         assert f"{target}.jsonl: line 2:" in err
 
+    @pytest.mark.parametrize("command", ["selfcheck", "score"])
+    @pytest.mark.parametrize("changes,problem", [
+        ({"variant": "sketch"}, "unknown variant 'sketch'"),
+        ({"task": "essay"}, "unknown task 'essay'"),
+        ({"provenance": "human"}, "unknown provenance 'human'"),
+        ({"task": "pm", "category": "quantity"}, "unknown category 'quantity'"),
+    ], ids=["variant", "task", "provenance", "pm-category"])
+    def test_a_row_outside_the_vocabulary_exits_3(self, cli_run, tmp_path, capsys,
+                                                  command, changes, problem):
+        """selfcheck and score refuse the same rows, naming file and line."""
+        rows = [json.loads(text) for text in
+                cli_run["dataset"].read_text().splitlines()[:3]]
+        rows[1].update(changes)
+        dataset, predictions = tmp_path / "dataset.jsonl", tmp_path / "predictions.jsonl"
+        write_jsonl(rows, dataset)
+        write_jsonl([{"qa_id": row["qa_id"], "output": "yes"} for row in rows], predictions)
+        args = ["--predictions", str(predictions)] if command == "score" else []
+        assert main([command, "--dataset", str(dataset), *args]) == 3
+        assert (f"{dataset}: line 2: {rows[1]['qa_id']}: {problem}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("predicted", [True, False], ids=["predicted", "unpredicted"])
     def test_score_refuses_a_record_of_an_unknown_task(self, cli_run, tmp_path,
                                                        capsys, predicted):
@@ -897,4 +918,4 @@ class TestCliFlags:
         with pytest.raises(InsufficientCandidatesError) as excinfo:
             run_generate(load_config(rewrite_config, out_dir=str(tmp_path),
                                      ngt_dir=str(cli_run["ngt_dir"]), stub_llm=True))
-        assert excinfo.value.shortfalls == {"rewrite": (3, 0)}
+        assert excinfo.value.shortfalls == {"pm/non-numeric": (2, 0), "fv/non-numeric": (2, 0)}

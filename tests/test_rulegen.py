@@ -22,6 +22,7 @@ from sceneqa.rulegen import (
     ANSWER_NO,
     ANSWER_YES,
     COT_SUFFIX,
+    PROVENANCE_LLM,
     PROVENANCE_RULE,
     VARIANT_COT,
     VARIANT_PLAIN,
@@ -45,6 +46,7 @@ from sceneqa.rulegen import (
 from sceneqa.templates import (
     BY_ID,
     CAT_DISTANCE,
+    CAT_NON_NUMERIC,
     CAT_QUANTITY,
     CAT_VOLUME,
     NUMERIC_CATEGORIES,
@@ -52,6 +54,7 @@ from sceneqa.templates import (
     PRED_NOT_APPROX_EQUAL,
     TASK_FV,
     TASK_NI,
+    TASK_PM,
     evaluate_predicate,
 )
 from sceneqa.scene import Instance, PointSet, Scene
@@ -636,6 +639,45 @@ class TestSerialization:
         row["referents"] = "chair"
         with pytest.raises(SchemaViolationError, match="referents"):
             record_from_dict(row)
+
+
+class TestVocabulary:
+    @pytest.mark.parametrize("changes,problem", [
+        ({"task": "essay"}, "unknown task 'essay'"),
+        ({"variant": "sketch"}, "unknown variant 'sketch'"),
+        ({"provenance": "human"}, "unknown provenance 'human'"),
+        ({"task": TASK_PM, "category": CAT_QUANTITY}, "unknown category 'quantity'"),
+        ({"task": TASK_NI, "category": CAT_NON_NUMERIC}, "unknown category 'non-numeric'"),
+        ({"task": TASK_FV, "category": "colour"}, "unknown category 'colour'"),
+    ], ids=["task", "variant", "provenance", "pm-quantity", "ni-non-numeric",
+            "fv-colour"])
+    def test_record_refuses_a_value_outside_its_vocabulary(self, dataset, changes,
+                                                           problem):
+        record = dataset[0][0]
+        with pytest.raises(SchemaViolationError,
+                           match=f"^{re.escape(record.qa_id)}: {re.escape(problem)}$"):
+            dataclasses.replace(record, **changes)
+
+    @pytest.mark.parametrize("task,categories", [
+        (TASK_FV, (*NUMERIC_CATEGORIES, CAT_NON_NUMERIC)),
+        (TASK_PM, (CAT_NON_NUMERIC,)),
+        (TASK_NI, NUMERIC_CATEGORIES),
+    ])
+    def test_every_allowed_value_builds(self, dataset, task, categories):
+        record = dataset[0][0]
+        for category in categories:
+            for variant in (VARIANT_PLAIN, VARIANT_COT):
+                for provenance in (PROVENANCE_RULE, PROVENANCE_LLM):
+                    built = dataclasses.replace(record, task=task, category=category,
+                                                variant=variant, provenance=provenance)
+                    assert (built.task, built.category) == (task, category)
+
+    def test_a_row_outside_the_vocabulary_names_source_and_line(self, dataset):
+        row = dataset[0][0].to_dict()
+        row["variant"] = "sketch"
+        with pytest.raises(SchemaViolationError, match=re.escape(
+                f"here: line 4: {row['qa_id']}: unknown variant 'sketch'")):
+            record_from_dict(row, source="here", line=4)
 
 
 class TestAssembleDataset:

@@ -691,7 +691,20 @@ class TestSyntheticScenes:
             bbox = geometry.aabb(inst.points)
             assert bbox.min_corner == t.aabb_min
             assert bbox.max_corner == t.aabb_max
+            assert bbox.extents == t.dims
             assert geometry.aabb_volume(bbox) == t.volume
+
+    def test_truth_does_not_call_the_geometry_it_checks(self, monkeypatch):
+        """Truth comes from the declared boxes, so extraction's ``aabb`` is
+        compared with an independent value, not with itself."""
+        _, expected = generate_synthetic_scene(self.SPEC, seed=11)
+
+        def refuse(points):
+            raise AssertionError("truth must not measure the sampled points")
+
+        monkeypatch.setattr(geometry, "aabb", refuse)
+        _, truth = generate_synthetic_scene(self.SPEC, seed=11)
+        assert truth == expected
 
     def test_centroid_sits_on_declared_center(self):
         scene, truth = generate_synthetic_scene(self.SPEC, seed=11)

@@ -165,7 +165,9 @@ class TestJsonHelpers:
         assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"b": 2})]
 
     @pytest.mark.parametrize("reader,good,bad", [
-        (read_dataset, {**{k: "x" for k in _RECORD_KEYS}, "gt_value": 1.5,
+        (read_dataset, {**{k: "x" for k in _RECORD_KEYS}, "task": "ni",
+                        "category": "quantity", "variant": "plain",
+                        "provenance": "rule", "gt_value": 1.5,
                         "cp_link": None, "template_id": None, "referents": []},
          {"qa_id": "y"}),
         (read_predictions, {"qa_id": "a", "output": "yes"}, {"qa_id": "b"}),
