@@ -19,7 +19,7 @@ from sceneqa import (
     random_indoor_spec,
     RulegenConfig,
 )
-from sceneqa.rulegen import build_balance_report, balance_violations
+from sceneqa.rulegen import balance_violations
 
 # ---------------------------------------------------------------------------
 # Inputs: a few extracted tables

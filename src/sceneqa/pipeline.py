@@ -46,10 +46,11 @@ from .rewrite import (
     run_rewrite_track,
 )
 from .rulegen import (
+    BalanceReport,
     RulegenConfig,
-    assemble_dataset,
-    generate_rule_dataset,
+    checked_records,
     iter_dataset,
+    iter_rule_dataset,
     recomputable,
     write_dataset,
 )
@@ -318,19 +319,29 @@ class GenerateResult:
 
 
 def run_generate(cfg: PipelineConfig) -> GenerateResult:
-    """Produce dataset.jsonl plus its balance report, run log, and manifest."""
-    tables = _load_tables(cfg.ngt_path)
-    rule_records = generate_rule_dataset(tables, cfg, cfg.seed)
-    streams = [rule_records]
-    log_rows: list[dict] = []
-    if cfg.rewrite_pm or cfg.rewrite_fv:
+    """Produce dataset.jsonl plus its balance report, run log, and manifest.
+
+    The rewrite settings are checked, the short answers read and the client
+    built before any rule record is generated.  ``dataset.jsonl`` is then
+    written one record at a time: the rule records scene by scene, then,
+    once they are exhausted, the rewrite track's.  Only the record ids, the
+    balance tallies and the rewrite records are held.  A shortfall, a
+    duplicate id or a balance breach raises inside the writer, so no dataset
+    and no other artifact is committed.
+    """
+    rewriting = cfg.rewrite_pm or cfg.rewrite_fv
+    if rewriting:
         if not cfg.saq_file:
             raise ConfigError("rewriting needs saq_file")
+        client = _rewrite_client(cfg)
         saqs = load_saqs(cfg.saq_file)
-        track = run_rewrite_track(saqs, cfg.rewrite_pm, cfg.rewrite_fv,
-                                  _rewrite_client(cfg), cfg.seed,
-                                  n_options=cfg.n_options)
-        log_rows = track.log_rows
+    tables = _load_tables(cfg.ngt_path)
+    log_rows: list[dict] = []
+
+    def rewrite_records():
+        track = run_rewrite_track(saqs, cfg.rewrite_pm, cfg.rewrite_fv, client,
+                                  cfg.seed, n_options=cfg.n_options)
+        log_rows.extend(track.log_rows)
         if track.failed_jobs:
             # records, as every stratum counts them: an FV job makes a pair
             requested = {f"{TASK_PM}/{CAT_NON_NUMERIC}": cfg.rewrite_pm,
@@ -342,12 +353,15 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
                 shortfalls={key: (n, produced[key]) for key, n in requested.items()
                             if produced[key] < n},
             )
-        streams.append(track.records)
-    records, balance = assemble_dataset(streams, cfg.n_options)
+        yield from track.records
 
+    streams = [iter_rule_dataset(tables, cfg, cfg.seed)]
+    if rewriting:
+        streams.append(rewrite_records())
+    balance = BalanceReport()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_dataset(records, cfg.dataset_path)
+    write_dataset(checked_records(streams, balance, cfg.n_options), cfg.dataset_path)
     write_json(balance.to_dict(), out / "balance_report.json")
     write_jsonl(log_rows, out / "run_log.jsonl")
 

@@ -816,21 +816,23 @@ def _twin_selector(total: int, fraction: float):
     return selected
 
 
-def generate_rule_dataset(
+def iter_rule_dataset(
     tables: Sequence[NgtTable],
     cfg: RulegenConfig,
     master_seed: int,
-) -> list[QaRecord]:
-    """Generate the full rule-based dataset across scenes.
+) -> Iterator[QaRecord]:
+    """Yield the full rule-based dataset across scenes, one scene at a time.
 
     Scenes are processed in sorted scene-id order with per-scene derived RNG
     streams; quotas are split evenly with the remainder on the earliest
-    scenes, and a zero quota is not asked for.  Chain-of-thought twins are
-    added for the leading ``cot_fraction`` share of each scene's stream.  A
-    scene that returns fewer records than its quota adds them to the
-    shortfall of its stratum (``fv/<category>`` or ``ni/<category>``, in
-    records) and names itself on a detail line; after the last scene, any
-    shortfall raises one :class:`InsufficientCandidatesError`.
+    scenes, and a zero quota is not asked for.  Each scene's plain records
+    are yielded, then its chain-of-thought twins, added for the leading
+    ``cot_fraction`` share of its stream; nothing of a later scene is
+    generated before the consumer asks for it.  A scene that returns fewer
+    records than its quota adds them to the shortfall of its stratum
+    (``fv/<category>`` or ``ni/<category>``, in records) and names itself on
+    a detail line; after the last scene, any shortfall raises one
+    :class:`InsufficientCandidatesError`.
     """
     schedules = build_schedules(master_seed)
     ordered = sorted(tables, key=lambda t: t.scene_id)
@@ -848,7 +850,6 @@ def generate_rule_dataset(
     quotas = [_split_quota(total, n) for *_, total in strata]
     twins = [_twin_selector(total, cfg.cot_fraction) for *_, total in strata]
 
-    records: list[QaRecord] = []
     shortfalls: dict[str, tuple[int, int]] = {}
     details: list[str] = []
 
@@ -874,8 +875,8 @@ def generate_rule_dataset(
                 if twin(start + offset):
                     for rec in chunk[width * offset: width * offset + width]:
                         cot.append(gen_cot_variant(rec, table, cfg))
-        records.extend(plain)
-        records.extend(cot)
+        yield from plain
+        yield from cot
 
     if shortfalls:
         summary = "; ".join(
@@ -885,7 +886,15 @@ def generate_rule_dataset(
             f"generation shortfall ({summary}): " + " | ".join(details[:5]),
             shortfalls=shortfalls,
         )
-    return records
+
+
+def generate_rule_dataset(
+    tables: Sequence[NgtTable],
+    cfg: RulegenConfig,
+    master_seed: int,
+) -> list[QaRecord]:
+    """:func:`iter_rule_dataset` as a list."""
+    return list(iter_rule_dataset(tables, cfg, master_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -942,13 +951,6 @@ def stratum_key(record: QaRecord) -> str:
     return f"{record.task}/{record.category}/{record.variant}"
 
 
-def build_balance_report(records: Iterable[QaRecord]) -> BalanceReport:
-    report = BalanceReport()
-    for rec in records:
-        report.add(rec)
-    return report
-
-
 def balance_violations(report: BalanceReport, n_options: int = 5) -> list[str]:
     """Tolerance check: FV yes/no within 1 (overall and per stream), PM
     letters within 1 of N/n_options, template usage within 1 of N/10."""
@@ -984,21 +986,30 @@ def balance_violations(report: BalanceReport, n_options: int = 5) -> list[str]:
     return problems
 
 
-def assemble_dataset(
-    streams: Iterable[Iterable[QaRecord]], n_options: int = 5,
-) -> tuple[list[QaRecord], BalanceReport]:
-    """Concatenate record streams, check id uniqueness and balance tolerances
-    (PM letters against ``n_options`` choices)."""
-    records: list[QaRecord] = []
+def checked_records(
+    streams: Iterable[Iterable[QaRecord]], report: BalanceReport, n_options: int = 5,
+) -> Iterator[QaRecord]:
+    """Yield the records of ``streams`` in order, each once its ``qa_id`` is
+    known to be new, counting it into ``report``; once the last stream is
+    exhausted, raise if the balance tolerances are breached (PM letters
+    against ``n_options`` choices).  Only the ids and the tallies are held,
+    and a stream is not started before the one ahead of it is exhausted."""
     seen: set[str] = set()
     for stream in streams:
         for rec in stream:
             if rec.qa_id in seen:
                 raise SchemaViolationError(f"duplicate qa_id {rec.qa_id!r}")
             seen.add(rec.qa_id)
-            records.append(rec)
-    report = build_balance_report(records)
+            report.add(rec)
+            yield rec
     problems = balance_violations(report, n_options)
     if problems:
         raise SceneQaError("balance tolerances breached: " + "; ".join(problems[:8]))
-    return records, report
+
+
+def assemble_dataset(
+    streams: Iterable[Iterable[QaRecord]], n_options: int = 5,
+) -> tuple[list[QaRecord], BalanceReport]:
+    """:func:`checked_records` as a list, with its balance report."""
+    report = BalanceReport()
+    return list(checked_records(streams, report, n_options)), report

@@ -15,7 +15,7 @@ from sceneqa.rulegen import (
     ANSWER_YES,
     VARIANT_COT,
     VARIANT_PLAIN,
-    build_balance_report,
+    BalanceReport,
     render_answer,
 )
 from sceneqa.templates import TASK_FV, TASK_NI
@@ -125,7 +125,10 @@ class TestSelfCheckCorruptions:
         assert chain.endswith(" yes.")
         respelled = swap(records, idx, answer=chain[:-len("yes.")] + ending)
         assert respelled[idx].gold == ANSWER_YES
-        assert build_balance_report(respelled).to_dict() == report.to_dict()
+        rebuilt = BalanceReport()
+        for record in respelled:
+            rebuilt.add(record)
+        assert rebuilt.to_dict() == report.to_dict()
         result = selfcheck(respelled, tables=tables)
         assert result.ok, result.summary_lines()
 

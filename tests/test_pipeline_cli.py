@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sceneqa import cli, pipeline
+from sceneqa import cli, pipeline, rulegen
 from sceneqa.cli import main
 from sceneqa.errors import ConfigError, InsufficientCandidatesError, SceneQaError
 from sceneqa.geometry import hull_distance
@@ -202,6 +202,15 @@ class TestCliEndToEnd:
             assert main([command, "--config", "config.json"]) == 0
         assert [p.name for p in (tmp_path / "out" / "ngt").iterdir()] == ["synth0000.ngt.json"]
         assert (tmp_path / "out" / "dataset.jsonl").is_file()
+
+    def test_an_empty_dataset_says_why(self, cli_run, tmp_path, capsys):
+        """No key asks for a question: the run succeeds and says so."""
+        assert main(["generate", "--out", str(tmp_path),
+                     "--ngt-dir", str(cli_run["ngt_dir"])]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote 0 records to {tmp_path / 'dataset.jsonl'} (no questions requested: "
+            "every fv_*, ni_*, rewrite_pm and rewrite_fv key is 0)\n")
+        assert (tmp_path / "dataset.jsonl").read_bytes() == b""
 
     def test_extract_artifacts(self, cli_run):
         tables = sorted(cli_run["ngt_dir"].glob("*.ngt.json"))
@@ -527,6 +536,73 @@ class TestDeterminism:
         assert (pairs, iterations, distance) == (1640, 3690, 10546.21536436673)
 
 
+def _no_service_call(self, system, user):
+    raise AssertionError("the rewrite service was called")
+
+
+def _rule_shortfall(monkeypatch, config):
+    # the rewrite track runs only after the rule stream, so it is never asked
+    monkeypatch.setattr(EchoStubClient, "complete", _no_service_call)
+    config.update(ni_distance=4, min_display_value=1000.0)
+
+
+def _rewrite_exhausted(monkeypatch, config):
+    monkeypatch.setattr(EchoStubClient, "complete", lambda self, system, user: "no")
+
+
+def _balance_breach(monkeypatch, config):
+    monkeypatch.setattr(rulegen, "balance_violations",
+                        lambda report, n_options=5: ["forced breach"])
+
+
+def _duplicate_id(monkeypatch, config):
+    # a chain-of-thought twin that keeps its plain record's id
+    monkeypatch.setattr(rulegen, "gen_cot_variant", lambda record, table, cfg: record)
+
+
+class TestFailedGenerateCommitsNothing:
+    """``generate`` streams its records into a temporary file, so a run that
+    fails after records have been written leaves its output directory as it
+    found it: no temporary file, and an earlier run's artifacts byte for
+    byte."""
+
+    ARTIFACTS = ("balance_report.json", "dataset.jsonl", "manifest.json", "run_log.jsonl")
+
+    @pytest.mark.parametrize("fail,code,complaint", [
+        (_rule_shortfall, 4, "generation shortfall (ni/distance: 0/4)"),
+        (_rewrite_exhausted, 4, "3 rewrite jobs exhausted their attempts"),
+        (_balance_breach, 1, "balance tolerances breached: forced breach"),
+        (_duplicate_id, 3, "duplicate qa_id"),
+    ], ids=["rule-shortfall", "rewrite-exhausted", "balance-breach", "duplicate-id"])
+    def test_a_failed_generate_leaves_the_directory_as_it_was(
+            self, cli_run, tmp_path, capsys, monkeypatch, fail, code, complaint):
+        monkeypatch.chdir(tmp_path)
+        write_jsonl([{"question": "What color is the sofa?", "answer": "teal"}],
+                    "saqs.jsonl")
+        config = {"seed": SEED, "fv_quantity": 4, "ni_quantity": 2, "cot_fraction": 0.5,
+                  "rewrite_pm": 2, "rewrite_fv": 1, "saq_file": "saqs.jsonl",
+                  "stub_llm": True}
+
+        def generate(out: str, data: dict) -> int:
+            write_json(data, "config.json")
+            return main(["generate", "--config", "config.json", "--out", out,
+                         "--ngt-dir", str(cli_run["ngt_dir"])])
+
+        assert generate("out", config) == 0
+        before = {name: (tmp_path / "out" / name).read_bytes() for name in self.ARTIFACTS}
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            failing = dict(config)
+            fail(patch, failing)
+            assert generate("fresh", failing) == code
+            assert generate("out", failing) == code
+        assert capsys.readouterr().err.count(complaint) == 2
+        assert list(tmp_path.glob("fresh/*")) == []
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == list(self.ARTIFACTS)
+        assert {name: (tmp_path / "out" / name).read_bytes()
+                for name in self.ARTIFACTS} == before
+
+
 def _summary_sections(out: str) -> dict[str, list[str]]:
     """The lines of a selfcheck summary, grouped under the check they report."""
     sections: dict[str, list[str]] = {}
@@ -696,12 +772,37 @@ class TestCliErrors:
 
     def test_generation_shortfall(self, cli_run, tmp_path):
         config = tmp_path / "config.json"
-        write_json({"seed": SEED, "ni_distance": 4,
+        write_json({"seed": SEED, "fv_quantity": 4, "ni_distance": 4,
                     "min_display_value": 1000.0}, config)
         code = main(["generate", "--config", str(config),
                      "--out", str(tmp_path),
                      "--ngt-dir", str(cli_run["ngt_dir"])])
         assert code == 4
+        # the FV records streamed before the shortfall was known are not kept
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("extra,code,complaint", [
+        ({}, 2, "rewriting needs saq_file"),
+        ({"saq_file": "saqs.jsonl"}, 2, "rewriting needs service_endpoint"),
+        ({"saq_file": "missing.jsonl", "stub_llm": True}, 3, "missing.jsonl"),
+        ({"saq_file": "bad.jsonl", "stub_llm": True}, 3, "SAQ rows need"),
+    ])
+    def test_rewrite_settings_are_checked_before_any_rule(
+            self, cli_run, tmp_path, capsys, monkeypatch, extra, code, complaint):
+        def never(*args, **kwargs):
+            raise AssertionError("a rule record was generated")
+
+        monkeypatch.setattr(rulegen, "gen_fv_numeric", never)
+        monkeypatch.chdir(tmp_path)
+        write_jsonl([{"question": "What color is the sofa?", "answer": "teal"}],
+                    "saqs.jsonl")
+        write_jsonl([{"question": "What color is the sofa?"}], "bad.jsonl")
+        write_json({"seed": SEED, "fv_quantity": 4, "rewrite_pm": 2, **extra},
+                   "config.json")
+        assert main(["generate", "--config", "config.json", "--out", "out",
+                     "--ngt-dir", str(cli_run["ngt_dir"])]) == code
+        assert complaint in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_selfcheck_fails_on_corrupted_dataset(self, cli_run, tmp_path, capsys):
         rows = [json.loads(line) for line in

@@ -26,17 +26,18 @@ from sceneqa.rulegen import (
     PROVENANCE_RULE,
     VARIANT_COT,
     VARIANT_PLAIN,
+    BalanceReport,
     QaRecord,
     RulegenConfig,
     _ValuePool,
     _twin_selector,
     assemble_dataset,
     balance_violations,
-    build_balance_report,
     build_schedules,
     gen_cot_variant,
     generate_rule_dataset,
     iter_dataset,
+    iter_rule_dataset,
     read_dataset,
     record_from_dict,
     referent_values,
@@ -403,7 +404,9 @@ class TestAwkwardConfigs:
                             ni_quantity=ni, ni_distance=ni, ni_volume=ni,
                             cot_fraction=frac)
         records = generate_rule_dataset(list(tables.values()), cfg, MASTER_SEED)
-        report = build_balance_report(records)
+        report = BalanceReport()
+        for record in records:
+            report.add(record)
         assert balance_violations(report) == []
         expected = 3 * (fv + 2 * int(round(frac * (fv // 2)))
                         + ni + int(round(frac * ni)))
@@ -431,6 +434,44 @@ class TestDeterminism:
     def test_empty_table_list_rejected(self, dataset_cfg):
         with pytest.raises(SceneQaError, match="no NGT tables"):
             generate_rule_dataset([], dataset_cfg, MASTER_SEED)
+
+
+class TestStreaming:
+    """``iter_rule_dataset`` is the one generator; ``generate_rule_dataset``
+    is its list."""
+
+    def test_the_stream_is_the_list(self, tables, dataset_cfg):
+        ordered = list(tables.values())
+        assert list(iter_rule_dataset(ordered, dataset_cfg, MASTER_SEED)) \
+            == generate_rule_dataset(ordered, dataset_cfg, MASTER_SEED)
+
+    def test_a_shortfall_raises_the_same_from_both(self, tables):
+        cfg = RulegenConfig(fv_quantity=4, ni_distance=4, min_display_value=1000.0)
+        raised = []
+        for generate in (generate_rule_dataset,
+                         lambda *args: list(iter_rule_dataset(*args))):
+            with pytest.raises(InsufficientCandidatesError) as exc_info:
+                generate(list(tables.values()), cfg, MASTER_SEED)
+            raised.append((str(exc_info.value), exc_info.value.shortfalls))
+        assert raised[0] == raised[1]
+        assert raised[0][1] == {"ni/distance": (4, 0)}
+
+    def test_the_first_record_generates_only_the_first_scene(self, tables, dataset_cfg,
+                                                              monkeypatch):
+        asked = []
+        for name in ("gen_fv_numeric", "gen_ni"):
+            def spy(table, *args, _generate=getattr(rulegen, name), **kwargs):
+                asked.append(table.scene_id)
+                return _generate(table, *args, **kwargs)
+            monkeypatch.setattr(rulegen, name, spy)
+        stream = iter_rule_dataset(list(reversed(tables.values())), dataset_cfg,
+                                   MASTER_SEED)
+        assert asked == []
+        first = next(stream)
+        first_scene = sorted(tables)[0]
+        assert first.scene_id == first_scene
+        assert asked == [first_scene] * 6  # one call per stratum
+        stream.close()
 
 
 class TestShortfall:
