@@ -29,8 +29,9 @@ from typing import Iterable, Mapping
 
 from . import geometry
 from .errors import EmptyAfterFilterError, NotConvergedError, SchemaViolationError
-from .scene import DEFAULT_EXCLUDED_LABELS, InstanceMeasurement, Scene
-from .util import finite_number, read_json, write_json
+from .scene import (DEFAULT_EXCLUDED_LABELS, InstanceMeasurement, Scene, instance_rows,
+                    pair_rows, write_rows)
+from .util import finite_number, read_json
 
 
 def pair_key(a: str, b: str) -> tuple[str, str]:
@@ -132,21 +133,6 @@ def extract_ngt(
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def ngt_to_dict(table: NgtTable) -> dict:
-    return {
-        "scene_id": table.scene_id,
-        "instances": [inst.to_dict() for inst in table.instances],
-        "pairs": [
-            {"a": a, "b": b, "distance": d}
-            for (a, b), d in sorted(table.pairs.items())
-        ],
-        "skipped_pairs": [
-            {"a": a, "b": b, "reason": reason}
-            for a, b, reason in table.skipped_pairs
-        ],
-    }
 
 
 def _require(data: Mapping, key: str, source: str):
@@ -259,7 +245,16 @@ def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
 
 
 def write_ngt(table: NgtTable, path: str | Path) -> None:
-    write_json(ngt_to_dict(table), path)
+    """Write ``table`` as ``{"scene_id", "instances", "pairs": [{"a", "b",
+    "distance"}, ...], "skipped_pairs": [{"a", "b", "reason"}, ...]}``, pairs
+    in key order (:func:`~sceneqa.scene.write_rows`)."""
+    skipped = (((a, b), reason) for a, b, reason in table.skipped_pairs)
+    write_rows(path, table.scene_id, [
+        ("scene_id", table.scene_id),
+        ("instances", instance_rows(table.instances)),
+        ("pairs", pair_rows(sorted(table.pairs.items()))),
+        ("skipped_pairs", pair_rows(skipped, "reason")),
+    ])
 
 
 def read_ngt(path: str | Path) -> NgtTable:

@@ -59,8 +59,8 @@ from .scene import (
     generate_synthetic_scene,
     load_scene,
     random_indoor_spec,
-    truth_to_dict,
     write_scene,
+    write_truth,
 )
 from .templates import (CAT_NON_NUMERIC, DEFAULT_APPROX_BAND, TASK_FV, TASK_PM,
                         TEMPLATE_BANK_VERSION)
@@ -254,7 +254,7 @@ def _synth_scene(cfg: PipelineConfig, scene_id: str) -> Path:
     )
     scene_path = cfg.synth_path / f"{scene_id}.scene.json"
     write_scene(scene, scene_path)
-    write_json(truth_to_dict(truth), cfg.synth_path / f"{scene_id}.truth.json")
+    write_truth(scene_id, truth, cfg.synth_path / f"{scene_id}.truth.json")
     return scene_path
 
 

@@ -12,8 +12,8 @@ the object's surface or volume.  Scenes arrive three ways:
   any numerical slack.
 
 Analytic truth and extracted NGT tables share one instance row,
-:class:`InstanceMeasurement`, so the two files carry the same keys in the
-same order.
+:class:`InstanceMeasurement`, and one row writer, :func:`write_rows`, so the
+two files carry the same keys in the same order and layout.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 import base64
 import itertools
 from dataclasses import dataclass, field, fields
-from math import sqrt
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     MalformedFileError,
     SchemaViolationError,
 )
-from .util import _encode_str, _write_replacing, read_json
+from .util import _encode_str, _write_replacing, finite_number, read_json
 
 DEFAULT_EXCLUDED_LABELS = frozenset({"item", "object"})
 
@@ -406,7 +406,7 @@ class SyntheticSpec:
 class InstanceMeasurement:
     """One instance's centroid, axis-aligned box and box volume: the row
     type of both analytic truth and extracted NGT tables, written in field
-    order by :meth:`to_dict`."""
+    order by :func:`instance_rows`."""
 
     instance_id: str
     label: str
@@ -415,12 +415,6 @@ class InstanceMeasurement:
     aabb_max: tuple[float, float, float]
     dims: tuple[float, float, float]
     volume: float
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _INSTANCE_KEYS}
-
-
-_INSTANCE_KEYS = tuple(f.name for f in fields(InstanceMeasurement))
 
 
 @dataclass(frozen=True)
@@ -469,21 +463,6 @@ def _box_points(rng: np.random.Generator, n_points: int, center: np.ndarray,
     return np.concatenate(blocks, axis=0)
 
 
-def box_gap(lo1, hi1, lo2, hi2) -> float:
-    """Closed-form hull distance between two axis-aligned boxes.
-
-    Plain float arithmetic, summing the squared per-axis gaps in axis order:
-    the same operations, in the same order, as the numpy expression
-    ``sqrt(sum(maximum(0, maximum(lo1 - hi2, lo2 - hi1)) ** 2))``, so the
-    result is bitwise that expression's, without converting four arrays.
-    """
-    total = 0.0
-    for a1, b1, a2, b2 in zip(lo1, hi1, lo2, hi2):
-        gap = max(0.0, float(a1) - float(b2), float(a2) - float(b1))
-        total += gap * gap
-    return sqrt(total)
-
-
 def generate_synthetic_scene(
     spec: SyntheticSpec, seed: int
 ) -> tuple[Scene, AnalyticTruth]:
@@ -494,37 +473,42 @@ def generate_synthetic_scene(
     guarantees, exactly in floating point: the sampled AABB of every box
     equals its declared AABB, and (to symmetric-rounding noise ~1e-16) the
     sample centroid sits on the declared center.  ``AnalyticTruth.box_gaps``
-    holds closed-form hull distances for every box pair.
+    holds the closed-form hull distance of every box pair, keyed by sorted
+    id pair in ``itertools.combinations`` order and computed for all pairs
+    at once from the declared corners.
     """
     _validate_spec(spec)
     rng = np.random.default_rng(seed)
+    centers = np.array([box.center for box in spec.boxes], dtype=np.float64)
+    half = np.array([box.dims for box in spec.boxes], dtype=np.float64) / 2.0
+    lows, highs = centers - half, centers + half
+    ids = [f"o{k:03d}" for k in range(len(spec.boxes))]
     instances: list[Instance] = []
     truth_instances: dict[str, InstanceMeasurement] = {}
-    box_ids: list[tuple[str, tuple, tuple]] = []
 
     for k, box in enumerate(spec.boxes):
-        center = np.asarray(box.center, dtype=np.float64)
-        half = np.asarray(box.dims, dtype=np.float64) / 2.0
-        lo, hi = center - half, center + half
-        inst = Instance(f"o{k:03d}", box.label,
-                        PointSet(_box_points(rng, box.n_points, center, lo, hi)))
-        lo, hi = tuple(lo.tolist()), tuple(hi.tolist())
+        inst = Instance(ids[k], box.label, PointSet(
+            _box_points(rng, box.n_points, centers[k], lows[k], highs[k])))
+        lo, hi = tuple(lows[k].tolist()), tuple(highs[k].tolist())
         # from the declared box, not from the points, so that truth does not
         # call the geometry it checks; the same bytes, as the points span it
         dims = (hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2])
         instances.append(inst)
         truth_instances[inst.instance_id] = InstanceMeasurement(
-            inst.instance_id, inst.label, tuple(center.tolist()), lo, hi,
+            inst.instance_id, inst.label, tuple(centers[k].tolist()), lo, hi,
             dims, dims[0] * dims[1] * dims[2],
         )
-        box_ids.append((inst.instance_id, lo, hi))
 
-    gaps: dict[tuple[str, str], float] = {}
-    for (id_a, lo_a, hi_a), (id_b, lo_b, hi_b) in itertools.combinations(box_ids, 2):
-        key = tuple(sorted((id_a, id_b)))
-        gaps[key] = box_gap(lo_a, hi_a, lo_b, hi_b)
-
-    return Scene(spec.scene_id, tuple(instances)), AnalyticTruth(truth_instances, gaps)
+    # One array expression; each gap takes the IEEE steps of the scalar
+    # sqrt(max(0, lo1 - hi2, lo2 - hi1) ** 2 summed in axis order), so it has
+    # that form's bits (a zero gap's sign is lost in the square).
+    i, j = np.triu_indices(len(ids), 1)
+    g = np.maximum(0.0, np.maximum(lows[i] - highs[j], lows[j] - highs[i]))
+    g = g * g
+    gaps = np.sqrt((g[:, 0] + g[:, 1]) + g[:, 2]).tolist()
+    keys = ((a, b) if a <= b else (b, a) for a, b in itertools.combinations(ids, 2))
+    truth = AnalyticTruth(truth_instances, dict(zip(keys, gaps)))
+    return Scene(spec.scene_id, tuple(instances)), truth
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +580,83 @@ def random_indoor_spec(
     return SyntheticSpec(scene_id=scene_id, boxes=tuple(boxes))
 
 
-def truth_to_dict(truth: AnalyticTruth) -> dict:
-    return {
-        "instances": [t.to_dict() for t in truth.instances.values()],
-        "box_gaps": [
-            {"a": a, "b": b, "distance": d} for (a, b), d in sorted(truth.box_gaps.items())
-        ],
-    }
+# ---------------------------------------------------------------------------
+# Ground-truth documents: NGT tables and synthetic truth
+# ---------------------------------------------------------------------------
+
+
+def _number(value) -> str:
+    """``value`` as ``json.dumps`` writes it; ValueError if the readers refuse it."""
+    if finite_number(value):
+        return repr(value)  # the type is exactly float or int
+    raise ValueError(f"{value!r} is not a finite number")
+
+
+# An InstanceMeasurement as ``json.dumps(indent=2)`` lays out an item of a
+# top-level list, a %s per string or number, built from the fields in order.
+_INSTANCE_LAYOUT = tuple((f.name, f.type) for f in fields(InstanceMeasurement))
+_INSTANCE_ROW = "{\n      %s\n    }" % ",\n      ".join(
+    f'"{name}": ' + ("[\n        %s,\n        %s,\n        %s\n      ]"
+                     if kind.startswith("tuple") else "%s")
+    for name, kind in _INSTANCE_LAYOUT)
+
+
+def instance_rows(instances) -> Iterator[str]:
+    """The row text of each :class:`InstanceMeasurement`."""
+    for inst in instances:
+        cells = []
+        for name, kind in _INSTANCE_LAYOUT:
+            value = getattr(inst, name)
+            if kind == "str":
+                cells.append(_encode_str(value))
+            elif kind == "float":
+                cells.append(_number(value))
+            elif len(value) == 3:
+                cells.extend(map(_number, value))
+            else:
+                raise ValueError(f"{name!r} must be three numbers, got {value!r}")
+        yield _INSTANCE_ROW % tuple(cells)
+
+
+def pair_rows(items, key: str = "distance") -> Iterator[str]:
+    """The ``{"a", "b", key}`` row text of each ``((a, b), value)``."""
+    row = '{\n      "a": %%s,\n      "b": %%s,\n      "%s": %%s\n    }' % key
+    value_text = _encode_str if key == "reason" else _number
+    for (a, b), value in items:
+        yield row % (_encode_str(a), _encode_str(b), value_text(value))
+
+
+def write_rows(path: str | Path, scene_id: str, members) -> None:
+    """Write the object of ``members``, ``(key, string or row texts)`` in
+    order, a row at a time through a temporary file: exactly ``json.dumps(
+    doc, indent=2, ensure_ascii=False)`` and a newline.  A value the table
+    readers refuse raises :class:`SchemaViolationError` naming ``path``,
+    ``scene_id`` and the row, and leaves ``path`` as it was."""
+    def write(fh) -> None:
+        separator = "{"
+        for key, value in members:
+            fh.write(f'{separator}\n  "{key}": ')
+            separator = ","
+            if isinstance(value, str):
+                fh.write(_encode_str(value))
+                continue
+            pos = 0
+            try:
+                for row in value:
+                    fh.write((",\n    " if pos else "[\n    ") + row)
+                    pos += 1
+            except (TypeError, ValueError) as exc:
+                raise SchemaViolationError(
+                    f"{path}: scene {scene_id!r}: {key}[{pos}]: {exc}") from exc
+            fh.write("\n  ]" if pos else "[]")
+        fh.write("\n}\n")
+
+    _write_replacing(path, write)
+
+
+def write_truth(scene_id: str, truth: AnalyticTruth, path: str | Path) -> None:
+    """Write ``truth`` as ``{"instances", "box_gaps"}``, gaps in key order."""
+    write_rows(path, scene_id, [
+        ("instances", instance_rows(truth.instances.values())),
+        ("box_gaps", pair_rows(sorted(truth.box_gaps.items()))),
+    ])

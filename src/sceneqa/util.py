@@ -63,62 +63,10 @@ _encode_str = json.encoder.encode_basestring
 _encode_compact = json.JSONEncoder(ensure_ascii=False).encode
 
 
-class _Unsupported(Exception):
-    """A value :func:`_dumps_indented` leaves to the standard library."""
-
-
-def _dumps_indented(obj: Any, newline: str) -> str:
-    """``obj`` laid out as ``json.dumps(indent=2)`` does, with ``newline``
-    (a newline plus the current indent) before each nested line."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, float):
-        if -_FLOAT_MAX <= obj <= _FLOAT_MAX:  # false for NaN and infinities
-            return float.__repr__(obj)
-        raise _Unsupported
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_dumps_indented(value, inner) for value in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        try:
-            items = [_encode_str(key) + ": " + _dumps_indented(value, inner)
-                     for key, value in obj.items()]
-        except TypeError:  # _encode_str refuses a key that is not a string
-            raise _Unsupported from None
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise _Unsupported
-
-
 def stable_json_dumps(obj: Any) -> str:
-    """Serialize to JSON with a fixed layout so output files are reproducible.
-
-    The text is exactly ``json.dumps(obj, indent=2, ensure_ascii=False)``.
-    The standard library lays out indented JSON with a pure-Python generator;
-    this builds the same text by recursive joins over the C string encoder
-    and ``float.__repr__``.  It handles what program documents hold: string
-    keys, finite floats and JSON's other types.  Anything else (a key that
-    is not a string, NaN or an infinity, a type ``json`` would reject or pass
-    to ``default``, a cycle, nesting past the recursion limit) sends the
-    whole document to ``json.dumps``, which then returns the text or raises
-    its own error.
-    """
-    try:
-        return _dumps_indented(obj, "\n")
-    except (_Unsupported, RecursionError):
-        return json.dumps(obj, indent=2, ensure_ascii=False)
+    """``json.dumps(obj, indent=2, ensure_ascii=False)``, for the manifest and
+    the reports; tables and truth go through :func:`sceneqa.scene.write_rows`."""
+    return json.dumps(obj, indent=2, ensure_ascii=False)
 
 
 def _write_replacing(path: str | Path, write):

@@ -1,6 +1,7 @@
 """Shared fixtures: a small bank of synthetic scenes with analytic ground
-truth, their extracted tables, and a balanced generated dataset; and a
-scripted stand-in for the rewrite service.
+truth, their extracted tables, and a balanced generated dataset; a
+scripted stand-in for the rewrite service; and the scalar box-gap
+reference.
 
 Everything is seeded and session-scoped; tests must not mutate these
 objects (records and scenes are frozen dataclasses, tables are treated as
@@ -8,6 +9,8 @@ read-only).
 """
 
 from __future__ import annotations
+
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -18,6 +21,22 @@ from sceneqa.scene import generate_synthetic_scene, random_indoor_spec
 from sceneqa.util import derive_seed
 
 MASTER_SEED = 20240817
+
+
+def box_gap(lo1, hi1, lo2, hi2) -> float:
+    """Closed-form hull distance between two axis-aligned boxes, one pair at
+    a time: the scalar reference for the gaps that
+    ``generate_synthetic_scene`` computes for all pairs at once.
+
+    Plain float arithmetic, summing the squared per-axis gaps in axis order:
+    the same operations, in the same order, as the numpy expression
+    ``sqrt(sum(maximum(0, maximum(lo1 - hi2, lo2 - hi1)) ** 2))``.
+    """
+    total = 0.0
+    for a1, b1, a2, b2 in zip(lo1, hi1, lo2, hi2):
+        gap = max(0.0, float(a1) - float(b2), float(a2) - float(b1))
+        total += gap * gap
+    return sqrt(total)
 
 
 class ScriptedClient:

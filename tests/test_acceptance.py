@@ -50,11 +50,11 @@ from sceneqa.rulegen import (
     generate_rule_dataset,
     stratum_key,
 )
-from sceneqa.scene import box_gap, generate_synthetic_scene, random_indoor_spec
+from sceneqa.scene import generate_synthetic_scene, random_indoor_spec
 from sceneqa.templates import NUMERIC_CATEGORIES, TASK_FV, TASK_NI, TASK_PM
 from sceneqa.util import derive_seed, write_json, write_jsonl
 
-from conftest import MASTER_SEED, ScriptedClient
+from conftest import MASTER_SEED, ScriptedClient, box_gap
 
 TA_GRID = (0.05, 0.10, 0.20)
 

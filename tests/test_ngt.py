@@ -11,9 +11,9 @@ import pytest
 from sceneqa import geometry
 from sceneqa.audit import selfcheck
 from sceneqa.errors import EmptyAfterFilterError, NotConvergedError, SchemaViolationError
-from sceneqa.ngt import extract_ngt, ngt_from_dict, ngt_to_dict, pair_key, read_ngt, write_ngt
+from sceneqa.ngt import NgtTable, extract_ngt, ngt_from_dict, pair_key, read_ngt, write_ngt
 from sceneqa.rulegen import generate_rule_dataset
-from sceneqa.scene import Instance, PointSet, Scene
+from sceneqa.scene import Instance, InstanceMeasurement, PointSet, Scene
 from sceneqa.templates import CAT_DISTANCE, TASK_NI
 
 from conftest import MASTER_SEED
@@ -22,6 +22,23 @@ from conftest import MASTER_SEED
 def unit_box_points(offset):
     corners = np.array(np.meshgrid([0, 1], [0, 1], [0, 1])).T.reshape(-1, 3)
     return corners.astype(float) + np.asarray(offset, dtype=float)
+
+
+def ngt_doc(table):
+    """The document ``write_ngt`` must serialise, built by hand."""
+    return {
+        "scene_id": table.scene_id,
+        "instances": [
+            {"instance_id": inst.instance_id, "label": inst.label,
+             "centroid": list(inst.centroid), "aabb_min": list(inst.aabb_min),
+             "aabb_max": list(inst.aabb_max), "dims": list(inst.dims),
+             "volume": inst.volume}
+            for inst in table.instances
+        ],
+        "pairs": [{"a": a, "b": b, "distance": d} for (a, b), d in sorted(table.pairs.items())],
+        "skipped_pairs": [{"a": a, "b": b, "reason": reason}
+                          for a, b, reason in table.skipped_pairs],
+    }
 
 
 @pytest.fixture()
@@ -127,7 +144,7 @@ class TestSerialization:
         assert len({id(label) for label in labels}) == len(set(labels)) < len(labels)
 
     def test_missing_key_names_the_field(self, toy_scene):
-        doc = ngt_to_dict(extract_ngt(toy_scene))
+        doc = ngt_doc(extract_ngt(toy_scene))
         del doc["pairs"]
         with pytest.raises(SchemaViolationError, match="pairs"):
             ngt_from_dict(doc)
@@ -149,7 +166,7 @@ class TestSerialization:
                                            section, key, value):
         """Nothing is coerced; the error names the file, the row and the
         field.  NaN and Infinity are written as JSON's NaN and Infinity."""
-        doc = ngt_to_dict(extract_ngt(toy_scene))
+        doc = ngt_doc(extract_ngt(toy_scene))
         # one pair moves to skipped_pairs, so that section has a row too
         pair = doc["pairs"].pop()
         doc["skipped_pairs"].append({"a": pair["a"], "b": pair["b"], "reason": "x"})
@@ -163,7 +180,7 @@ class TestSerialization:
     def test_incomplete_pair_coverage_rejected(self, toy_scene):
         """Each unordered pair of instances is listed exactly once, in
         ``pairs`` or in ``skipped_pairs``, and names two instances."""
-        doc = ngt_to_dict(extract_ngt(toy_scene))
+        doc = ngt_doc(extract_ngt(toy_scene))
         first, *_, last = doc["pairs"]
         swapped = {"a": first["b"], "b": first["a"], "distance": 5.0}
         skip_first = [{"a": first["a"], "b": first["b"], "reason": "x"}]
@@ -191,6 +208,105 @@ class TestSerialization:
                 assert inst.aabb_max == expected.aabb_max
             assert len(table.pairs) == math.comb(len(table.instances), 2)
             assert table.skipped_pairs == ()
+
+
+def measurement(instance_id, label, lo, hi, **values):
+    """An InstanceMeasurement of the box ``lo``..``hi``, with any field
+    given in ``values`` put over the computed one."""
+    row = dict(instance_id=instance_id, label=label,
+               centroid=tuple((a + b) / 2 for a, b in zip(lo, hi)),
+               aabb_min=tuple(lo), aabb_max=tuple(hi),
+               dims=tuple(b - a for a, b in zip(lo, hi)),
+               volume=math.prod(b - a for a, b in zip(lo, hi)))
+    return InstanceMeasurement(**{**row, **values})
+
+
+def _table_with_a_skipped_pair(toy_scene):
+    table = extract_ngt(toy_scene)
+    pairs = dict(table.pairs)
+    del pairs[("i0", "i1")]
+    return NgtTable(table.scene_id, table.instances, pairs,
+                    (("i0", "i1", 'not_converged: stalled at "gap" 0.5 \\ 3'),))
+
+
+WRITER_TABLES = {
+    "skipped-pair": _table_with_a_skipped_pair,
+    "one-instance": lambda _: NgtTable("solo", (
+        measurement("o000", "lamp", (0.0, 0.0, 0.0), (0.25, 0.5, 2.0)),)),
+    "escaped-text": lambda _: NgtTable("zimmer-ü", (
+        measurement("o000", "café chair", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        measurement("o001", 'the "big" table', (2.0, 0.0, 0.0), (3.0, 1.0, 1.0)),
+        measurement("o002", "back\\slash\tshelf", (0.0, 4.0, 0.0), (1.0, 5.0, 1.0)),
+        measurement("o003", "寝台 🛏", (0.0, 0.0, 7.0), (1.0, 1.0, 8.0)),
+    ), {("o000", "o001"): 1.0, ("o000", "o002"): 3.0, ("o000", "o003"): 6.0,
+        ("o001", "o002"): math.hypot(1.0, 3.0), ("o001", "o003"): math.hypot(1.0, 6.0),
+        ("o002", "o003"): math.hypot(3.0, 6.0)}),
+    "edge-floats": lambda _: NgtTable("edges", (
+        measurement("a", "rug", (-0.0, 5e-324, 1e16), (1.0, 1.0, 1e16 + 2.0),
+                    centroid=(-0.0, 5e-324, 1e16), volume=5e-324),
+        measurement("b", "mat", (1e16, -1e16, -0.0), (1e16 + 2.0, 1.0, 0.1)),
+    ), {("a", "b"): -0.0}),
+    "int-coordinates": lambda _: NgtTable("ints", (
+        InstanceMeasurement("a", "crate", (1, 1, 1), (0, 0, 0), (2, 2, 2), (2, 2, 2), 8),
+        InstanceMeasurement("b", "crate", (5, 1, 1), (4, 0, 0), (6, 2, 2), (2, 2, 2), 8),
+    ), {("a", "b"): 2}),
+}
+
+
+class TestRowWriter:
+    """``write_ngt`` lays rows out from fixed templates; the text must be the
+    standard library's for the same document, byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(WRITER_TABLES))
+    def test_bytes_equal_json_dumps_of_the_document(self, case, toy_scene, tmp_path):
+        table = WRITER_TABLES[case](toy_scene)
+        path = tmp_path / "t.ngt.json"
+        write_ngt(table, path)
+        expected = json.dumps(ngt_doc(table), indent=2, ensure_ascii=False) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_ngt(path) == table
+
+    def test_empty_lists_and_int_coordinates_read_as_json_writes_them(self, toy_scene,
+                                                                       tmp_path):
+        write_ngt(WRITER_TABLES["one-instance"](toy_scene), tmp_path / "solo.ngt.json")
+        text = (tmp_path / "solo.ngt.json").read_text(encoding="utf-8")
+        assert '  "pairs": [],\n  "skipped_pairs": []\n}\n' in text
+        write_ngt(WRITER_TABLES["int-coordinates"](toy_scene), tmp_path / "ints.ngt.json")
+        text = (tmp_path / "ints.ngt.json").read_text(encoding="utf-8")
+        assert '"volume": 8\n' in text and '"distance": 2\n' in text
+
+    def test_extracted_tables_equal_json_dumps(self, tables, tmp_path):
+        for table in tables.values():
+            write_ngt(table, tmp_path / "t.ngt.json")
+            expected = json.dumps(ngt_doc(table), indent=2, ensure_ascii=False) + "\n"
+            assert (tmp_path / "t.ngt.json").read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("bad,where", [
+        (lambda t: NgtTable(t.scene_id, t.instances, {**t.pairs, ("i1", "i2"): math.nan}),
+         "pairs[2]"),
+        (lambda t: NgtTable(t.scene_id, t.instances, {**t.pairs, ("i0", "i1"): -math.inf}),
+         "pairs[0]"),
+        (lambda t: NgtTable(t.scene_id, t.instances[:2] + (
+            InstanceMeasurement(**{**vars(t.instances[2]), "volume": math.inf}),), t.pairs),
+         "instances[2]"),
+        (lambda t: NgtTable(t.scene_id, (
+            InstanceMeasurement(**{**vars(t.instances[0]), "centroid": (0.5, math.nan, 0.5)}),
+        ) + t.instances[1:], t.pairs), "instances[0]"),
+        (lambda t: NgtTable(t.scene_id, t.instances, t.pairs, (("i0", "i1", None),)),
+         "skipped_pairs[0]"),
+    ], ids=["nan-distance", "inf-distance", "inf-volume", "nan-centroid", "null-reason"])
+    def test_a_value_the_reader_refuses_is_not_written(self, toy_scene, tmp_path, bad, where):
+        """The error names the file, the scene and the row; the previous file
+        stays and no temporary file is left."""
+        path = tmp_path / "toy.ngt.json"
+        table = extract_ngt(toy_scene)
+        write_ngt(table, path)
+        before = path.read_bytes()
+        message = re.escape(f"{path}: scene 'toy': {where}: ")
+        with pytest.raises(SchemaViolationError, match=f"^{message}"):
+            write_ngt(bad(table), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.ngt.json"]
 
 
 class TestSkippedPair:

@@ -1,6 +1,8 @@
 """Scene model, file interchange, scan-triplet import, and synthetic scenes."""
 
 import base64
+import hashlib
+import itertools
 import json
 import pickle
 import re
@@ -24,13 +26,13 @@ from sceneqa.errors import (
 from sceneqa.pipeline import PipelineConfig, run_extract
 from sceneqa.scene import (
     _PACK_SLICE_BYTES,
+    AnalyticTruth,
     BoxSpec,
     DEFAULT_EXCLUDED_LABELS,
     Instance,
     PointSet,
     Scene,
     SyntheticSpec,
-    box_gap,
     generate_synthetic_scene,
     import_scan_triplet,
     load_scene,
@@ -38,7 +40,10 @@ from sceneqa.scene import (
     read_ply_vertices,
     scene_from_dict,
     write_scene,
+    write_truth,
 )
+
+from conftest import box_gap
 
 
 def pack(values):
@@ -738,6 +743,123 @@ class TestSyntheticScenes:
             generate_synthetic_scene(SyntheticSpec(
                 scene_id="x", boxes=(BoxSpec("a", (0, 0, 0), (1.0, -1.0, 1.0)),)
             ), seed=0)
+
+
+def scalar_gaps(truth):
+    """``truth``'s instance boxes' gaps, one pair at a time by the scalar
+    reference, keyed and ordered as ``generate_synthetic_scene`` keys them."""
+    boxes = list(truth.instances.values())
+    return {tuple(sorted((a.instance_id, b.instance_id))):
+            box_gap(a.aabb_min, a.aabb_max, b.aabb_min, b.aabb_max)
+            for a, b in itertools.combinations(boxes, 2)}
+
+
+def assert_same_gaps(truth):
+    """The gaps equal the scalar reference's bit for bit, under the same
+    keys in the same order."""
+    want = scalar_gaps(truth)
+    assert list(truth.box_gaps) == list(want)
+    got = np.array(list(truth.box_gaps.values()), dtype=np.float64)
+    assert got.view(np.uint64).tolist() == np.array(list(want.values())).view(np.uint64).tolist()
+
+
+class TestVectorisedGaps:
+    """``generate_synthetic_scene`` computes all gaps of a scene in one array
+    expression; each must be the scalar form's, bit for bit."""
+
+    def test_boxes_far_from_the_origin(self):
+        rng = np.random.default_rng(7)
+        spec = SyntheticSpec("far", tuple(
+            BoxSpec(f"b{k}", tuple((1e4 + rng.uniform(-6, 6, 3)).tolist()),
+                    tuple(rng.uniform(0.05, 3.0, 3).tolist()), n_points=8)
+            for k in range(60)))
+        _, truth = generate_synthetic_scene(spec, seed=3)
+        gaps = list(truth.box_gaps.values())
+        assert min(gaps) == 0.0 < max(gaps)  # overlapping and separated pairs
+        assert_same_gaps(truth)
+
+    def test_touching_and_overlapping_boxes_are_exactly_zero(self):
+        spec = SyntheticSpec("touch", (
+            BoxSpec("a", (0.5, 0.5, 0.5), (1.0, 1.0, 1.0), n_points=8),
+            BoxSpec("face", (1.5, 0.5, 0.5), (1.0, 1.0, 1.0), n_points=8),
+            BoxSpec("corner", (-0.5, -0.5, -0.5), (1.0, 1.0, 1.0), n_points=8),
+            BoxSpec("inside", (0.75, 0.5, 0.25), (0.5, 0.5, 0.5), n_points=8),
+            BoxSpec("away", (4.5, 0.5, 0.5), (1.0, 1.0, 1.0), n_points=8),
+        ))
+        _, truth = generate_synthetic_scene(spec, seed=0)
+        for pair in (("o000", "o001"), ("o000", "o002"), ("o000", "o003"),
+                     ("o001", "o003")):
+            assert struct.pack("<d", truth.box_gaps[pair]) == struct.pack("<d", 0.0)
+        assert truth.box_gaps[("o000", "o004")] == 3.0
+        assert_same_gaps(truth)
+
+    def test_mixed_point_counts_keep_their_points(self):
+        """Boxes of 8, odd and even point counts: the gaps match, and every
+        box draws the points it drew when gaps were computed a pair at a
+        time (digest of the ids and ``<f8`` coordinates from then)."""
+        spec = SyntheticSpec("mixed", tuple(
+            BoxSpec(f"box{k}", (1e4 + 1.5 * k, -1e4 + 0.25 * k, 0.5 + 0.1 * k),
+                    (1.0 + 0.3 * k, 0.75, 1.0 + 0.05 * k), n_points=n)
+            for k, n in enumerate((8, 9, 10, 23, 24, 8, 101, 64))))
+        scene, truth = generate_synthetic_scene(spec, seed=2024)
+        digest = hashlib.sha256()
+        for inst in scene.instances:
+            digest.update(inst.instance_id.encode())
+            digest.update(np.ascontiguousarray(inst.points.coords, "<f8").tobytes())
+        assert digest.hexdigest() == (
+            "b3a6e9a726f0c8b9faa2c12b2fc549fb0415bda30dde22c8428df54d8f202357")
+        assert_same_gaps(truth)
+
+    def test_ids_past_o999_keep_sorted_keys(self):
+        spec = SyntheticSpec("big", tuple(
+            BoxSpec("crate", (2.0 * (k % 40), 2.0 * (k // 40), 0.5), (1.0, 1.5, 1.0),
+                    n_points=8)
+            for k in range(1001)))
+        _, truth = generate_synthetic_scene(spec, seed=5)
+        assert ("o1000", "o999") in truth.box_gaps  # "o1000" < "o999"
+        assert ("o999", "o1000") not in truth.box_gaps
+        assert_same_gaps(truth)
+
+
+def truth_doc(truth):
+    """The document ``write_truth`` must serialise, built by hand."""
+    return {
+        "instances": [
+            {"instance_id": t.instance_id, "label": t.label, "centroid": list(t.centroid),
+             "aabb_min": list(t.aabb_min), "aabb_max": list(t.aabb_max),
+             "dims": list(t.dims), "volume": t.volume}
+            for t in truth.instances.values()
+        ],
+        "box_gaps": [{"a": a, "b": b, "distance": d}
+                     for (a, b), d in sorted(truth.box_gaps.items())],
+    }
+
+
+class TestTruthFile:
+    @pytest.mark.parametrize("boxes", [
+        (BoxSpec("bed", (1.0, 2.0, 0.415), (1.98, 2.32, 0.83)),
+         BoxSpec("Desk", (5.0, 5.0, 0.5), (1.0, 2.0, 1.0), n_points=9),
+         BoxSpec('the "tall" café lamp \\ ü', (-0.0, 1e16, 5e-324), (0.5, 4.0, 1.0))),
+        (BoxSpec("lonely", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),),
+    ], ids=["three-boxes", "one-box"])
+    def test_bytes_equal_json_dumps_of_the_document(self, tmp_path, boxes):
+        _, truth = generate_synthetic_scene(SyntheticSpec("lab", boxes), seed=11)
+        path = tmp_path / "lab.truth.json"
+        write_truth("lab", truth, path)
+        expected = json.dumps(truth_doc(truth), indent=2, ensure_ascii=False) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_a_non_finite_gap_is_not_written(self, tmp_path):
+        _, truth = generate_synthetic_scene(TestSyntheticScenes.SPEC, seed=11)
+        path = tmp_path / "lab.truth.json"
+        write_truth("lab", truth, path)
+        before = path.read_bytes()
+        bad = AnalyticTruth(truth.instances, {("o000", "o001"): float("nan")})
+        with pytest.raises(SchemaViolationError,
+                           match=re.escape(f"{path}: scene 'lab': box_gaps[0]: nan is not")):
+            write_truth("lab", bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["lab.truth.json"]
 
 
 class TestRandomIndoorSpec:
