@@ -30,7 +30,6 @@ from .rulegen import (
 from .scene import (
     Scene,
     generate_synthetic_scene,
-    import_scan_triplet,
     load_scene,
     random_indoor_spec,
     write_scene,
@@ -62,7 +61,6 @@ __all__ = [
     "generate_synthetic_scene",
     "hull_distance",
     "hull_distance_oracle",
-    "import_scan_triplet",
     "load_scene",
     "oracle_responses",
     "random_indoor_spec",

@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 unexpected failure, 2 configuration problem,
 label exclusion among them), 4 generation shortfall (not enough valid
 candidates or rewrite attempts), 5 self-check failure.  Codes 1 to 4 are
 the ``exit_code`` of the :class:`~sceneqa.errors.SceneQaError` raised; a
-missing input file is 3.
+missing or unreadable input file (a directory, or bytes that are not UTF-8)
+is 3, and a configuration file that is either is 2.
 """
 
 from __future__ import annotations

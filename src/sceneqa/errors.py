@@ -23,17 +23,12 @@ class ConfigError(SceneQaError):
 
 
 class MalformedFileError(SceneQaError):
-    """A file could not be parsed at all (bad JSON, bad PLY header, ...)."""
+    """A file could not be parsed at all (bad JSON, bad UTF-8, a directory, ...)."""
     exit_code = 3
 
 
 class SchemaViolationError(SceneQaError):
     """A file parsed, but its structure does not match the expected schema."""
-    exit_code = 3
-
-
-class InconsistentTripletError(SceneQaError):
-    """Mesh / segmentation / aggregation files disagree with each other."""
     exit_code = 3
 
 

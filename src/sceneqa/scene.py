@@ -1,12 +1,10 @@
 """Scene model: annotated 3D scenes, loaders, and synthetic-scene generation.
 
 A scene is a set of labeled instances, each carrying a point set sampled from
-the object's surface or volume.  Scenes arrive three ways:
+the object's surface or volume.  Scenes arrive two ways:
 
 * native JSON (:func:`load_scene` / :func:`write_scene`), the package's own
   lossless format, points packed as base64 float64 (lists are still read);
-* mesh + segmentation + aggregation triplets as shipped by common RGB-D scan
-  datasets (:func:`import_scan_triplet`);
 * synthetic generation (:func:`generate_synthetic_scene`), which also returns
   exact analytic ground truth so downstream extraction can be audited without
   any numerical slack.
@@ -27,12 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .geometry import PointSet
-from .errors import (
-    InconsistentTripletError,
-    InvalidSpecError,
-    MalformedFileError,
-    SchemaViolationError,
-)
+from .errors import InvalidSpecError, SchemaViolationError
 from .util import _encode_str, _write_replacing, finite_number, read_json
 
 DEFAULT_EXCLUDED_LABELS = frozenset({"item", "object"})
@@ -201,184 +194,6 @@ def write_scene(scene: Scene, path: str | Path) -> None:
         fh.write("\n  ]\n}\n")
 
     _write_replacing(path, write)
-
-
-# ---------------------------------------------------------------------------
-# Scan-dataset triplet import (PLY mesh + segmentation + aggregation)
-# ---------------------------------------------------------------------------
-
-_PLY_NUMPY_TYPES = {
-    "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
-    "short": "i2", "int16": "i2", "ushort": "u2", "uint16": "u2",
-    "int": "i4", "int32": "i4", "uint": "u4", "uint32": "u4",
-    "float": "f4", "float32": "f4",
-    "double": "f8", "float64": "f8",
-}
-
-
-def read_ply_vertices(path: str | Path) -> np.ndarray:
-    """Read the x/y/z vertex coordinates from an ascii or binary-LE PLY file.
-
-    Only the vertex element is consumed; faces and extra vertex properties
-    (color, normals, alpha...) are skipped.  The vertex element must be the
-    first element in the file, which holds for the scan exports this targets.
-    """
-    raw = Path(path).read_bytes()
-    end = raw.find(b"end_header\n")
-    if not raw.startswith(b"ply") or end < 0:
-        raise MalformedFileError(f"{path}: not a PLY file (missing header)")
-    header_lines = raw[:end].decode("ascii", errors="replace").splitlines()
-    data_start = end + len(b"end_header\n")
-
-    fmt = None
-    elements: list[tuple[str, int]] = []
-    properties: dict[str, list[tuple[str, str]]] = {}
-    current = None
-    for line in header_lines[1:]:
-        parts = line.split()
-        if not parts or parts[0] == "comment":
-            continue
-        try:
-            if parts[0] == "format":
-                fmt = parts[1]
-            elif parts[0] == "element":
-                current, count = parts[1], int(parts[2])
-                if count < 0:
-                    raise ValueError
-                elements.append((current, count))
-                properties[current] = []
-            elif parts[0] == "property" and current is not None:
-                if parts[1] == "list":
-                    properties[current].append(("list", f"{parts[2]}:{parts[3]}:{parts[4]}"))
-                else:
-                    properties[current].append((parts[2], _PLY_NUMPY_TYPES[parts[1]]))
-        except (IndexError, KeyError, ValueError):
-            raise MalformedFileError(f"{path}: bad PLY header line {line!r}") from None
-
-    if fmt not in ("ascii", "binary_little_endian"):
-        raise MalformedFileError(f"{path}: unsupported PLY format {fmt!r}")
-    if not elements or elements[0][0] != "vertex":
-        raise MalformedFileError(f"{path}: vertex element must come first")
-    n_vertices = elements[0][1]
-    vertex_props = properties["vertex"]
-    prop_names = [name for name, _ in vertex_props]
-    if any(name == "list" for name in prop_names):
-        raise MalformedFileError(f"{path}: list property inside vertex element")
-    for axis in ("x", "y", "z"):
-        if axis not in prop_names:
-            raise MalformedFileError(f"{path}: vertex element lacks property {axis!r}")
-
-    if fmt == "ascii":
-        # The vertex rows are the first n_vertices lines that are not blank.
-        lines = raw[data_start:].decode("ascii", errors="replace").split("\n")
-        rows = list(itertools.islice(filter(str.strip, lines), n_vertices))
-        if len(rows) < n_vertices:
-            raise MalformedFileError(f"{path}: truncated vertex data")
-        if not rows:
-            return np.empty((0, 3))
-        try:
-            return np.loadtxt(rows, usecols=[prop_names.index(a) for a in "xyz"],
-                              comments=None, ndmin=2)
-        except ValueError as exc:
-            raise MalformedFileError(f"{path}: bad vertex row: {exc}") from exc
-
-    dtype = np.dtype(
-        [(name, "<" + typ) for name, typ in vertex_props]
-    )
-    needed = n_vertices * dtype.itemsize
-    if len(raw) - data_start < needed:
-        raise MalformedFileError(f"{path}: truncated vertex data")
-    table = np.frombuffer(raw, dtype=dtype, count=n_vertices, offset=data_start)
-    return np.stack(
-        [table["x"], table["y"], table["z"]], axis=1
-    ).astype(np.float64)
-
-
-def import_scan_triplet(
-    mesh_path: str | Path,
-    aggregation_path: str | Path,
-    segmentation_path: str | Path,
-    scene_id: str | None = None,
-) -> Scene:
-    """Assemble a :class:`Scene` from a mesh / aggregation / segmentation triplet.
-
-    The segmentation file maps every vertex to an over-segment id; the
-    aggregation file groups segment ids into labeled object instances.  Any
-    disagreement between the three files (vertex-count mismatch, unknown or
-    doubly-claimed segment ids, duplicate object ids, instances left with no
-    vertices) raises :class:`InconsistentTripletError`.
-    """
-    vertices = read_ply_vertices(mesh_path)
-
-    seg_doc = read_json(segmentation_path)
-    if not isinstance(seg_doc, dict) or not isinstance(seg_doc.get("segIndices"), list):
-        raise SchemaViolationError(
-            f"{segmentation_path}: expected an object with a 'segIndices' list"
-        )
-    seg_indices = np.asarray(seg_doc["segIndices"])
-    if seg_indices.shape != (vertices.shape[0],):
-        raise InconsistentTripletError(
-            f"{segmentation_path}: {seg_indices.shape[0]} segment entries for "
-            f"{vertices.shape[0]} mesh vertices"
-        )
-
-    agg_doc = read_json(aggregation_path)
-    if not isinstance(agg_doc, dict) or not isinstance(agg_doc.get("segGroups"), list):
-        raise SchemaViolationError(
-            f"{aggregation_path}: expected an object with a 'segGroups' list"
-        )
-
-    known_segments: dict[int, np.ndarray] = {}
-    uniq, inverse = np.unique(seg_indices, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-    for k, seg_id in enumerate(uniq):
-        known_segments[int(seg_id)] = order[bounds[k]:bounds[k + 1]]
-
-    instances = []
-    seen_object_ids: set[int] = set()
-    claimed: set[int] = set()
-    for pos, group in enumerate(agg_doc["segGroups"]):
-        if not isinstance(group, dict):
-            raise SchemaViolationError(
-                f"{aggregation_path}: segGroups[{pos}] is not an object"
-            )
-        try:
-            object_id = int(group["objectId"])
-            label = str(group["label"])
-            segments = [int(s) for s in group["segments"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolationError(
-                f"{aggregation_path}: segGroups[{pos}] missing objectId/label/segments"
-            ) from exc
-        if object_id in seen_object_ids:
-            raise InconsistentTripletError(
-                f"{aggregation_path}: duplicate objectId {object_id}"
-            )
-        seen_object_ids.add(object_id)
-        vertex_blocks = []
-        for seg in segments:
-            if seg not in known_segments:
-                raise InconsistentTripletError(
-                    f"{aggregation_path}: objectId {object_id} references segment "
-                    f"{seg} absent from {segmentation_path}"
-                )
-            if seg in claimed:
-                raise InconsistentTripletError(
-                    f"{aggregation_path}: segment {seg} claimed by more than one object"
-                )
-            claimed.add(seg)
-            vertex_blocks.append(known_segments[seg])
-        if not vertex_blocks:
-            raise InconsistentTripletError(
-                f"{aggregation_path}: objectId {object_id} has no segments"
-            )
-        idx = np.sort(np.concatenate(vertex_blocks))
-        instances.append(Instance(str(object_id), label, PointSet(vertices[idx])))
-
-    if scene_id is None:
-        scene_id = Path(mesh_path).stem
-    return Scene(scene_id, tuple(instances))
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def write_json(obj: Any, path: str | Path) -> None:
 def read_json(path: str | Path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedFileError(f"{path}: {exc}") from exc
 
 
@@ -118,17 +118,25 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> int:
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line, numbering every
     line of the file from 1, so callers name the same line in their own
-    errors.  A line that is not JSON raises :class:`MalformedFileError`, and
+    errors.  A missing file raises :class:`FileNotFoundError`, and one that
+    cannot be opened otherwise (a directory, say) :class:`MalformedFileError`.
+    A line that is not UTF-8 JSON raises :class:`MalformedFileError`, and
     one that holds anything but an object raises
     :class:`SchemaViolationError`; both name the line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise MalformedFileError(f"{path}: {exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise MalformedFileError(f"{path}: line {lineno}: {exc}") from exc
             if type(row) is not dict:
                 raise SchemaViolationError(

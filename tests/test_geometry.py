@@ -394,6 +394,41 @@ class TestPairwiseHullDistances:
                 for _ in range(count)]
         assert _in_lockstep(sets) == _per_pair(sets)
 
+    def test_near_tied_support_about_1e4_from_the_origin(self):
+        """Two rows of a cloud whose products with the first search
+        direction ``a[0] - b[0]`` agree to within rounding: the second lies
+        across that direction from the first, so the BLAS kernel's rounding
+        picks the support point.  Which one is picked moves some distances
+        in their last bits (swapping the two rows does so here), yet both
+        solvers must pick alike, and both stay within tolerance of the
+        oracle, which shares no code with them."""
+        def unit(x):
+            return x / np.linalg.norm(x)
+
+        rng = np.random.default_rng(14)
+        trials, within_an_ulp = 300, 0
+        for _ in range(trials):
+            offset = rng.uniform(-1e4, 1e4, 3)
+            a = offset + rng.uniform(-0.5, 0.5, (12, 3))
+            centre = offset + unit(rng.normal(size=3)) * rng.uniform(2.0, 3.0)
+            b = centre + rng.uniform(-0.4, 0.4, (12, 3))
+            direction = a[0] - b[0]
+            tied = centre + 0.8 * unit(direction)
+            across = tied + 0.5 * unit(np.cross(direction, rng.normal(size=3)))
+            b = np.vstack([b, tied, across])
+            products = b.dot(direction)
+            assert set(np.argsort(products)[-2:].tolist()) == {12, 13}
+            within_an_ulp += abs(products[12] - products[13]) <= np.spacing(abs(products[12]))
+
+            sets = [a, b, b + unit(rng.normal(size=3))]
+            assert _in_lockstep(sets) == _per_pair(sets)
+            both = np.vstack([a, b])
+            slack = (2 * DEFAULT_TOL * np.linalg.norm(np.ptp(both, axis=0))
+                     + 64 * np.finfo(np.float64).eps * np.abs(both).max())
+            gjk = hull_distance(a, b).distance
+            assert abs(hull_distance_oracle(a, b) - gjk) <= slack
+        assert within_an_ulp >= trials * 3 // 4
+
     def test_rotated_lattices_at_room_coordinates(self):
         """Rotated boxes of lattice points about 2e3 from the origin, where
         support values tie to within rounding: a support query that rounds

@@ -910,6 +910,60 @@ class TestCliErrors:
         assert f"{target}.jsonl" in err
         assert f"{target}.jsonl: line 2:" in err
 
+    @pytest.mark.parametrize("kind", ["directory", "byte-ff"])
+    @pytest.mark.parametrize("command,target,code", [
+        ("score", "predictions", 3),
+        ("score", "dataset", 3),
+        ("selfcheck", "dataset", 3),
+        ("generate", "saqs", 3),
+        ("extract", "scene", 3),
+        ("synth", "config", 2),
+    ])
+    def test_an_unreadable_input_file_exits_with_its_code_naming_it(
+            self, cli_run, tmp_path, capsys, command, target, code, kind):
+        """An input that is a directory, or that holds a byte that is not
+        UTF-8, is an input error (exit 3; 2 for the config file) whose
+        message names the file, and for a JSONL file the line."""
+        dataset = [json.loads(text) for text in
+                   cli_run["dataset"].read_text().splitlines()[:3]]
+        write_jsonl(dataset, tmp_path / "dataset.jsonl")
+        write_jsonl([{"qa_id": row["qa_id"], "output": "yes"} for row in dataset],
+                    tmp_path / "predictions.jsonl")
+        write_jsonl([{"question": "What color is the sofa?", "answer": "teal"}] * 3,
+                    tmp_path / "saqs.jsonl")
+        (tmp_path / "scenes").mkdir()
+        write_json({"seed": SEED, "fv_quantity": 4, "rewrite_pm": 2, "stub_llm": True,
+                    "saq_file": str(tmp_path / "saqs.jsonl")}, tmp_path / "config.json")
+        bad = {"predictions": tmp_path / "predictions.jsonl",
+               "dataset": tmp_path / "dataset.jsonl",
+               "saqs": tmp_path / "saqs.jsonl",
+               "scene": tmp_path / "scenes" / "bad.scene.json",
+               "config": tmp_path / "config.json"}[target]
+        if kind == "directory":
+            bad.unlink(missing_ok=True)
+            bad.mkdir()
+        elif bad.suffix == ".jsonl":
+            lines = bad.read_bytes().splitlines(keepends=True)
+            lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
+            bad.write_bytes(b"".join(lines))
+        else:
+            bad.write_bytes(b'{"scene_id": "bad",\n "instances": "\xff"}\n')
+        config = ["--config", str(tmp_path / "config.json")]
+        args = {
+            "score": ["--dataset", str(tmp_path / "dataset.jsonl"),
+                      "--predictions", str(tmp_path / "predictions.jsonl")],
+            "selfcheck": ["--dataset", str(tmp_path / "dataset.jsonl")],
+            "generate": ["--out", str(tmp_path / "out"), "--ngt-dir", str(cli_run["ngt_dir"])],
+            "extract": ["--out", str(tmp_path / "out"),
+                        "--scenes", str(tmp_path / "scenes" / "*.scene.json")],
+            "synth": ["--out", str(tmp_path / "out"), "--count", "1"],
+        }[command]
+        assert main([command, *config, *args]) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        if kind == "byte-ff" and bad.suffix == ".jsonl":
+            assert f"{bad}: line 2:" in err
+
     @pytest.mark.parametrize("command", ["selfcheck", "score"])
     @pytest.mark.parametrize("changes,problem", [
         ({"variant": "sketch"}, "unknown variant 'sketch'"),

@@ -1,4 +1,4 @@
-"""Scene model, file interchange, scan-triplet import, and synthetic scenes."""
+"""Scene model, file interchange, and synthetic scenes: the two ways scenes arrive."""
 
 import base64
 import hashlib
@@ -17,12 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sceneqa import geometry
-from sceneqa.errors import (
-    InconsistentTripletError,
-    InvalidSpecError,
-    MalformedFileError,
-    SchemaViolationError,
-)
+from sceneqa.errors import InvalidSpecError, SchemaViolationError
 from sceneqa.pipeline import PipelineConfig, run_extract
 from sceneqa.scene import (
     _PACK_SLICE_BYTES,
@@ -34,10 +29,8 @@ from sceneqa.scene import (
     Scene,
     SyntheticSpec,
     generate_synthetic_scene,
-    import_scan_triplet,
     load_scene,
     random_indoor_spec,
-    read_ply_vertices,
     scene_from_dict,
     write_scene,
     write_truth,
@@ -440,203 +433,6 @@ class TestPackedPoints:
                 out_dir=str(tmp_path / layout), scenes=str(scenes / "*.scene.json")))
             tables[layout] = table.read_bytes()
         assert tables["legacy"] == tables["packed"]
-
-
-def write_ascii_ply(path, vertices, extra_cols=False):
-    cols = "property float x\nproperty float y\nproperty float z\n"
-    if extra_cols:
-        cols += "property uchar red\n"
-    path.write_bytes((
-        "ply\nformat ascii 1.0\ncomment test fixture\n"
-        f"element vertex {len(vertices)}\n{cols}"
-        "element face 1\nproperty list uchar int vertex_indices\n"
-        "end_header\n"
-    ).encode() + b"".join(
-        (" ".join(f"{v:.6f}" for v in row) + (" 7" if extra_cols else "") + "\n").encode()
-        for row in vertices
-    ) + b"3 0 1 2\n")
-
-
-def write_binary_ply(path, vertices):
-    header = (
-        "ply\nformat binary_little_endian 1.0\n"
-        f"element vertex {len(vertices)}\n"
-        "property float x\nproperty float y\nproperty float z\n"
-        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-        "end_header\n"
-    ).encode()
-    body = b"".join(
-        struct.pack("<fffBBB", *row, 1, 2, 3) for row in vertices
-    )
-    path.write_bytes(header + body)
-
-
-class TestPlyReader:
-    VERTS = [(0.0, 0.5, 1.0), (2.0, -1.0, 0.25), (3.5, 3.5, 3.5)]
-
-    def test_ascii_with_extra_columns(self, tmp_path):
-        path = tmp_path / "m.ply"
-        write_ascii_ply(path, self.VERTS, extra_cols=True)
-        out = read_ply_vertices(path)
-        np.testing.assert_allclose(out, self.VERTS, atol=1e-6)
-
-    def test_binary_little_endian_with_color(self, tmp_path):
-        path = tmp_path / "m.ply"
-        write_binary_ply(path, self.VERTS)
-        out = read_ply_vertices(path)
-        np.testing.assert_allclose(out, self.VERTS, atol=1e-6)
-
-    def test_not_a_ply(self, tmp_path):
-        path = tmp_path / "m.ply"
-        path.write_bytes(b"OFF\n1 2 3\n")
-        with pytest.raises(MalformedFileError, match="PLY"):
-            read_ply_vertices(path)
-
-    def test_truncated_binary_payload(self, tmp_path):
-        path = tmp_path / "m.ply"
-        write_binary_ply(path, self.VERTS)
-        data = path.read_bytes()
-        path.write_bytes(data[:-4])
-        with pytest.raises(MalformedFileError, match="truncated"):
-            read_ply_vertices(path)
-
-    def test_ascii_coordinates_equal_python_float_parse(self, tmp_path):
-        rng = np.random.default_rng(5)
-        values = rng.normal(size=(10_000, 3)) * 10.0 ** rng.integers(-12, 13, (10_000, 3))
-        formats = (repr, "{:.6f}".format, "{:.9e}".format, "{:g}".format)
-        rows = [[formats[(k + axis) % 4](v) for axis, v in enumerate(row)]
-                for k, row in enumerate(values.tolist())]
-        path = tmp_path / "m.ply"
-        path.write_bytes((
-            "ply\nformat ascii 1.0\n"
-            f"element vertex {len(rows)}\n"
-            "property float x\nproperty uchar red\nproperty float y\n"
-            "property float z\nproperty float nx\n"
-            "element face 1\nproperty list uchar int vertex_indices\n"
-            "end_header\n"
-            + "".join(f"{x} 7 {y} {z} 0.5\n" + ("\n" if k == 100 else "")
-                      for k, (x, y, z) in enumerate(rows))
-            + "3 0 1 2\n"
-        ).encode())
-        want = np.array([[float(v) for v in row] for row in rows])
-        got = read_ply_vertices(path)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    ASCII_HEADER = (b"ply\nformat ascii 1.0\nelement vertex 3\n"
-                    b"property float x\nproperty float y\nproperty float z\nend_header\n")
-
-    def test_truncated_ascii_rows(self, tmp_path):
-        path = tmp_path / "m.ply"
-        path.write_bytes(self.ASCII_HEADER + b"0 0 0\n\n1 1 1\n")
-        with pytest.raises(MalformedFileError, match="truncated"):
-            read_ply_vertices(path)
-
-    @pytest.mark.parametrize("row", [b"2 2", b"2 two 2"])
-    def test_bad_ascii_row(self, tmp_path, row):
-        path = tmp_path / "m.ply"
-        path.write_bytes(self.ASCII_HEADER + b"0 0 0\n1 1 1\n" + row + b"\n")
-        with pytest.raises(MalformedFileError, match="bad vertex row"):
-            read_ply_vertices(path)
-
-    @pytest.mark.parametrize("fmt,at,bad", [
-        ("ascii", 0, "format"),
-        ("ascii", 1, "element vertex"),
-        ("ascii", 2, "property float"),
-        ("ascii", 1, "element vertex abc"),
-        ("ascii", 1, "element vertex -1"),
-        ("binary_little_endian", 2, "property half x"),
-        ("binary_little_endian", 1, "element vertex -1"),
-    ])
-    def test_bad_header_line(self, tmp_path, fmt, at, bad):
-        """A header line with missing fields, a count that is not a
-        non-negative integer or a type PLY does not define is refused,
-        naming the line, before any vertex data is read."""
-        lines = [f"format {fmt} 1.0", "element vertex 3", "property float x",
-                 "property float y", "property float z"]
-        lines[at] = bad
-        path = tmp_path / "m.ply"
-        path.write_text("\n".join(["ply", *lines, "end_header", "0 0 0", "1 1 1", "2 2 2"]))
-        with pytest.raises(MalformedFileError, match=re.escape(f"bad PLY header line {bad!r}")):
-            read_ply_vertices(path)
-
-    def test_missing_axis_property(self, tmp_path):
-        path = tmp_path / "m.ply"
-        path.write_bytes(
-            b"ply\nformat ascii 1.0\nelement vertex 1\n"
-            b"property float x\nproperty float y\nend_header\n0 0\n"
-        )
-        with pytest.raises(MalformedFileError, match="'z'"):
-            read_ply_vertices(path)
-
-
-class TestScanTripletImport:
-    def _write_triplet(self, tmp_path, seg_indices, seg_groups, n_vertices=6):
-        vertices = [(float(i), float(i) / 2, 0.0) for i in range(n_vertices)]
-        mesh = tmp_path / "scan.ply"
-        write_ascii_ply(mesh, vertices)
-        seg = tmp_path / "scan.segs.json"
-        seg.write_text(json.dumps({"segIndices": seg_indices}))
-        agg = tmp_path / "scan.agg.json"
-        agg.write_text(json.dumps({"segGroups": seg_groups}))
-        return mesh, agg, seg
-
-    def test_assembles_instances_from_segments(self, tmp_path):
-        mesh, agg, seg = self._write_triplet(
-            tmp_path,
-            seg_indices=[10, 10, 11, 12, 12, 12],
-            seg_groups=[
-                {"objectId": 0, "label": "Chair", "segments": [10, 11]},
-                {"objectId": 1, "label": "table", "segments": [12]},
-            ],
-        )
-        scene = import_scan_triplet(mesh, agg, seg)
-        assert scene.scene_id == "scan"
-        by_id = {i.instance_id: i for i in scene.instances}
-        assert by_id["0"].label == "chair"
-        assert len(by_id["0"].points) == 3
-        assert len(by_id["1"].points) == 3
-        np.testing.assert_allclose(by_id["1"].points.coords[:, 0], [3.0, 4.0, 5.0])
-
-    def test_vertex_count_mismatch(self, tmp_path):
-        mesh, agg, seg = self._write_triplet(
-            tmp_path, seg_indices=[10, 10], seg_groups=[]
-        )
-        with pytest.raises(InconsistentTripletError, match="segment entries"):
-            import_scan_triplet(mesh, agg, seg)
-
-    def test_unknown_segment(self, tmp_path):
-        mesh, agg, seg = self._write_triplet(
-            tmp_path,
-            seg_indices=[10] * 6,
-            seg_groups=[{"objectId": 0, "label": "chair", "segments": [99]}],
-        )
-        with pytest.raises(InconsistentTripletError, match="99"):
-            import_scan_triplet(mesh, agg, seg)
-
-    def test_doubly_claimed_segment(self, tmp_path):
-        mesh, agg, seg = self._write_triplet(
-            tmp_path,
-            seg_indices=[10, 10, 10, 11, 11, 11],
-            seg_groups=[
-                {"objectId": 0, "label": "chair", "segments": [10]},
-                {"objectId": 1, "label": "table", "segments": [10, 11]},
-            ],
-        )
-        with pytest.raises(InconsistentTripletError, match="more than one"):
-            import_scan_triplet(mesh, agg, seg)
-
-    def test_duplicate_object_id(self, tmp_path):
-        mesh, agg, seg = self._write_triplet(
-            tmp_path,
-            seg_indices=[10, 10, 10, 11, 11, 11],
-            seg_groups=[
-                {"objectId": 0, "label": "chair", "segments": [10]},
-                {"objectId": 0, "label": "table", "segments": [11]},
-            ],
-        )
-        with pytest.raises(InconsistentTripletError, match="duplicate objectId"):
-            import_scan_triplet(mesh, agg, seg)
 
 
 class TestBoxGap:
