@@ -14,7 +14,8 @@ label exclusion among them), 4 generation shortfall (not enough valid
 candidates or rewrite attempts), 5 self-check failure.  Codes 1 to 4 are
 the ``exit_code`` of the :class:`~sceneqa.errors.SceneQaError` raised; a
 missing or unreadable input file (a directory, or bytes that are not UTF-8)
-is 3, and a configuration file that is either is 2.
+is 3, and a configuration file that is either is 2.  An output that cannot
+be written is 1, and the error names its path.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .pipeline import (
 )
 
 EXIT_OK = 0
-EXIT_INPUT = 3
 EXIT_SELFCHECK = 5
 
 
@@ -138,12 +138,12 @@ def main(argv=None) -> int:
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
         return EXIT_OK
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SceneQaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # an output that cannot be written; inputs raise the above
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

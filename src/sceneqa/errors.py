@@ -23,7 +23,7 @@ class ConfigError(SceneQaError):
 
 
 class MalformedFileError(SceneQaError):
-    """A file could not be parsed at all (bad JSON, bad UTF-8, a directory, ...)."""
+    """An input file is missing, unreadable or unparseable (a directory, bad JSON, ...)."""
     exit_code = 3
 
 

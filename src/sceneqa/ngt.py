@@ -29,8 +29,8 @@ from typing import Iterable, Mapping
 
 from . import geometry
 from .errors import EmptyAfterFilterError, NotConvergedError, SchemaViolationError
-from .scene import (DEFAULT_EXCLUDED_LABELS, InstanceMeasurement, Scene, instance_rows,
-                    pair_rows, write_rows)
+from .scene import (_INSTANCE_LAYOUT, DEFAULT_EXCLUDED_LABELS, InstanceMeasurement, Scene,
+                    instance_rows, pair_rows, write_rows)
 from .util import finite_number, read_json
 
 
@@ -146,7 +146,7 @@ def _string(row: Mapping, key: str) -> str:
     # type(), not isinstance(): sys.intern takes no str subclass
     if type(value) is not str:
         raise ValueError(f"{key!r} must be a string, got {value!r}")
-    return value
+    return sys.intern(value)
 
 
 def _number(row: Mapping, key: str) -> float:
@@ -164,6 +164,12 @@ def _point(row: Mapping, key: str) -> tuple[float, float, float]:
     return tuple(map(float, value))
 
 
+# Each InstanceMeasurement field's reader, by its type in the layout of instance_rows.
+_INSTANCE_READERS = tuple(
+    (name, {"str": _string, "float": _number, "tuple[float, float, float]": _point}[kind])
+    for name, kind in _INSTANCE_LAYOUT)
+
+
 def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
     """One NGT document as a table; a document that breaks the schema raises
     :class:`SchemaViolationError` naming ``source`` and the offending row.
@@ -172,13 +178,13 @@ def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
     volumes finite numbers, and centroids, box corners and dims lists of
     three finite numbers; nothing is coerced.
 
-    Instance ids, labels and the ids in pair rows go through
+    Every string of a row (ids, labels, skip reasons) goes through
     :func:`sys.intern`.  A table with n instances keys n(n-1)/2 pairs by
     their ids, so interning makes every pair key reuse the instance's own id
     objects instead of holding two fresh copies per pair, and tables share
     their labels and ids with each other and with the loaded records.  The
-    interned values are at most one per instance of the scenes read; the
-    scene id and the skip reasons are kept as read.
+    interned values are at most one per instance and one per skip reason of
+    the scenes read; the scene id is kept as read.
     """
     if not isinstance(data, dict):
         raise SchemaViolationError(f"{source}: NGT document must be an object")
@@ -204,24 +210,16 @@ def ngt_from_dict(data, source: str = "<dict>") -> NgtTable:
         return parsed
 
     instances = rows("instances", raw_instances, lambda row: InstanceMeasurement(
-        instance_id=sys.intern(_string(row, "instance_id")),
-        label=sys.intern(_string(row, "label")),
-        centroid=_point(row, "centroid"),
-        aabb_min=_point(row, "aabb_min"),
-        aabb_max=_point(row, "aabb_max"),
-        dims=_point(row, "dims"),
-        volume=_number(row, "volume"),
-    ))
+        *[read(row, name) for name, read in _INSTANCE_READERS]))
     ids = [inst.instance_id for inst in instances]
     if len(set(ids)) != len(ids):
         raise SchemaViolationError(f"{source}: duplicate instance ids")
 
     pairs = dict(rows("pairs", raw_pairs, lambda row: (
-        pair_key(sys.intern(_string(row, "a")), sys.intern(_string(row, "b"))),
+        pair_key(_string(row, "a"), _string(row, "b")),
         _number(row, "distance"))))
     skipped = rows("skipped_pairs", raw_skipped, lambda row: (
-        sys.intern(_string(row, "a")), sys.intern(_string(row, "b")),
-        _string(row, "reason")))
+        _string(row, "a"), _string(row, "b"), _string(row, "reason")))
 
     # Every unordered pair of instances exactly once, in one of the lists.
     skipped_keys = {pair_key(a, b) for a, b, _ in skipped}

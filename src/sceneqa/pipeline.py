@@ -28,6 +28,7 @@ from .audit import SelfCheckResult, selfcheck
 from .errors import (
     ConfigError,
     InsufficientCandidatesError,
+    MalformedFileError,
     SceneQaError,
     SchemaViolationError,
 )
@@ -168,7 +169,7 @@ def load_config(path: str | Path | None = None, **overrides) -> PipelineConfig:
     one), with ``overrides`` applied as :func:`config_from_dict` does."""
     data = {}
     if path is not None:
-        if not Path(path).is_file():
+        if not Path(path).exists():
             raise ConfigError(f"configuration file not found: {path}")
         try:
             data = read_json(path)
@@ -280,19 +281,28 @@ def run_synth(cfg: PipelineConfig) -> list[Path]:
 
 
 def run_extract(cfg: PipelineConfig) -> list[Path]:
-    """Extract a ground-truth table for every scene matched by the glob."""
+    """Extract a ground-truth table for every scene matched by the glob; two
+    scene files of one ``scene_id`` (one table) are refused, naming both."""
     scene_paths = sorted(globlib.glob(cfg.scene_glob))
     if not scene_paths:
-        raise FileNotFoundError(f"no scene files match {cfg.scene_glob!r}")
+        raise MalformedFileError(f"no scene files match {cfg.scene_glob!r}")
     cfg.ngt_path.mkdir(parents=True, exist_ok=True)
-    mean_bytes = sum(Path(p).stat().st_size for p in scene_paths) / len(scene_paths)
-    return _map_scenes(_extract_scene, cfg, scene_paths, mean_bytes * _EXTRACT_S_PER_BYTE)
+    # a path that is not a file is named by load_scene (exit 3), not by this estimate
+    sizes = [Path(p).stat().st_size for p in scene_paths if Path(p).is_file()]
+    mean_bytes = sum(sizes) / len(scene_paths)
+    targets = _map_scenes(_extract_scene, cfg, scene_paths, mean_bytes * _EXTRACT_S_PER_BYTE)
+    first: dict[Path, str] = {}
+    for path, target in zip(scene_paths, targets):
+        if first.setdefault(target, path) != path:
+            raise SchemaViolationError(
+                f"{first[target]} and {path} hold one scene_id; both write {target}")
+    return targets
 
 
 def _load_tables(ngt_dir: Path) -> list[NgtTable]:
     paths = sorted(ngt_dir.glob("*.ngt.json"))
     if not paths:
-        raise FileNotFoundError(f"no ground-truth tables found in {ngt_dir}")
+        raise MalformedFileError(f"no ground-truth tables found in {ngt_dir}")
     return [read_ngt(path) for path in paths]
 
 
@@ -439,7 +449,7 @@ def run_selfcheck(dataset_path: str | Path,
     result = selfcheck(records(), tables=tables, approx_band=approx_band,
                        n_options=n_options)
     if missing:
-        raise FileNotFoundError(
+        raise MalformedFileError(
             f"no ground-truth table for scenes: {sorted(missing)[:5]}"
         )
     return result

@@ -9,9 +9,9 @@ the object's surface or volume.  Scenes arrive two ways:
   exact analytic ground truth so downstream extraction can be audited without
   any numerical slack.
 
-Analytic truth and extracted NGT tables share one instance row,
-:class:`InstanceMeasurement`, and one row writer, :func:`write_rows`, so the
-two files carry the same keys in the same order and layout.
+Scene files, analytic truth and NGT tables go through one row writer,
+:func:`write_rows`; truth and tables share one instance row,
+:class:`InstanceMeasurement`, so they carry the same keys and layout.
 """
 
 from __future__ import annotations
@@ -165,35 +165,26 @@ _PACK_SLICE_BYTES = 24 * 4096
 
 
 def write_scene(scene: Scene, path: str | Path) -> None:
-    """Write ``scene`` as native JSON, replacing ``path`` only once complete.
+    """Write ``scene`` as native JSON through :func:`write_rows`.
 
     The document is ``{"scene_id", "instances": [{"instance_id", "label",
     "points_b64"}, ...]}``, where ``points_b64`` is the base64 of the
     instance's row-major ``<f8`` coordinates.  Packed float64 is about a third
     the size of the points as JSON text and needs no per-coordinate
-    formatting or parsing.
-
-    The text is exactly ``json.dumps(doc, indent=2, ensure_ascii=False)``
-    plus a newline, but it is streamed: one instance at a time, its base64 a
-    :data:`_PACK_SLICE_BYTES` slice at a time.  So beyond the scene itself
-    the writer holds one slice's encodings, not the whole document.
+    formatting or parsing.  Each instance row is written in pieces, its
+    base64 a :data:`_PACK_SLICE_BYTES` slice at a time, so beyond the scene
+    itself the writer holds one slice's encodings, not the whole document.
     """
-    def write(fh) -> None:
-        fh.write(f'{{\n  "scene_id": {_encode_str(scene.scene_id)},\n  "instances": [')
-        separator = "\n"
-        for inst in scene.instances:
-            fh.write(f'{separator}    {{\n'
-                     f'      "instance_id": {_encode_str(inst.instance_id)},\n'
-                     f'      "label": {_encode_str(inst.label)},\n'
-                     f'      "points_b64": "')
-            packed = memoryview(np.ascontiguousarray(inst.points.coords, "<f8")).cast("B")
-            for start in range(0, len(packed), _PACK_SLICE_BYTES):
-                fh.write(base64.b64encode(packed[start:start + _PACK_SLICE_BYTES]).decode("ascii"))
-            fh.write('"\n    }')
-            separator = ",\n"
-        fh.write("\n  ]\n}\n")
+    def row(inst: Instance) -> Iterator[str]:
+        yield (f'{{\n      "instance_id": {_encode_str(inst.instance_id)},\n'
+               f'      "label": {_encode_str(inst.label)},\n      "points_b64": "')
+        packed = memoryview(np.ascontiguousarray(inst.points.coords, "<f8")).cast("B")
+        for start in range(0, len(packed), _PACK_SLICE_BYTES):
+            yield base64.b64encode(packed[start:start + _PACK_SLICE_BYTES]).decode("ascii")
+        yield '"\n    }'
 
-    _write_replacing(path, write)
+    write_rows(path, scene.scene_id, [("scene_id", scene.scene_id),
+                                      ("instances", map(row, scene.instances))])
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +433,11 @@ def pair_rows(items, key: str = "distance") -> Iterator[str]:
 
 
 def write_rows(path: str | Path, scene_id: str, members) -> None:
-    """Write the object of ``members``, ``(key, string or row texts)`` in
-    order, a row at a time through a temporary file: exactly ``json.dumps(
-    doc, indent=2, ensure_ascii=False)`` and a newline.  A value the table
-    readers refuse raises :class:`SchemaViolationError` naming ``path``,
-    ``scene_id`` and the row, and leaves ``path`` as it was."""
+    """Write the object of ``members``, ``(key, string or rows)`` in order,
+    each row a text or an iterable of its pieces, through a temporary file:
+    exactly ``json.dumps(doc, indent=2, ensure_ascii=False)`` and a newline.
+    A value the readers refuse raises :class:`SchemaViolationError` naming
+    ``path``, ``scene_id`` and the row, and leaves ``path`` as it was."""
     def write(fh) -> None:
         separator = "{"
         for key, value in members:
@@ -458,7 +449,8 @@ def write_rows(path: str | Path, scene_id: str, members) -> None:
             pos = 0
             try:
                 for row in value:
-                    fh.write((",\n    " if pos else "[\n    ") + row)
+                    fh.write(",\n    " if pos else "[\n    ")
+                    fh.writelines((row,) if isinstance(row, str) else row)
                     pos += 1
             except (TypeError, ValueError) as exc:
                 raise SchemaViolationError(

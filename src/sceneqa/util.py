@@ -118,15 +118,12 @@ def write_jsonl(rows: Iterable[dict], path: str | Path) -> int:
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """``(line number, object)`` for each non-blank line, numbering every
     line of the file from 1, so callers name the same line in their own
-    errors.  A missing file raises :class:`FileNotFoundError`, and one that
-    cannot be opened otherwise (a directory, say) :class:`MalformedFileError`.
-    A line that is not UTF-8 JSON raises :class:`MalformedFileError`, and
-    one that holds anything but an object raises
-    :class:`SchemaViolationError`; both name the line."""
+    errors.  A file that cannot be opened (missing, or a directory, say)
+    raises :class:`MalformedFileError` naming it.  A line that is not UTF-8
+    JSON raises :class:`MalformedFileError`, and one that holds anything but
+    an object :class:`SchemaViolationError`; both name the line."""
     try:
         fh = open(path, "rb")
-    except FileNotFoundError:
-        raise
     except OSError as exc:
         raise MalformedFileError(f"{path}: {exc}") from exc
     with fh:

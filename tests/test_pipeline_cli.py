@@ -7,12 +7,16 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from sceneqa import cli, pipeline, rulegen
+from sceneqa import cli, pipeline, rewrite, rulegen
 from sceneqa.cli import main
 from sceneqa.errors import ConfigError, InsufficientCandidatesError, SceneQaError
 from sceneqa.geometry import hull_distance
@@ -910,7 +914,7 @@ class TestCliErrors:
         assert f"{target}.jsonl" in err
         assert f"{target}.jsonl: line 2:" in err
 
-    @pytest.mark.parametrize("kind", ["directory", "byte-ff"])
+    @pytest.mark.parametrize("kind", ["directory", "byte-ff", "dangling-link"])
     @pytest.mark.parametrize("command,target,code", [
         ("score", "predictions", 3),
         ("score", "dataset", 3),
@@ -921,9 +925,9 @@ class TestCliErrors:
     ])
     def test_an_unreadable_input_file_exits_with_its_code_naming_it(
             self, cli_run, tmp_path, capsys, command, target, code, kind):
-        """An input that is a directory, or that holds a byte that is not
-        UTF-8, is an input error (exit 3; 2 for the config file) whose
-        message names the file, and for a JSONL file the line."""
+        """An input that is a directory, a link to nothing, or that holds a
+        byte that is not UTF-8, is an input error (exit 3; 2 for the config
+        file) whose message names the file, and for a JSONL file the line."""
         dataset = [json.loads(text) for text in
                    cli_run["dataset"].read_text().splitlines()[:3]]
         write_jsonl(dataset, tmp_path / "dataset.jsonl")
@@ -942,6 +946,9 @@ class TestCliErrors:
         if kind == "directory":
             bad.unlink(missing_ok=True)
             bad.mkdir()
+        elif kind == "dangling-link":
+            bad.unlink(missing_ok=True)
+            bad.symlink_to(tmp_path / "nowhere")
         elif bad.suffix == ".jsonl":
             lines = bad.read_bytes().splitlines(keepends=True)
             lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
@@ -963,6 +970,57 @@ class TestCliErrors:
         assert str(bad) in err
         if kind == "byte-ff" and bad.suffix == ".jsonl":
             assert f"{bad}: line 2:" in err
+        if kind == "directory":
+            assert "not found" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "score"])
+    def test_an_output_that_cannot_be_written_exits_1_naming_it(self, cli_run, tmp_path,
+                                                                 command):
+        """``synth --out <a regular file>`` and ``score --report <a
+        directory>``: one line naming the path, exit 1, no traceback, and no
+        temporary file left."""
+        if command == "synth":
+            target = tmp_path / "out-file"
+            target.write_text("")
+            args = ["synth", "--out", str(target), "--count", "1"]
+        else:
+            target = tmp_path / "report-dir"
+            target.mkdir()
+            predictions = tmp_path / "predictions.jsonl"
+            write_jsonl([], predictions)
+            args = ["score", "--dataset", str(cli_run["dataset"]),
+                    "--predictions", str(predictions), "--report", str(target)]
+        src = Path(pipeline.__file__).parents[1]
+        proc = subprocess.run([sys.executable, "-m", "sceneqa.cli", *args], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert str(target) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_two_scene_files_of_one_scene_id_exit_3_naming_both(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--count", "2"]) == 0
+        scenes = out / "scenes"
+        shutil.copy(scenes / "synth0000.scene.json", scenes / "copy.scene.json")
+        assert main(["extract", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(scenes / "copy.scene.json") in err
+        assert str(scenes / "synth0000.scene.json") in err
+
+    def test_score_names_a_numeric_record_without_ground_truth(self, cli_run, tmp_path,
+                                                               capsys):
+        row = next(row for row in map(json.loads, cli_run["dataset"].read_text().splitlines())
+                   if row["task"] == "ni" and row["variant"] == "plain")
+        row.update(gt_value=None, answer="n/a")
+        dataset, predictions = tmp_path / "dataset.jsonl", tmp_path / "predictions.jsonl"
+        write_jsonl([row], dataset)
+        write_jsonl([{"qa_id": row["qa_id"], "output": "2"}], predictions)
+        assert main(["score", "--dataset", str(dataset), "--predictions", str(predictions)]) == 3
+        assert (f"{dataset}: line 1: {row['qa_id']}: numeric record lacks a parseable "
+                "ground truth" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["selfcheck", "score"])
     @pytest.mark.parametrize("changes,problem", [
@@ -1060,6 +1118,43 @@ class TestCliFlags:
         assert "service_endpoint" in capsys.readouterr().err
         assert main([*args, "--stub-llm"]) == 0
         assert read_json(tmp_path / "manifest.json")["task_counts"]["pm"] == 2
+
+    def test_the_service_keys_reach_each_request(self, cli_run, tmp_path, monkeypatch,
+                                                  rewrite_config):
+        """Without the stub, generate sends every request with the service_*
+        settings; answered with the stub's replies after three failures (one
+        per allowed retry), it writes the stub run's dataset."""
+        stub, requests = EchoStubClient(), []
+
+        def post(url, body, timeout, headers):
+            requests.append((url, body, timeout))
+            if len(requests) <= 3:
+                return 503, "busy"
+            reply = stub.complete(*(message["content"] for message in body["messages"]))
+            return 200, json.dumps({"choices": [{"message": {"content": reply}}]})
+
+        monkeypatch.setattr(rewrite, "_urllib_post", post)
+        monkeypatch.setattr(rewrite, "_RETRY_WAIT_S", 0.0)
+        service = {"service_endpoint": "http://localhost:9/v1/chat/completions",
+                   "service_model": "rewriter-1", "service_timeout": 7.5,
+                   "service_retries": 3, "service_temperature": 0.25,
+                   "service_max_tokens": 64}
+        config = tmp_path / "service.json"
+        write_json({**read_json(rewrite_config), **service}, config)
+        ngt = ["--ngt-dir", str(cli_run["ngt_dir"])]
+        assert main(["generate", "--config", str(rewrite_config), "--stub-llm",
+                     "--out", str(tmp_path / "stub"), *ngt]) == 0
+        assert main(["generate", "--config", str(config),
+                     "--out", str(tmp_path / "service"), *ngt]) == 0
+        assert ((tmp_path / "service" / "dataset.jsonl").read_bytes()
+                == (tmp_path / "stub" / "dataset.jsonl").read_bytes())
+        assert len(requests) > 3
+        for url, body, timeout in requests:
+            assert url == service["service_endpoint"]
+            assert timeout == service["service_timeout"]
+            assert body["model"] == service["service_model"]
+            assert body["temperature"] == service["service_temperature"]
+            assert body["max_tokens"] == service["service_max_tokens"]
 
     def test_every_rewrite_attempt_failing_is_a_shortfall(self, cli_run, tmp_path, capsys,
                                                           monkeypatch, rewrite_config):
