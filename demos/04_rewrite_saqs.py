@@ -14,12 +14,14 @@ from sceneqa.rewrite import (
     EchoStubClient,
     RewriteJob,
     SaqItem,
+    make_jobs,
     render_prompt,
     rewrite_job,
     run_rewrite_track,
     validate_pm_response,
 )
 from sceneqa.errors import ExhaustedAttemptsError
+from sceneqa.rulegen import build_schedules
 
 # ---------------------------------------------------------------------------
 # A rewrite job and its prompt
@@ -95,10 +97,12 @@ print("  answer:  ", record.answer)
 # of the prompt and answers with a structurally valid response, so whole
 # pipelines run with no network.  Because expected letters come from a
 # seeded schedule, 500 jobs land exactly 100 times on each letter.
+# `make_jobs` plans the track; had a job exhausted its attempts, the track
+# would raise the shortfall once every job had run.
 
 saqs = [SaqItem(f"Trivia question number {i}?", f"answer{i}") for i in range(9)]
-track = run_rewrite_track(saqs, pm_count=500, fv_count=10,
-                          client=EchoStubClient(), master_seed=20240817)
+jobs = make_jobs(saqs, pm_count=500, fv_count=10, schedules=build_schedules(20240817))
+track = run_rewrite_track(jobs, EchoStubClient())
 
 letters = {}
 for rec in track.records:
@@ -111,4 +115,3 @@ fv_answers = [r.answer for r in track.records if r.task == "fv"]
 print("fact-verification rewrites: ",
       {w: fv_answers.count(w) for w in ("yes", "no")},
       "(each original is paired with its inverted contrapositive)")
-print("failed jobs:", track.failed_jobs or "none")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .errors import SceneQaError, SchemaViolationError
+from .errors import MalformedFileError, SceneQaError, SchemaViolationError
 from .evaluate import TA_THRESHOLDS, extract_answer, numeric_truth, parse_numeric, ta_hit
 from .ngt import NgtTable
 from .rulegen import (
@@ -245,14 +245,17 @@ def selfcheck(records: Iterable[QaRecord],
               approx_band: float = DEFAULT_APPROX_BAND,
               n_options: int = 5) -> SelfCheckResult:
     """Run every dataset audit in one pass over ``records``; ground-truth
-    agreement runs only when the matching tables are supplied.  PM letters
-    are balanced over ``n_options`` choices.  A record whose id repeats an
-    earlier one is a ``schema`` failure and takes no part in pairing.  Every
-    record is of a known task and variant, as :class:`QaRecord` checks."""
+    agreement runs only when tables are supplied, and the scenes they lack
+    that a recomputable record names raise :class:`MalformedFileError` after
+    the pass.  PM letters are balanced over ``n_options`` choices.  A record
+    whose id repeats an earlier one is a ``schema`` failure and takes no part
+    in pairing.  Every record is of a known task and variant, as
+    :class:`QaRecord` checks."""
     schema: list[str] = []
     ni_display: list[str] = []
     self_scoring: list[str] = []
     gt_agreement: list[str] = []
+    missing: set[str] = set()  # scenes with no table
     seen: set[str] = set()
     links = _Links(seen)
     balance = BalanceReport()
@@ -287,6 +290,9 @@ def selfcheck(records: Iterable[QaRecord],
                     f"at ta@{round(_TA_MIN * 100)}"
                 )
         if tables is not None and recomputable(record):
+            if record.scene_id not in tables:
+                missing.add(record.scene_id)
+                continue
             try:
                 recomputed = _recompute(record, tables, approx_band)
             except SchemaViolationError as exc:
@@ -297,6 +303,8 @@ def selfcheck(records: Iterable[QaRecord],
                     f"{rid}: stored answer {gold!r} disagrees "
                     f"with ground truth recomputation {recomputed!r}"
                 )
+    if missing:
+        raise MalformedFileError(f"no ground-truth table for scenes: {sorted(missing)[:5]}")
     checks = {
         "schema": schema, "cp_involution": links.failures(), "ni_display": ni_display,
         "self_scoring": self_scoring,

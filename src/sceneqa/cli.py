@@ -111,12 +111,12 @@ def main(argv=None) -> int:
             paths = run_extract(cfg)
             print(f"wrote {len(paths)} ground-truth tables to {cfg.ngt_path}")
         elif args.command == "generate":
-            result = run_generate(cfg)
+            task_counts = run_generate(cfg)
             # a quota that is not met raises, so no records means none were asked for
-            counts = ", ".join(f"{k}={v}" for k, v in sorted(result.task_counts.items())) \
+            counts = ", ".join(f"{k}={v}" for k, v in task_counts.items()) \
                 or ("no questions requested: every fv_*, ni_*, rewrite_pm and "
                     "rewrite_fv key is 0")
-            print(f"wrote {result.n_records} records to {result.dataset_path} ({counts})")
+            print(f"wrote {sum(task_counts.values())} records to {cfg.dataset_path} ({counts})")
         elif args.command == "score":
             report_path = Path(args.report) if args.report else None
             _, _, table = run_score(_dataset_path(args, cfg), args.predictions,

@@ -301,13 +301,19 @@ def format_report_table(report: EvalReport, variant: str = VARIANT_PLAIN) -> str
 
 
 def read_predictions(path) -> dict[str, str]:
-    """Load a predictions file: JSON lines with ``qa_id`` and ``output``."""
+    """Load a predictions file: JSON lines with ``qa_id`` and ``output``, no
+    id twice (the error names both lines)."""
     predictions: dict[str, str] = {}
     for line, row in read_jsonl(path):
-        if not isinstance(row.get("qa_id"), str) or not isinstance(row.get("output"), str):
+        qa_id = row.get("qa_id")
+        if not isinstance(qa_id, str) or not isinstance(row.get("output"), str):
             raise SchemaViolationError(
                 f"{path}: line {line}: prediction rows need string "
                 f"'qa_id' and 'output'"
             )
-        predictions[row["qa_id"]] = row["output"]
+        if qa_id in predictions:  # rare: read the file again for the first line
+            first = next(n for n, earlier in read_jsonl(path) if earlier["qa_id"] == qa_id)
+            raise SchemaViolationError(
+                f"{path}: line {line}: qa_id {qa_id!r} repeats line {first}")
+        predictions[qa_id] = row["output"]
     return predictions

@@ -17,8 +17,7 @@ from __future__ import annotations
 import glob as globlib
 import math
 import time
-from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from . import __version__
 from .audit import SelfCheckResult, selfcheck
 from .errors import (
     ConfigError,
-    InsufficientCandidatesError,
+    InvalidSpecError,
     MalformedFileError,
     SceneQaError,
     SchemaViolationError,
@@ -44,27 +43,29 @@ from .rewrite import (
     HttpServiceClient,
     PROMPT_VERSION,
     load_saqs,
+    make_jobs,
     run_rewrite_track,
 )
 from .rulegen import (
     BalanceReport,
     RulegenConfig,
+    build_schedules,
     checked_records,
     iter_dataset,
     iter_rule_dataset,
-    recomputable,
     write_dataset,
 )
 from .scene import (
     DEFAULT_EXCLUDED_LABELS,
+    SyntheticSpec,
+    _validate_spec,
     generate_synthetic_scene,
     load_scene,
     random_indoor_spec,
     write_scene,
     write_truth,
 )
-from .templates import (CAT_NON_NUMERIC, DEFAULT_APPROX_BAND, TASK_FV, TASK_PM,
-                        TEMPLATE_BANK_VERSION)
+from .templates import DEFAULT_APPROX_BAND, TEMPLATE_BANK_VERSION
 from .util import derive_seed, read_json, write_json, write_jsonl
 
 FORMAT_VERSION = "1.0.0"
@@ -246,12 +247,15 @@ def _map_scenes(fn, cfg: PipelineConfig, items: list, estimate_s: float) -> list
         return results + list(pool.map(fn, [cfg] * left, items[done:]))
 
 
-def _synth_scene(cfg: PipelineConfig, scene_id: str) -> Path:
+def _synth_spec(cfg: PipelineConfig, scene_id: str) -> SyntheticSpec:
     rng = np.random.default_rng(derive_seed(cfg.seed, f"synth:{scene_id}"))
-    spec = random_indoor_spec(scene_id, rng, n_boxes=cfg.synth_boxes,
+    return random_indoor_spec(scene_id, rng, n_boxes=cfg.synth_boxes,
                               points_per_box=cfg.synth_points_per_box)
+
+
+def _synth_scene(cfg: PipelineConfig, scene_id: str) -> Path:
     scene, truth = generate_synthetic_scene(
-        spec, seed=derive_seed(cfg.seed, f"noise:{scene_id}")
+        _synth_spec(cfg, scene_id), seed=derive_seed(cfg.seed, f"noise:{scene_id}")
     )
     scene_path = cfg.synth_path / f"{scene_id}.scene.json"
     write_scene(scene, scene_path)
@@ -273,9 +277,20 @@ def _extract_scene(cfg: PipelineConfig, path: str) -> Path:
 
 def run_synth(cfg: PipelineConfig) -> list[Path]:
     """Write ``synth_scenes`` synthetic scenes (plus their analytic ground
-    truth) under the scenes directory."""
-    cfg.synth_path.mkdir(parents=True, exist_ok=True)
+    truth) under the scenes directory; a ``synth_boxes`` or
+    ``synth_points_per_box`` outside the limits of :mod:`~sceneqa.scene` is a
+    :class:`ConfigError` naming the key, raised before any directory is made."""
     scene_ids = [f"synth{i:04d}" for i in range(cfg.synth_scenes)]
+    if scene_ids:
+        try:
+            spec = _synth_spec(cfg, scene_ids[0])  # raises on the box count alone
+        except InvalidSpecError as exc:
+            raise ConfigError(f"synth_boxes: {exc}") from None
+        try:
+            _validate_spec(spec)  # of a random spec, only the point count can fail
+        except InvalidSpecError as exc:
+            raise ConfigError(f"synth_points_per_box: {exc}") from None
+    cfg.synth_path.mkdir(parents=True, exist_ok=True)
     points = cfg.synth_boxes * cfg.synth_points_per_box
     return _map_scenes(_synth_scene, cfg, scene_ids, points * _SYNTH_S_PER_POINT)
 
@@ -321,48 +336,30 @@ def _rewrite_client(cfg: PipelineConfig):
     )
 
 
-@dataclass
-class GenerateResult:
-    n_records: int
-    dataset_path: Path
-    task_counts: dict = field(default_factory=dict)
+def run_generate(cfg: PipelineConfig) -> dict[str, int]:
+    """Produce dataset.jsonl plus its balance report, run log, and manifest;
+    returns the record count of each task, in task order.
 
-
-def run_generate(cfg: PipelineConfig) -> GenerateResult:
-    """Produce dataset.jsonl plus its balance report, run log, and manifest.
-
-    The rewrite settings are checked, the short answers read and the client
-    built before any rule record is generated.  ``dataset.jsonl`` is then
-    written one record at a time: the rule records scene by scene, then,
-    once they are exhausted, the rewrite track's.  Only the record ids, the
-    balance tallies and the rewrite records are held.  A shortfall, a
-    duplicate id or a balance breach raises inside the writer, so no dataset
-    and no other artifact is committed.
+    Before any table is read, the rewrite settings are checked, the client
+    built and the rewrite jobs planned from the short answers.  The dataset
+    is then written a record at a time, the rule records scene by scene and
+    then the rewrite track's, holding only record ids, balance tallies and
+    rewrite records.  A shortfall, a duplicate id or a balance breach raises
+    inside the writer, so no artifact is committed.
     """
     rewriting = cfg.rewrite_pm or cfg.rewrite_fv
     if rewriting:
         if not cfg.saq_file:
             raise ConfigError("rewriting needs saq_file")
         client = _rewrite_client(cfg)
-        saqs = load_saqs(cfg.saq_file)
+        jobs = make_jobs(load_saqs(cfg.saq_file), cfg.rewrite_pm, cfg.rewrite_fv,
+                         build_schedules(cfg.seed), cfg.n_options)
     tables = _load_tables(cfg.ngt_path)
     log_rows: list[dict] = []
 
     def rewrite_records():
-        track = run_rewrite_track(saqs, cfg.rewrite_pm, cfg.rewrite_fv, client,
-                                  cfg.seed, n_options=cfg.n_options)
+        track = run_rewrite_track(jobs, client)
         log_rows.extend(track.log_rows)
-        if track.failed_jobs:
-            # records, as every stratum counts them: an FV job makes a pair
-            requested = {f"{TASK_PM}/{CAT_NON_NUMERIC}": cfg.rewrite_pm,
-                         f"{TASK_FV}/{CAT_NON_NUMERIC}": 2 * cfg.rewrite_fv}
-            produced = Counter(f"{r.task}/{r.category}" for r in track.records)
-            raise InsufficientCandidatesError(
-                f"{len(track.failed_jobs)} rewrite jobs exhausted their attempts "
-                f"(first: {track.failed_jobs[0]})",
-                shortfalls={key: (n, produced[key]) for key, n in requested.items()
-                            if produced[key] < n},
-            )
         yield from track.records
 
     streams = [iter_rule_dataset(tables, cfg, cfg.seed)]
@@ -376,10 +373,9 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
     write_jsonl(log_rows, out / "run_log.jsonl")
 
     task_counts: dict[str, int] = {}
-    for key, stratum in balance.strata.items():  # keyed "task/category/variant"
+    for key, stratum in sorted(balance.strata.items()):  # keyed "task/category/variant"
         task = key.split("/", 1)[0]
         task_counts[task] = task_counts.get(task, 0) + stratum.total
-    n_records = sum(task_counts.values())
     manifest = {
         "format_version": FORMAT_VERSION,
         "package_version": __version__,
@@ -388,13 +384,12 @@ def run_generate(cfg: PipelineConfig) -> GenerateResult:
         "seed": cfg.seed,
         "config": cfg.echo(),
         "scenes": [table.scene_id for table in tables],
-        "n_records": n_records,
-        "task_counts": {k: task_counts[k] for k in sorted(task_counts)},
+        "n_records": sum(task_counts.values()),
+        "task_counts": task_counts,
         "artifacts": ["dataset.jsonl", "balance_report.json", "run_log.jsonl"],
     }
     write_json(manifest, out / "manifest.json")
-    return GenerateResult(n_records=n_records, dataset_path=cfg.dataset_path,
-                          task_counts=task_counts)
+    return task_counts
 
 
 def run_score(dataset_path: str | Path, predictions_path: str | Path,
@@ -430,26 +425,12 @@ def run_selfcheck(dataset_path: str | Path,
                   ngt_dir: str | Path | None = None,
                   approx_band: float = DEFAULT_APPROX_BAND,
                   n_options: int = 5) -> SelfCheckResult:
-    """Audit a dataset in one pass; with a table directory the stored answers
-    are also re-derived from ground truth, using ``approx_band`` (the
-    generating ``approx_band_in``) for "approximately equal", and the scenes
-    it has no table for are raised after the pass.  PM letters are checked
-    for balance over ``n_options`` choices."""
+    """Audit a dataset in one :func:`~sceneqa.audit.selfcheck` pass; with a
+    table directory the stored answers are also re-derived from ground
+    truth, using ``approx_band`` (the generating ``approx_band_in``) for
+    "approximately equal", and ``selfcheck`` raises the scenes it lacks.
+    PM letters are balanced over ``n_options``."""
     tables = None if ngt_dir is None else {
         table.scene_id: table for table in _load_tables(Path(ngt_dir))}
-    missing: set[str] = set()
-
-    def records():
-        for _, record in iter_dataset(dataset_path):
-            if tables is not None and record.scene_id not in tables \
-                    and recomputable(record):
-                missing.add(record.scene_id)
-            yield record
-
-    result = selfcheck(records(), tables=tables, approx_band=approx_band,
-                       n_options=n_options)
-    if missing:
-        raise MalformedFileError(
-            f"no ground-truth table for scenes: {sorted(missing)[:5]}"
-        )
-    return result
+    return selfcheck((record for _, record in iter_dataset(dataset_path)), tables=tables,
+                     approx_band=approx_band, n_options=n_options)

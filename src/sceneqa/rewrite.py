@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -40,7 +41,6 @@ from .rulegen import (
     QaRecord,
     Schedules,
     VARIANT_PLAIN,
-    build_schedules,
     contrapositive_id,
 )
 from .templates import CAT_NON_NUMERIC, TASK_FV, TASK_PM
@@ -523,16 +523,21 @@ def load_saqs(path: str | Path) -> list[SaqItem]:
     return items
 
 
+# records per job, as every stratum counts them: an FV job makes a pair
+_RECORDS_PER_JOB = {TASK_PM: 1, TASK_FV: 2}
+
+
 def make_jobs(saqs: Sequence[SaqItem], pm_count: int, fv_count: int,
               schedules: Schedules, n_options: int = 5) -> list[RewriteJob]:
-    """``pm_count`` PM jobs, then ``fv_count`` FV jobs, cycling the SAQs; the
-    ``k``-th job of a kind takes its answer from schedule index ``k``."""
+    """A rewrite track's plan: ``pm_count`` PM jobs, then ``fv_count`` FV
+    jobs, cycling the SAQs; the ``k``-th job of a kind takes its answer from
+    schedule index ``k``.  No SAQs for a kind asked for is a shortfall."""
     jobs = []
-    for kind, count, records_per_job in ((TASK_PM, pm_count, 1), (TASK_FV, fv_count, 2)):
+    for kind, count in ((TASK_PM, pm_count), (TASK_FV, fv_count)):
         if count > 0 and not saqs:
             raise InsufficientCandidatesError(
                 f"no SAQ items available for {kind.upper()} rewriting",
-                shortfalls={f"{kind}/{CAT_NON_NUMERIC}": (records_per_job * count, 0)},
+                shortfalls={f"{kind}/{CAT_NON_NUMERIC}": (_RECORDS_PER_JOB[kind] * count, 0)},
             )
         for k in range(count):
             label = (schedules.pm_letter(k, n_options) if kind == TASK_PM
@@ -546,36 +551,34 @@ def make_jobs(saqs: Sequence[SaqItem], pm_count: int, fv_count: int,
 class RewriteTrackResult:
     records: list[QaRecord] = field(default_factory=list)
     log_rows: list[dict] = field(default_factory=list)
-    failed_jobs: list[str] = field(default_factory=list)
 
 
-def run_rewrite_track(
-    saqs: Sequence[SaqItem],
-    pm_count: int,
-    fv_count: int,
-    client: ServiceClient,
-    master_seed: int,
-    n_options: int = 5,
-) -> RewriteTrackResult:
-    """Run PM then FV rewrite jobs sequentially, logging attempts per job.
-
-    Jobs that exhaust their attempts are recorded in ``failed_jobs`` rather
-    than aborting the batch; the caller decides whether a shortfall is fatal.
-    """
-    jobs = make_jobs(saqs, pm_count, fv_count, build_schedules(master_seed), n_options)
+def run_rewrite_track(jobs: Sequence[RewriteJob], client: ServiceClient
+                      ) -> RewriteTrackResult:
+    """Run the ``jobs`` :func:`make_jobs` planned, in order, logging each
+    one's attempts.  A job that exhausts its attempts does not stop the rest;
+    once all have run, :class:`InsufficientCandidatesError` gives each
+    stratum's shortfall."""
     result = RewriteTrackResult()
     for job in jobs:
         try:
             records, verdicts = rewrite_job(job, client)
-            result.records.extend(records)
-            ok = True
         except ExhaustedAttemptsError as exc:
-            verdicts = exc.verdicts
-            result.failed_jobs.append(job.job_id)
-            ok = False
+            records, verdicts = (), exc.verdicts
+        result.records.extend(records)
         result.log_rows.append({
             "job_id": job.job_id, "kind": job.kind, "attempts": len(verdicts),
-            "ok": ok,
+            "ok": bool(records),
             "reasons": sorted({r for v in verdicts for r in v.reasons}),
         })
+    if failed := [row["job_id"] for row in result.log_rows if not row["ok"]]:
+        requested: Counter[str] = Counter()
+        for job in jobs:
+            requested[f"{job.kind}/{CAT_NON_NUMERIC}"] += _RECORDS_PER_JOB[job.kind]
+        produced = Counter(f"{r.task}/{r.category}" for r in result.records)
+        raise InsufficientCandidatesError(
+            f"{len(failed)} rewrite jobs exhausted their attempts (first: {failed[0]})",
+            shortfalls={key: (n, produced[key]) for key, n in requested.items()
+                        if produced[key] < n},
+        )
     return result

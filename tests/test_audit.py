@@ -8,17 +8,19 @@ import re
 import pytest
 
 from sceneqa.audit import oracle_responses, selfcheck
-from sceneqa.errors import SceneQaError, SchemaViolationError
+from sceneqa.errors import MalformedFileError, SceneQaError, SchemaViolationError
 from sceneqa.evaluate import consistency_report, score_records
 from sceneqa.rulegen import (
     ANSWER_NO,
     ANSWER_YES,
+    PROVENANCE_LLM,
     VARIANT_COT,
     VARIANT_PLAIN,
     BalanceReport,
+    QaRecord,
     render_answer,
 )
-from sceneqa.templates import TASK_FV, TASK_NI
+from sceneqa.templates import CAT_NON_NUMERIC, TASK_FV, TASK_NI, TASK_PM
 
 
 def swap(records, index, **changes):
@@ -192,6 +194,54 @@ class TestSelfCheckCorruptions:
         assert pinned(result) == {
             "schema": [f"{records[idx].qa_id}: unit 'furlongs', expected 'meters'"],
             "cp_involution": [],
+            "ni_display": [],
+        }
+
+    def test_blank_question_trips_schema(self, dataset):
+        records, _ = dataset
+        idx = find_index(records, lambda r: r.task == TASK_NI)
+        result = selfcheck(swap(records, idx, question="  "))
+        assert pinned(result) == {
+            "schema": [f"{records[idx].qa_id}: empty question"],
+            "cp_involution": [],
+            "ni_display": [],
+        }
+
+    def test_pm_answer_that_is_not_a_letter_trips_schema(self, dataset):
+        records, _ = dataset
+        pm = QaRecord(
+            qa_id="llm-pm-00000", scene_id="", task=TASK_PM, category=CAT_NON_NUMERIC,
+            question="Which? A) oak  B) teal", answer="oak", gt_value=None, unit="",
+            cp_link=None, variant=VARIANT_PLAIN, provenance=PROVENANCE_LLM,
+            template_id=None, referents=(),
+        )
+        result = selfcheck(list(records) + [pm])
+        assert pinned(result) == {
+            "schema": ["llm-pm-00000: option letter expected, got 'oak'"],
+            "cp_involution": [],
+            "ni_display": [],
+        }
+
+    def test_rule_record_without_referents_trips_schema(self, dataset):
+        records, _ = dataset
+        idx = find_index(records, lambda r: r.task == TASK_NI)
+        result = selfcheck(swap(records, idx, referents=()))
+        assert pinned(result) == {
+            "schema": [f"{records[idx].qa_id}: rule record without referents"],
+            "cp_involution": [],
+            "ni_display": [],
+        }
+
+    def test_fv_record_without_cp_link(self, dataset):
+        records, _ = dataset
+        idx = find_index(records, lambda r: r.task == TASK_FV
+                         and not r.is_contrapositive)
+        rid, partner = records[idx].qa_id, records[idx].cp_link
+        result = selfcheck(swap(records, idx, cp_link=None))
+        assert pinned(result) == {
+            "schema": [],
+            "cp_involution": [f"{rid}: yes/no record without cp_link",
+                              f"{partner}: link not mutual ({rid} -> None)"],
             "ni_display": [],
         }
 
@@ -396,6 +446,14 @@ class TestResponders:
         partial = {sid: t for sid, t in tables.items() if sid != scene}
         with pytest.raises(SceneQaError, match="no ground-truth table"):
             oracle_responses(records, partial)
+
+    def test_selfcheck_names_a_scene_without_a_table(self, dataset, tables):
+        records, _ = dataset
+        scene = records[0].scene_id
+        partial = {sid: t for sid, t in tables.items() if sid != scene}
+        with pytest.raises(MalformedFileError,
+                           match=re.escape(f"no ground-truth table for scenes: [{scene!r}]")):
+            selfcheck(records, tables=partial)
 
     def test_constant_yes_halves_fv_accuracy(self, dataset):
         records, _ = dataset

@@ -404,3 +404,12 @@ class TestReadPredictions:
         write_jsonl([{"qa_id": "a", "output": "x"}, {"qa_id": "b"}], path)
         with pytest.raises(SchemaViolationError, match="line 2"):
             read_predictions(path)
+
+    def test_repeated_id_is_refused_naming_both_lines(self, tmp_path):
+        path = tmp_path / "predictions.jsonl"
+        write_jsonl([{"qa_id": "a", "output": "yes"}, {"qa_id": "b", "output": "2"},
+                     {"qa_id": "a", "output": "no"}], path)
+        with pytest.raises(SchemaViolationError) as excinfo:
+            read_predictions(path)
+        assert str(excinfo.value) == f"{path}: line 3: qa_id 'a' repeats line 1"
+        assert excinfo.value.exit_code == 3

@@ -177,6 +177,23 @@ class TestSerialization:
         with pytest.raises(SchemaViolationError, match=rf"^{where} malformed: '{key}'"):
             read_ngt(path)
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: [doc], "NGT document must be an object"),
+        (lambda doc: {**doc, "scene_id": ""}, "'scene_id' must be a non-empty string"),
+        (lambda doc: {**doc, "instances": []}, "'instances' must be a non-empty list"),
+        (lambda doc: {**doc, "pairs": {}}, "'pairs'/'skipped_pairs' must be lists"),
+        (lambda doc: {**doc, "instances": doc["instances"][:1] * 2},
+         "duplicate instance ids"),
+    ], ids=["document", "scene-id", "instances", "pairs", "duplicate-id"])
+    def test_a_file_that_is_not_a_table_is_refused_naming_it(self, toy_scene, tmp_path,
+                                                             change, message):
+        path = tmp_path / "toy.ngt.json"
+        path.write_text(json.dumps(change(ngt_doc(extract_ngt(toy_scene)))),
+                        encoding="utf-8")
+        with pytest.raises(SchemaViolationError) as info:
+            read_ngt(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_incomplete_pair_coverage_rejected(self, toy_scene):
         """Each unordered pair of instances is listed exactly once, in
         ``pairs`` or in ``skipped_pairs``, and names two instances."""

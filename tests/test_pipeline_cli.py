@@ -767,6 +767,19 @@ class TestCliErrors:
         assert "fv_quantity must be even" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.scene.json"))
 
+    @pytest.mark.parametrize("setting", [
+        {"synth_points_per_box": 4}, {"synth_boxes": 5}, {"synth_boxes": 60},
+    ], ids=["4-points", "5-boxes", "60-boxes"])
+    def test_an_out_of_range_synth_setting_exits_2_before_any_directory(
+            self, tmp_path, capsys, setting):
+        config = tmp_path / "config.json"
+        write_json({"seed": SEED, "synth_scenes": 2, **setting}, config)
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        (key,) = setting
+        assert capsys.readouterr().err.startswith(f"error: {key}: synth0000: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_selfcheck_rejects_bands_that_do_not_nest(self, cli_run, tmp_path, capsys):
         config = tmp_path / "config.json"
         write_json({"approx_band_in": 0.5, "approx_band_out": 0.3}, config)
@@ -790,6 +803,8 @@ class TestCliErrors:
         ({"saq_file": "saqs.jsonl"}, 2, "rewriting needs service_endpoint"),
         ({"saq_file": "missing.jsonl", "stub_llm": True}, 3, "missing.jsonl"),
         ({"saq_file": "bad.jsonl", "stub_llm": True}, 3, "SAQ rows need"),
+        ({"saq_file": "empty.jsonl", "stub_llm": True}, 4,
+         "no SAQ items available for PM rewriting"),
     ])
     def test_rewrite_settings_are_checked_before_any_rule(
             self, cli_run, tmp_path, capsys, monkeypatch, extra, code, complaint):
@@ -801,6 +816,7 @@ class TestCliErrors:
         write_jsonl([{"question": "What color is the sofa?", "answer": "teal"}],
                     "saqs.jsonl")
         write_jsonl([{"question": "What color is the sofa?"}], "bad.jsonl")
+        write_jsonl([], "empty.jsonl")
         write_json({"seed": SEED, "fv_quantity": 4, "rewrite_pm": 2, **extra},
                    "config.json")
         assert main(["generate", "--config", "config.json", "--out", "out",

@@ -341,10 +341,8 @@ class TestEchoStub:
 
     def test_letter_balance_over_500_jobs(self):
         saqs = [SaqItem(f"Question number {i}?", f"answer{i}") for i in range(7)]
-        track = run_rewrite_track(saqs, pm_count=500, fv_count=0,
-                                  client=EchoStubClient(),
-                                  master_seed=MASTER_SEED)
-        assert not track.failed_jobs
+        jobs = make_jobs(saqs, 500, 0, build_schedules(MASTER_SEED))
+        track = run_rewrite_track(jobs, EchoStubClient())
         counts = {ch: 0 for ch in "ABCDE"}
         for record in track.records:
             counts[record.answer] += 1
@@ -352,9 +350,8 @@ class TestEchoStub:
 
     def test_fv_answer_balance_and_links(self):
         saqs = [SaqItem(f"Question number {i}?", f"answer{i}") for i in range(3)]
-        track = run_rewrite_track(saqs, pm_count=0, fv_count=100,
-                                  client=EchoStubClient(),
-                                  master_seed=MASTER_SEED)
+        jobs = make_jobs(saqs, 0, 100, build_schedules(MASTER_SEED))
+        track = run_rewrite_track(jobs, EchoStubClient())
         records = track.records
         assert len(records) == 200
         answers = [r.answer for r in records]
@@ -365,32 +362,32 @@ class TestEchoStub:
 
     def test_track_is_deterministic(self):
         saqs = [SaqItem(f"Question number {i}?", f"answer{i}") for i in range(4)]
-        a = run_rewrite_track(saqs, 20, 10, EchoStubClient(), MASTER_SEED)
-        b = run_rewrite_track(saqs, 20, 10, EchoStubClient(), MASTER_SEED)
+        a, b = (run_rewrite_track(make_jobs(saqs, 20, 10, build_schedules(MASTER_SEED)),
+                                  EchoStubClient()) for _ in range(2))
         assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
         assert a.log_rows == b.log_rows
 
     def test_log_rows_one_per_job(self):
         saqs = [SaqItem("Q?", "ans")]
-        track = run_rewrite_track(saqs, 3, 2, EchoStubClient(), MASTER_SEED)
+        track = run_rewrite_track(make_jobs(saqs, 3, 2, build_schedules(MASTER_SEED)),
+                                  EchoStubClient())
         assert len(track.log_rows) == 5
         assert [row["kind"] for row in track.log_rows] == ["pm"] * 3 + ["fv"] * 2
         assert all(row["ok"] and row["attempts"] == 1 and row["reasons"] == []
                    for row in track.log_rows)
 
     def test_failed_jobs_do_not_abort_the_track(self):
-        saqs = [SaqItem("Q?", "ans")]
-        _, track_fv_job = make_jobs(saqs, 1, 1, build_schedules(MASTER_SEED))
-        good_fv = EchoStubClient().complete("s", render_prompt(track_fv_job))
+        jobs = make_jobs([SaqItem("Q?", "ans")], 1, 1, build_schedules(MASTER_SEED))
+        good_fv = EchoStubClient().complete("s", render_prompt(jobs[1]))
         client = ScriptedClient(*["garbage"] * MAX_ATTEMPTS, good_fv)
-        # one PM job fails every attempt; the FV job still succeeds
-        track = run_rewrite_track(saqs, 1, 1, client, MASTER_SEED)
-        assert track.failed_jobs == ["llm-pm-00000"]
-        assert len(track.records) == 2
-        pm_row, fv_row = track.log_rows
-        assert pm_row["ok"] is False and pm_row["attempts"] == MAX_ATTEMPTS
-        assert pm_row["reasons"] == [NOT_JSON]
-        assert fv_row["ok"] is True
+        # one PM job fails every attempt; the FV job still runs, then the
+        # track raises the PM shortfall
+        with pytest.raises(InsufficientCandidatesError) as excinfo:
+            run_rewrite_track(jobs, client)
+        assert str(excinfo.value) == \
+            "1 rewrite jobs exhausted their attempts (first: llm-pm-00000)"
+        assert excinfo.value.shortfalls == {f"{TASK_PM}/{CAT_NON_NUMERIC}": (1, 0)}
+        assert client.call_count == MAX_ATTEMPTS + 1
 
 
 class TestMakeJobs:

@@ -244,6 +244,23 @@ class TestSceneInterchange:
         with pytest.raises(SchemaViolationError, match="f.json"):
             scene_from_dict({"scene_id": "s", "instances": [{}]}, source="f.json")
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "scene document must be an object"),
+        ({"scene_id": "s", "instances": ["chair"]}, "instance #0 is not an object"),
+        ({"scene_id": "", "instances": []}, "'scene_id' must be a non-empty string"),
+        ({"scene_id": 7, "instances": []}, "'scene_id' must be a non-empty string"),
+        ({"scene_id": "s", "instances": [
+            {"instance_id": "a", "label": 3, "points": [[0.0, 0.0, 0.0]]}]},
+         "instance 'a': 'label' must be a string"),
+    ], ids=["document", "instance", "empty-id", "int-id", "label"])
+    def test_a_file_that_is_not_a_scene_is_refused_naming_it(self, tmp_path, doc,
+                                                              message):
+        path = tmp_path / "bad.scene.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaViolationError) as info:
+            load_scene(path)
+        assert str(info.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("points, message", [
         ([[True, 0.0, 0.0]], NOT_XYZ),
         ([[0.0, 1.0, False]], NOT_XYZ),
