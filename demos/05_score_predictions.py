@@ -26,7 +26,7 @@ from sceneqa import (
     score_records,
     RulegenConfig,
 )
-from sceneqa.evaluate import threshold_accuracy
+from sceneqa.evaluate import ta_hit
 
 # ---------------------------------------------------------------------------
 # Token extraction from free text
@@ -48,11 +48,13 @@ print("  no answer found:", extract_answer("a chair, I suppose", "pm"))
 # ---------------------------------------------------------------------------
 # Ground truth 10, predictions 10.4 / 10.6 / 11.0 / 12.5.  With a strict
 # "<" the 11.0 prediction misses TA@10 by a hair, so the three thresholds
-# score exactly one, two, and three hits out of four.
+# score exactly one, two, and three hits out of four.  ``ta_hit`` is the
+# test the scorer applies to each numeric prediction.
 
 gts, preds = [10.0] * 4, [10.4, 10.6, 11.0, 12.5]
 for t in (0.05, 0.10, 0.20):
-    print(f"TA@{int(t * 100):<2d} = {threshold_accuracy(gts, preds, t):.2f}")
+    hits = sum(ta_hit(gt, pred, t) for gt, pred in zip(gts, preds))
+    print(f"TA@{int(t * 100):<2d} = {hits / len(gts):.2f}")
 
 # ---------------------------------------------------------------------------
 # A dataset and three responders

@@ -38,7 +38,6 @@ from .evaluate import (
     consistency_report,
     format_report_table,
     score_records,
-    threshold_accuracy,
 )
 from .audit import oracle_responses, selfcheck
 
@@ -68,7 +67,6 @@ __all__ = [
     "read_ngt",
     "score_records",
     "selfcheck",
-    "threshold_accuracy",
     "write_dataset",
     "write_ngt",
     "write_scene",

@@ -16,7 +16,7 @@ unparseable predictions are counted as misses and reported separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import SchemaViolationError
 from .rulegen import INVERSE_ANSWER, QaRecord, VARIANT_PLAIN, extract_answer, stratum_key
@@ -56,19 +56,6 @@ def ta_hit(gt: float, pred: float, threshold: float) -> bool:
     if gt == 0.0:
         return pred == 0.0
     return abs(pred - gt) < threshold * abs(gt)
-
-
-def threshold_accuracy(gts: Sequence[float], preds: Sequence[float | None],
-                       threshold: float) -> float:
-    if len(gts) != len(preds):
-        raise SchemaViolationError("threshold_accuracy needs aligned sequences")
-    if not gts:
-        return 0.0
-    hits = sum(
-        1 for gt, pred in zip(gts, preds)
-        if pred is not None and ta_hit(gt, pred, threshold)
-    )
-    return hits / len(gts)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .evaluate import (
     format_report_table,
     read_predictions,
 )
+from .geometry import DEFAULT_TOL
 from .ngt import NgtTable, extract_ngt, read_ngt, write_ngt
 from .rewrite import (
     EchoStubClient,
@@ -88,7 +89,7 @@ class PipelineConfig(RulegenConfig):
     scenes: str = ""
     ngt_dir: str = ""
     excluded_labels: tuple[str, ...] = tuple(sorted(DEFAULT_EXCLUDED_LABELS))
-    solver_tol: float = 1e-9
+    solver_tol: float = DEFAULT_TOL
     jobs: int = 1
 
     rewrite_pm: int = 0

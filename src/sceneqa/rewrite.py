@@ -21,7 +21,7 @@ import json
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -38,6 +38,7 @@ from .rulegen import (
     INVERSE_ANSWER,
     OPTION_LETTERS,
     PROVENANCE_LLM,
+    RECORDS_PER_ITEM,
     QaRecord,
     Schedules,
     VARIANT_PLAIN,
@@ -465,22 +466,17 @@ def _records(job: RewriteJob, payload: dict) -> tuple[QaRecord, ...]:
     """The PM record, or the FV original and its contrapositive, from a
     validated reply; validation has matched the FV reply's answers to
     ``expected_label`` and its inverse."""
-    if job.kind == TASK_PM:
-        rows = [(job.job_id, payload["question"], job.expected_label, None)]
-    else:
-        cp_id = contrapositive_id(job.job_id)
-        rows = [(job.job_id, payload["question"], job.expected_label, cp_id),
-                (cp_id, payload["cp_question"], INVERSE_ANSWER[job.expected_label],
-                 job.job_id)]
-    return tuple(
-        QaRecord(
-            qa_id=qa_id, scene_id=job.saq.scene_id, task=job.kind,
-            category=CAT_NON_NUMERIC, question=question, answer=answer,
-            gt_value=None, unit="", cp_link=cp_link, variant=VARIANT_PLAIN,
-            provenance=PROVENANCE_LLM, template_id=None, referents=(),
-        )
-        for qa_id, question, answer, cp_link in rows
+    cp_id = contrapositive_id(job.job_id) if job.kind == TASK_FV else None
+    original = QaRecord(
+        qa_id=job.job_id, scene_id=job.saq.scene_id, task=job.kind,
+        category=CAT_NON_NUMERIC, question=payload["question"],
+        answer=job.expected_label, gt_value=None, unit="", cp_link=cp_id,
+        variant=VARIANT_PLAIN, provenance=PROVENANCE_LLM, template_id=None, referents=(),
     )
+    if cp_id is None:
+        return (original,)
+    return original, replace(original, qa_id=cp_id, question=payload["cp_question"],
+                             answer=INVERSE_ANSWER[job.expected_label], cp_link=job.job_id)
 
 
 def rewrite_job(job: RewriteJob, client: ServiceClient
@@ -523,10 +519,6 @@ def load_saqs(path: str | Path) -> list[SaqItem]:
     return items
 
 
-# records per job, as every stratum counts them: an FV job makes a pair
-_RECORDS_PER_JOB = {TASK_PM: 1, TASK_FV: 2}
-
-
 def make_jobs(saqs: Sequence[SaqItem], pm_count: int, fv_count: int,
               schedules: Schedules, n_options: int = 5) -> list[RewriteJob]:
     """A rewrite track's plan: ``pm_count`` PM jobs, then ``fv_count`` FV
@@ -537,7 +529,7 @@ def make_jobs(saqs: Sequence[SaqItem], pm_count: int, fv_count: int,
         if count > 0 and not saqs:
             raise InsufficientCandidatesError(
                 f"no SAQ items available for {kind.upper()} rewriting",
-                shortfalls={f"{kind}/{CAT_NON_NUMERIC}": (_RECORDS_PER_JOB[kind] * count, 0)},
+                shortfalls={f"{kind}/{CAT_NON_NUMERIC}": (RECORDS_PER_ITEM[kind] * count, 0)},
             )
         for k in range(count):
             label = (schedules.pm_letter(k, n_options) if kind == TASK_PM
@@ -558,7 +550,8 @@ def run_rewrite_track(jobs: Sequence[RewriteJob], client: ServiceClient
     """Run the ``jobs`` :func:`make_jobs` planned, in order, logging each
     one's attempts.  A job that exhausts its attempts does not stop the rest;
     once all have run, :class:`InsufficientCandidatesError` gives each
-    stratum's shortfall."""
+    stratum's shortfall and names the first failed job with its reason
+    codes."""
     result = RewriteTrackResult()
     for job in jobs:
         try:
@@ -571,13 +564,14 @@ def run_rewrite_track(jobs: Sequence[RewriteJob], client: ServiceClient
             "ok": bool(records),
             "reasons": sorted({r for v in verdicts for r in v.reasons}),
         })
-    if failed := [row["job_id"] for row in result.log_rows if not row["ok"]]:
+    if failed := [row for row in result.log_rows if not row["ok"]]:
         requested: Counter[str] = Counter()
         for job in jobs:
-            requested[f"{job.kind}/{CAT_NON_NUMERIC}"] += _RECORDS_PER_JOB[job.kind]
+            requested[f"{job.kind}/{CAT_NON_NUMERIC}"] += RECORDS_PER_ITEM[job.kind]
         produced = Counter(f"{r.task}/{r.category}" for r in result.records)
         raise InsufficientCandidatesError(
-            f"{len(failed)} rewrite jobs exhausted their attempts (first: {failed[0]})",
+            f"{len(failed)} rewrite jobs exhausted their attempts (first: "
+            f"{failed[0]['job_id']}); reasons: {', '.join(failed[0]['reasons'])}",
             shortfalls={key: (n, produced[key]) for key, n in requested.items()
                         if produced[key] < n},
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -56,6 +56,7 @@ from .templates import (
     TASK_FV,
     TASK_NI,
     TASK_PM,
+    UNITS,
     Template,
     evaluate_predicate,
     fill_text,
@@ -75,6 +76,9 @@ ANSWER_YES = "yes"
 ANSWER_NO = "no"
 INVERSE_ANSWER = {ANSWER_YES: ANSWER_NO, ANSWER_NO: ANSWER_YES}
 OPTION_LETTERS = ("A", "B", "C", "D", "E")
+# records per generated item, as every stratum counts them: an FV item is an
+# original and its contrapositive
+RECORDS_PER_ITEM = {TASK_FV: 2, TASK_NI: 1, TASK_PM: 1}
 
 COT_SUFFIX = (
     "Please solve the problem step by step. Show each intermediate thought "
@@ -613,20 +617,16 @@ def gen_fv_numeric(
         bindings = first[0] + second[0]
         base_id = f"{table.scene_id}-fv-{category}-{k:05d}"
         cp_id = contrapositive_id(base_id)
-        records.append(QaRecord(
+        original = QaRecord(
             qa_id=base_id, scene_id=table.scene_id, task=TASK_FV,
             category=category, question=instantiate(t_orig, bindings),
             answer=target, gt_value=None, unit="", cp_link=cp_id,
             variant=VARIANT_PLAIN, provenance=PROVENANCE_RULE,
             template_id=t_orig.template_id, referents=bindings,
-        ))
-        records.append(QaRecord(
-            qa_id=cp_id, scene_id=table.scene_id, task=TASK_FV,
-            category=category, question=instantiate(t_cp, bindings),
-            answer=INVERSE_ANSWER[target], gt_value=None, unit="", cp_link=base_id,
-            variant=VARIANT_PLAIN, provenance=PROVENANCE_RULE,
-            template_id=t_cp.template_id, referents=bindings,
-        ))
+        )
+        records += original, replace(
+            original, qa_id=cp_id, question=instantiate(t_cp, bindings),
+            answer=INVERSE_ANSWER[target], cp_link=base_id, template_id=t_cp.template_id)
     return records
 
 
@@ -670,7 +670,7 @@ def gen_ni(
             scene_id=table.scene_id, task=TASK_NI, category=category,
             question=instantiate(template, referents),
             answer=render_answer(category, value),
-            gt_value=float(value), unit=template.unit, cp_link=None,
+            gt_value=float(value), unit=UNITS[category], cp_link=None,
             variant=VARIANT_PLAIN, provenance=PROVENANCE_RULE,
             template_id=template.template_id, referents=referents,
         ))
@@ -755,11 +755,12 @@ def _ni_chain(record: QaRecord, table: NgtTable) -> str:
 def gen_cot_variant(record: QaRecord, table: NgtTable, cfg: RulegenConfig) -> QaRecord:
     """Derive the chain-of-thought twin of a rule-generated record.
 
-    The question keeps the template body but swaps the answer-format suffix
-    for a step-by-step instruction; the answer becomes a short reasoning
-    chain that restates the ground-truth values and ends with the original
-    answer.  The chain's final token is the answer, which is what variant-
-    aware extraction reads back.
+    The twin is the record with only these replaced: the id and ``cp_link``
+    gain ``-cot``; the question keeps the template body but swaps the
+    answer-format suffix for a step-by-step instruction; the answer becomes
+    a short reasoning chain that restates the ground-truth values and ends
+    with the original answer, the final token that variant-aware extraction
+    reads back; and the variant is ``cot``.
     """
     if not recomputable(record):
         raise SceneQaError("chain-of-thought variants need a rule-generated record")
@@ -772,14 +773,10 @@ def gen_cot_variant(record: QaRecord, table: NgtTable, cfg: RulegenConfig) -> Qa
         answer = _fv_chain(record, template, values, cfg.approx_band_in)
     else:
         answer = _ni_chain(record, table)
-    return QaRecord(
-        qa_id=f"{record.qa_id}-cot",
-        scene_id=record.scene_id, task=record.task, category=record.category,
-        question=question, answer=answer, gt_value=record.gt_value,
-        unit=record.unit,
+    return replace(
+        record, qa_id=f"{record.qa_id}-cot", question=question, answer=answer,
         cp_link=None if record.cp_link is None else f"{record.cp_link}-cot",
-        variant=VARIANT_COT, provenance=record.provenance,
-        template_id=record.template_id, referents=record.referents,
+        variant=VARIANT_COT,
     )
 
 
@@ -843,10 +840,11 @@ def iter_rule_dataset(
     # (generator, records per schedule index, stratum, category, schedule
     # indices in the stratum), in RNG draw order.  Built per call so the
     # generators are read from the module at call time.
-    strata = [(gen_fv_numeric, 2, f"{TASK_FV}/{cat}", cat, cfg.fv_count(cat) // 2)
+    strata = [(generate, RECORDS_PER_ITEM[task], f"{task}/{cat}", cat,
+               count(cat) // RECORDS_PER_ITEM[task])
+              for generate, task, count in ((gen_fv_numeric, TASK_FV, cfg.fv_count),
+                                            (gen_ni, TASK_NI, cfg.ni_count))
               for cat in NUMERIC_CATEGORIES]
-    strata += [(gen_ni, 1, f"{TASK_NI}/{cat}", cat, cfg.ni_count(cat))
-               for cat in NUMERIC_CATEGORIES]
     quotas = [_split_quota(total, n) for *_, total in strata]
     twins = [_twin_selector(total, cfg.cot_fraction) for *_, total in strata]
 
@@ -953,10 +951,13 @@ def stratum_key(record: QaRecord) -> str:
 
 def balance_violations(report: BalanceReport, n_options: int = 5) -> list[str]:
     """Tolerance check: FV yes/no within 1 (overall and per stream), PM
-    letters within 1 of N/n_options, template usage within 1 of N/10."""
+    letters within 1 of N/n_options, template usage within 1 of N/10.  Every
+    letter of the first ``n_options`` and every bank template of a stratum's
+    task and category is counted, at 0 when no record uses it; a template id
+    outside the bank is checked as well."""
     problems = []
     for key, s in sorted(report.strata.items()):
-        task = key.split("/")[0]
+        task, category, _ = key.split("/")
         if task == TASK_FV:
             for name, counter in (("all", s.answers), ("originals", s.original_answers),
                                   ("contrapositives", s.cp_answers)):
@@ -969,20 +970,22 @@ def balance_violations(report: BalanceReport, n_options: int = 5) -> list[str]:
                     problems.append(f"{key}: {name} yes/no imbalance {yes} vs {no}")
         if task == TASK_PM and s.total:
             expected = s.total / n_options
-            for letter, got in sorted(s.answers.items()):
+            letters = dict.fromkeys(OPTION_LETTERS[:n_options], 0) | s.answers
+            for letter, got in sorted(letters.items()):
                 if abs(got - expected) > 1.0:
                     problems.append(
                         f"{key}: letter {letter} used {got} times, expected "
                         f"{expected:.1f} +/- 1"
                     )
-        if s.template_usage:
-            expected = sum(s.template_usage.values()) / 10.0
-            for template_id, got in sorted(s.template_usage.items()):
-                if abs(got - expected) > 1.0:
-                    problems.append(
-                        f"{key}: template {template_id} used {got} times, "
-                        f"expected {expected:.1f} +/- 1"
-                    )
+        bank = (t.template_id for t in templates_for(task, category))
+        usage = dict.fromkeys(bank, 0) | s.template_usage
+        expected = sum(s.template_usage.values()) / 10.0
+        for template_id, got in sorted(usage.items()):
+            if abs(got - expected) > 1.0:
+                problems.append(
+                    f"{key}: template {template_id} used {got} times, "
+                    f"expected {expected:.1f} +/- 1"
+                )
     return problems
 
 

@@ -16,7 +16,7 @@ partner links, placeholder/arity agreement) is asserted by the test suite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ArityMismatchError
 
@@ -88,20 +88,28 @@ def evaluate_predicate(predicate: str, v1: float, v2: float,
     raise ValueError(f"unknown predicate {predicate!r}")
 
 
+_PLACEHOLDER_RE = re.compile(r"<OBJ(\d+)>")
+
+
 @dataclass(frozen=True)
 class Template:
+    """One bank question: ``text`` with ``<OBJn>`` referent slots, then the
+    answer-format ``suffix``.  Its ``arity`` is the number of distinct slots
+    in ``text``; an FV template also names its ``predicate`` and its inverse
+    partner ``cp_template_id``.  A record's unit is its category's
+    :data:`UNITS` entry, not a template's."""
+
     template_id: str
     task: str
     category: str
     text: str
     suffix: str
-    arity: int
-    unit: str
     predicate: str | None = None
     cp_template_id: str | None = None
+    arity: int = field(init=False)
 
-
-_PLACEHOLDER_RE = re.compile(r"<OBJ(\d+)>")
+    def __post_init__(self):
+        object.__setattr__(self, "arity", len(set(_PLACEHOLDER_RE.findall(self.text))))
 
 
 def fill_text(template: Template, bindings) -> str:
@@ -244,8 +252,6 @@ _NI_SUFFIXES = {
     CAT_DISTANCE: "Give a numerical response.",
     CAT_VOLUME: "Give a numerical response.",
 }
-_FV_ARITY = {CAT_QUANTITY: 2, CAT_DISTANCE: 4, CAT_VOLUME: 2}
-_NI_ARITY = {CAT_QUANTITY: 1, CAT_DISTANCE: 2, CAT_VOLUME: 1}
 
 
 def _build_bank() -> tuple[Template, ...]:
@@ -266,8 +272,6 @@ def _build_bank() -> tuple[Template, ...]:
                     category=category,
                     text=text,
                     suffix=_FV_SUFFIXES[idx // 2],
-                    arity=_FV_ARITY[category],
-                    unit=UNITS[category],
                     predicate=predicate,
                     cp_template_id=f"fv-{category}-{partner:02d}",
                 )
@@ -286,8 +290,6 @@ def _build_bank() -> tuple[Template, ...]:
                     category=category,
                     text=text,
                     suffix=_NI_SUFFIXES[category],
-                    arity=_NI_ARITY[category],
-                    unit=UNITS[category],
                 )
             )
     return tuple(bank)

@@ -63,12 +63,6 @@ _encode_str = json.encoder.encode_basestring
 _encode_compact = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def stable_json_dumps(obj: Any) -> str:
-    """``json.dumps(obj, indent=2, ensure_ascii=False)``, for the manifest and
-    the reports; tables and truth go through :func:`sceneqa.scene.write_rows`."""
-    return json.dumps(obj, indent=2, ensure_ascii=False)
-
-
 def _write_replacing(path: str | Path, write):
     """Call ``write(fh)`` on a temporary file beside ``path``, then rename it
     over ``path``.
@@ -90,7 +84,10 @@ def _write_replacing(path: str | Path, write):
 
 
 def write_json(obj: Any, path: str | Path) -> None:
-    text = stable_json_dumps(obj)
+    """Write ``json.dumps(obj, indent=2, ensure_ascii=False)`` and a newline
+    to ``path`` through a temporary file: the manifest and the reports.
+    Tables and truth go through :func:`sceneqa.scene.write_rows`."""
+    text = json.dumps(obj, indent=2, ensure_ascii=False)
     _write_replacing(path, lambda fh: fh.writelines((text, "\n")))
 
 

@@ -10,15 +10,19 @@ read-only).
 
 from __future__ import annotations
 
+from decimal import Decimal
 from math import sqrt
 
 import numpy as np
 import pytest
 
+from sceneqa.evaluate import EvalReport, StratumScores
 from sceneqa.ngt import extract_ngt
-from sceneqa.rulegen import RulegenConfig, assemble_dataset, generate_rule_dataset
+from sceneqa.rulegen import (PROVENANCE_RULE, VARIANT_PLAIN, QaRecord, RulegenConfig,
+                             assemble_dataset, generate_rule_dataset)
 from sceneqa.scene import generate_synthetic_scene, random_indoor_spec
-from sceneqa.util import derive_seed
+from sceneqa.templates import CAT_DISTANCE, TASK_NI, UNITS
+from sceneqa.util import derive_seed, render_decimal
 
 MASTER_SEED = 20240817
 
@@ -37,6 +41,24 @@ def box_gap(lo1, hi1, lo2, hi2) -> float:
         gap = max(0.0, float(a1) - float(b2), float(a2) - float(b1))
         total += gap * gap
     return sqrt(total)
+
+
+def ni_scores(gts, preds) -> StratumScores:
+    """The scorer's stratum for NI distance records with truths ``gts`` and
+    the outputs ``preds``, each a number written out in full or None for no
+    output; an empty stratum when there are none."""
+    report = EvalReport()
+    for i, (gt, pred) in enumerate(zip(gts, preds, strict=True)):
+        record = QaRecord(
+            qa_id=f"s0-ni-distance-{i:05d}", scene_id="s0", task=TASK_NI,
+            category=CAT_DISTANCE, question="How far?", answer=render_decimal(gt),
+            gt_value=float(gt), unit=UNITS[CAT_DISTANCE], cp_link=None,
+            variant=VARIANT_PLAIN, provenance=PROVENANCE_RULE, template_id=None,
+            referents=(),
+        )
+        report.add(record, None if pred is None else f"{Decimal(repr(float(pred))):f}")
+    return report.strata.get(f"{TASK_NI}/{CAT_DISTANCE}/{VARIANT_PLAIN}",
+                             StratumScores(TASK_NI, CAT_DISTANCE, VARIANT_PLAIN))
 
 
 class ScriptedClient:

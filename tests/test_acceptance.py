@@ -29,11 +29,7 @@ import pytest
 from sceneqa.audit import oracle_responses
 from sceneqa.cli import main
 from sceneqa.errors import ExhaustedAttemptsError, NotConvergedError
-from sceneqa.evaluate import (
-    consistency_report,
-    score_records,
-    threshold_accuracy,
-)
+from sceneqa.evaluate import consistency_report, score_records
 from sceneqa.geometry import hull_distance, hull_distance_oracle
 from sceneqa.ngt import extract_ngt
 from sceneqa.rewrite import (
@@ -56,7 +52,7 @@ from sceneqa.scene import generate_synthetic_scene, random_indoor_spec
 from sceneqa.templates import NUMERIC_CATEGORIES, TASK_FV, TASK_NI, TASK_PM
 from sceneqa.util import derive_seed, write_json, write_jsonl
 
-from conftest import MASTER_SEED, ScriptedClient, box_gap
+from conftest import MASTER_SEED, ScriptedClient, box_gap, ni_scores
 
 TA_GRID = (0.05, 0.10, 0.20)
 
@@ -234,8 +230,8 @@ def test_criterion_3_threshold_accuracy(criterion):
                       "is monotone over 1000 random sets"):
         gts = [10.0, 10.0, 10.0, 10.0]
         preds = [10.4, 10.6, 11.0, 12.5]
-        assert [threshold_accuracy(gts, preds, t) for t in TA_GRID] == \
-            [0.25, 0.50, 0.75]
+        scores = ni_scores(gts, preds)
+        assert [scores.ta_at(t) for t in TA_GRID] == [0.25, 0.50, 0.75]
 
         rng = np.random.default_rng(derive_seed(MASTER_SEED, "acceptance:ta"))
         for _ in range(1000):
@@ -248,7 +244,8 @@ def test_criterion_3_threshold_accuracy(criterion):
                     p[j] = None
                 elif roll < 0.10:
                     p[j] = float(rng.uniform(-1e4, 1e4))
-            ta = [threshold_accuracy(list(g), p, t) for t in TA_GRID]
+            scores = ni_scores(g, p)
+            ta = [scores.ta_at(t) for t in TA_GRID]
             assert ta[0] <= ta[1] <= ta[2]
 
 

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from sceneqa.audit import oracle_responses, selfcheck
+from sceneqa.audit import SelfCheckResult, oracle_responses, selfcheck
 from sceneqa.errors import MalformedFileError, SceneQaError, SchemaViolationError
 from sceneqa.evaluate import consistency_report, score_records
 from sceneqa.rulegen import (
@@ -64,6 +64,13 @@ class TestSelfCheckGreen:
         lines = result.summary_lines()
         assert lines[-1] == "selfcheck: PASSED"
         assert lines[:-1] == [f"{name}: ok" for name in sorted(result.checks)]
+
+    def test_summary_lists_ten_failures_then_counts_the_rest(self):
+        failures = [f"r{i}: empty question" for i in range(13)]
+        lines = SelfCheckResult({"schema": failures, "balance": []}).summary_lines()
+        assert lines == ["balance: ok", "schema: FAILED (13 problems)",
+                         *[f"  - {failure}" for failure in failures[:10]],
+                         "  - ... and 3 more", "selfcheck: FAILED"]
 
     def test_tables_are_optional(self, dataset):
         records, _ = dataset

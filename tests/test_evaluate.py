@@ -19,12 +19,13 @@ from sceneqa.evaluate import (
     read_predictions,
     score_records,
     ta_hit,
-    threshold_accuracy,
 )
 from sceneqa.rulegen import (QaRecord, VARIANT_COT, VARIANT_PLAIN, read_dataset,
                              write_dataset)
 from sceneqa.templates import TASK_FV, TASK_NI, TASK_PM
 from sceneqa.util import write_jsonl
+
+from conftest import ni_scores
 
 
 def make_record(qa_id: str, task: str, answer: str, *, category="quantity",
@@ -166,9 +167,10 @@ class TestThresholdAccuracy:
     def test_hand_checked_quartiles(self):
         gts = [10.0, 10.0, 10.0, 10.0]
         preds = [10.4, 10.6, 11.0, 12.5]
-        assert threshold_accuracy(gts, preds, 0.05) == 0.25
-        assert threshold_accuracy(gts, preds, 0.10) == 0.50
-        assert threshold_accuracy(gts, preds, 0.20) == 0.75
+        scores = ni_scores(gts, preds)
+        assert scores.ta_at(0.05) == 0.25
+        assert scores.ta_at(0.10) == 0.50
+        assert scores.ta_at(0.20) == 0.75
 
     def test_boundary_is_strict(self):
         assert not ta_hit(10.0, 10.5, 0.05)
@@ -180,12 +182,18 @@ class TestThresholdAccuracy:
         assert not ta_hit(0.0, 1e-9, 0.05)
 
     def test_missing_predictions_are_misses(self):
-        assert threshold_accuracy([1.0, 1.0], [1.0, None], 0.05) == 0.5
+        scores = ni_scores([1.0, 1.0], [1.0, None])
+        assert scores.ta_at(0.05) == 0.5 and scores.n_missing == 1
 
     def test_empty_and_misaligned(self):
-        assert threshold_accuracy([], [], 0.05) == 0.0
-        with pytest.raises(SchemaViolationError, match="aligned"):
-            threshold_accuracy([1.0], [], 0.05)
+        assert ni_scores([], []).ta_at(0.05) == 0.0
+        # outputs are matched by qa_id: one for an id no record has scores
+        # nothing, and the record it does not reach is a miss
+        record = make_record("s0-ni-distance-00000", TASK_NI, "1.00",
+                             category="distance", gt_value=1.0, unit="meters")
+        scores = score_records([record], {"s0-ni-distance-00001": "1.00"}).strata[
+            "ni/distance/plain"]
+        assert (scores.n_records, scores.n_missing, scores.ta_at(0.05)) == (1, 1, 0.0)
 
     @given(st.lists(st.tuples(
         st.floats(0.01, 1e6, allow_nan=False, allow_infinity=False),
@@ -193,12 +201,8 @@ class TestThresholdAccuracy:
         min_size=1, max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_threshold(self, pairs):
-        gts = [gt for gt, _ in pairs]
-        preds = [p for _, p in pairs]
-        ta5 = threshold_accuracy(gts, preds, 0.05)
-        ta10 = threshold_accuracy(gts, preds, 0.10)
-        ta20 = threshold_accuracy(gts, preds, 0.20)
-        assert ta5 <= ta10 <= ta20
+        scores = ni_scores([gt for gt, _ in pairs], [p for _, p in pairs])
+        assert scores.ta_at(0.05) <= scores.ta_at(0.10) <= scores.ta_at(0.20)
 
 
 class TestScoreRecords:

@@ -325,6 +325,17 @@ class TestRowWriter:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["toy.ngt.json"]
 
+    @pytest.mark.parametrize("dims", [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0)])
+    def test_dims_that_are_not_three_numbers_are_not_written(self, tmp_path, dims):
+        path = tmp_path / "solo.ngt.json"
+        table = NgtTable("solo", (measurement("o000", "lamp", (0.0, 0.0, 0.0),
+                                              (1.0, 1.0, 1.0), dims=dims),))
+        message = re.escape(f"{path}: scene 'solo': instances[0]: 'dims' must be "
+                            f"three numbers, got {dims!r}")
+        with pytest.raises(SchemaViolationError, match=f"^{message}$"):
+            write_ngt(table, path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSkippedPair:
     def test_an_unconverged_pair_is_skipped_end_to_end(self, scene_bank, tables, dataset,

@@ -621,6 +621,15 @@ class TestCliErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize("text", ["[]", '[{"seed": 7}]', '"seed"', "7", "null"])
+    def test_a_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code = main(["synth", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "configuration must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key,value", [
         *[(f"{task}_{cat}", value) for task in ("fv", "ni")
           for cat in ("quantity", "distance", "volume") for value in (4.0, True)],
@@ -884,6 +893,32 @@ class TestCliErrors:
         sections = _summary_sections(capsys.readouterr().out)
         assert any(victim["qa_id"] in line and "unicorn" in line
                    for line in sections["gt_agreement"])
+
+    def test_selfcheck_reports_an_unused_letter_and_template(
+            self, tmp_path, capsys, monkeypatch):
+        """A PM stratum that never answers E, and an NI stratum whose 20
+        records never use one bank template, breach balance (exit 5)."""
+        monkeypatch.chdir(tmp_path)  # no table directory to find
+        common = {"gt_value": None, "unit": "", "cp_link": None, "variant": "plain"}
+        pm = [{**common, "qa_id": f"llm-pm-{k:05d}", "scene_id": "", "task": "pm",
+               "category": "non-numeric", "question": "Which? A) oak  B) teal",
+               "answer": letter, "provenance": "llm", "template_id": None, "referents": []}
+              for k, letter in enumerate("AAABBBCCDD")]
+        ni = [{**common, "qa_id": f"s0-ni-quantity-{k:05d}", "scene_id": "s0", "task": "ni",
+               "category": "quantity", "question": "How many chair are in the room?",
+               "answer": "3", "gt_value": 3.0, "unit": "count", "provenance": "rule",
+               "template_id": f"ni-quantity-{k % 9 + 1:02d}", "referents": ["chair"]}
+              for k in range(20)]
+        write_jsonl(pm + ni, "dataset.jsonl")
+        assert main(["selfcheck", "--dataset", "dataset.jsonl"]) == 5
+        sections = _summary_sections(capsys.readouterr().out)
+        assert sections.pop("balance") == [
+            "balance: FAILED (2 problems)",
+            "  - ni/quantity/plain: template ni-quantity-10 used 0 times, expected 2.0 +/- 1",
+            "  - pm/non-numeric/plain: letter E used 0 times, expected 2.0 +/- 1",
+        ]
+        assert sections.pop("selfcheck") == ["selfcheck: FAILED"]
+        assert sections == {name: [f"{name}: ok"] for name in sections}
 
     @pytest.mark.parametrize("command,target,line", [
         ("selfcheck", "dataset", {"gt_value": "abc"}),
@@ -1179,7 +1214,8 @@ class TestCliFlags:
                 "--ngt-dir", str(cli_run["ngt_dir"]), "--stub-llm"]
         assert main(args) == 4
         err = capsys.readouterr().err
-        assert "3 rewrite jobs exhausted their attempts (first: llm-pm-00000)" in err
+        assert "3 rewrite jobs exhausted their attempts (first: llm-pm-00000); " \
+            "reasons: NotJson" in err
         assert not (tmp_path / "dataset.jsonl").exists()
         with pytest.raises(InsufficientCandidatesError) as excinfo:
             run_generate(load_config(rewrite_config, out_dir=str(tmp_path),

@@ -151,6 +151,11 @@ class TestJsonExtraction:
         text = 'prefix {"outer": {"inner": 2}} suffix {"second": 3}'
         assert extract_json_object(text) == {"outer": {"inner": 2}}
 
+    def test_braces_that_start_no_json_are_skipped(self):
+        text = 'Options {a, b} and {"B": 2}: {"question": "Q?", "Answer": "A"}'
+        assert extract_json_object(text) == {"B": 2}
+        assert extract_json_object("{x} {") is None
+
     def test_non_dict_json_is_skipped(self):
         assert extract_json_object("[1, 2, 3]") is None
 
@@ -324,6 +329,15 @@ class TestRewriteLoop:
 
 
 class TestEchoStub:
+    @pytest.mark.parametrize("prompt,field", [
+        ("Rewrite this, please.", "Original SAQ"),
+        ("- Original SAQ: Q?\n- Original Answer: a\n- Expected Correct Option: B\n",
+         "Number of Options"),
+    ])
+    def test_a_missing_prompt_field_is_named(self, prompt, field):
+        with pytest.raises(SceneQaError, match=f"stub could not find prompt field '{field}'"):
+            EchoStubClient().complete(SYSTEM_PROMPT, prompt)
+
     def test_pm_round_trip(self):
         (record,), _ = rewrite_job(pm_job(), EchoStubClient())
         assert record.answer == "B"
@@ -385,7 +399,7 @@ class TestEchoStub:
         with pytest.raises(InsufficientCandidatesError) as excinfo:
             run_rewrite_track(jobs, client)
         assert str(excinfo.value) == \
-            "1 rewrite jobs exhausted their attempts (first: llm-pm-00000)"
+            "1 rewrite jobs exhausted their attempts (first: llm-pm-00000); reasons: NotJson"
         assert excinfo.value.shortfalls == {f"{TASK_PM}/{CAT_NON_NUMERIC}": (1, 0)}
         assert client.call_count == MAX_ATTEMPTS + 1
 

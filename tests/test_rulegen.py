@@ -525,6 +525,21 @@ class TestShortfall:
         assert 0 < len(records) < 40 and len(records) % 2 == 0
         assert records == generate(len(records) // 2)
 
+    def test_fv_stratum_without_a_separated_pair_falls_short(self):
+        """One chair and one table: every count comparison is a tie.  The
+        schedule's first quantity pair asks "notably different" with the
+        answer no, which a tie answers; its second asks a strict comparison,
+        which no pair of counts separates, so the stratum stops at one pair."""
+        corners = np.array(np.meshgrid([0, 1], [0, 1], [0, 1])).T.reshape(-1, 3)
+        table = extract_ngt(Scene("tie", (
+            Instance("i0", "chair", PointSet(corners.astype(float))),
+            Instance("i1", "table", PointSet(corners + 5.0)),
+        )))
+        with pytest.raises(InsufficientCandidatesError) as exc_info:
+            generate_rule_dataset([table], RulegenConfig(fv_quantity=6), MASTER_SEED)
+        assert exc_info.value.shortfalls == {"fv/quantity": (6, 2)}
+        assert "scene tie: fv/quantity produced 2 of 6" in str(exc_info.value)
+
     def test_no_eligible_ni_referent_returns_nothing(self, tables):
         table = tables[sorted(tables)[0]]
         rng = np.random.default_rng(0)
@@ -556,6 +571,29 @@ class TestCotVariantFunction:
         cot = next(r for r in records if r.variant == VARIANT_COT)
         with pytest.raises(SceneQaError, match="already has variant"):
             gen_cot_variant(cot, tables[cot.scene_id], RulegenConfig())
+
+    def test_twins_differ_from_their_original_only_where_named(self, dataset):
+        """A contrapositive differs from its original only in id, question,
+        answer, link and template, and a chain-of-thought twin from its plain
+        record only in id, question, answer, link and variant (the gold token
+        follows the answer)."""
+        records, _ = dataset
+        by_id = {r.qa_id: r for r in records}
+
+        def differing(a, b):
+            return {f.name for f in dataclasses.fields(QaRecord)
+                    if getattr(a, f.name) != getattr(b, f.name)}
+
+        cps = [r for r in records if r.task == TASK_FV and r.variant == VARIANT_PLAIN
+               and r.is_contrapositive]
+        cots = [r for r in records if r.variant == VARIANT_COT]
+        assert cps and cots
+        for cp in cps:
+            assert differing(by_id[cp.cp_link], cp) == {
+                "qa_id", "question", "answer", "cp_link", "template_id", "gold"}
+        for cot in cots:
+            assert differing(by_id[cot.qa_id.removesuffix("-cot")], cot) <= {
+                "qa_id", "question", "answer", "cp_link", "variant", "gold"}
 
     def test_twin_of_twin_ids_never_appear(self, dataset):
         records, _ = dataset
@@ -748,6 +786,41 @@ class TestAssembleDataset:
         # at five options the same stratum never uses E: A-D run 10 vs 8
         with pytest.raises(SceneQaError, match="letter A used 10 times, expected 8.0"):
             assemble_dataset([records])
+
+
+class TestBalanceViolations:
+    """Every letter a PM item may take and every bank template of a rule
+    stratum is counted, at zero when no record uses it."""
+
+    def test_an_unused_letter_is_a_violation(self):
+        report = BalanceReport()
+        for record in TestAssembleDataset._pm_records("AAABBBCCDD"):
+            report.add(record)
+        assert balance_violations(report) == [
+            "pm/non-numeric/plain: letter E used 0 times, expected 2.0 +/- 1"]
+        # over four options, E is not a letter an item may take
+        assert balance_violations(report, n_options=4) == []
+
+    @staticmethod
+    def _ni_quantity(template_numbers) -> BalanceReport:
+        report = BalanceReport()
+        for k, number in enumerate(template_numbers):
+            report.add(QaRecord(
+                f"s0-ni-quantity-{k:05d}", "s0", TASK_NI, CAT_QUANTITY, "How many?", "3",
+                3.0, "count", None, VARIANT_PLAIN, PROVENANCE_RULE,
+                f"ni-quantity-{number:02d}", ("chair",)))
+        return report
+
+    def test_an_unused_template_is_a_violation(self):
+        # 20 records over templates 01-09: 01 and 02 three times, the rest twice
+        report = self._ni_quantity(k % 9 + 1 for k in range(20))
+        assert balance_violations(report) == [
+            "ni/quantity/plain: template ni-quantity-10 used 0 times, expected 2.0 +/- 1"]
+
+    def test_a_template_outside_the_bank_is_still_checked(self):
+        report = self._ni_quantity([*range(1, 11), *[99] * 5])
+        assert balance_violations(report) == [
+            "ni/quantity/plain: template ni-quantity-99 used 5 times, expected 1.5 +/- 1"]
 
 
 class TestReferentValues:

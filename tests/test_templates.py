@@ -20,6 +20,7 @@ from sceneqa.templates import (
     PREDICATE_INVERSE,
     TASK_FV,
     TASK_NI,
+    Template,
     evaluate_predicate,
     fv_pairs,
     instantiate,
@@ -104,6 +105,14 @@ class TestBankStructure:
     def test_distance_fv_templates_take_four_referents(self):
         for t in templates_for(TASK_FV, CAT_DISTANCE):
             assert t.arity == 4
+
+    def test_arity_is_the_number_of_distinct_slots(self):
+        assert {(t.task, t.category, t.arity) for t in BANK} == {
+            (TASK_FV, CAT_QUANTITY, 2), (TASK_FV, CAT_DISTANCE, 4), (TASK_FV, CAT_VOLUME, 2),
+            (TASK_NI, CAT_QUANTITY, 1), (TASK_NI, CAT_DISTANCE, 2), (TASK_NI, CAT_VOLUME, 1),
+        }
+        t = Template("x", TASK_NI, CAT_QUANTITY, "Is <OBJ2> by <OBJ1> or <OBJ1>?", "Say.")
+        assert t.arity == 2
 
 
 class TestInstantiation:

@@ -18,7 +18,6 @@ from sceneqa.util import (
     read_jsonl,
     render_count,
     render_decimal,
-    stable_json_dumps,
     write_json,
     write_jsonl,
 )
@@ -119,8 +118,14 @@ class TestJsonHelpers:
         write_json(payload, path)
         assert read_json(path) == payload
 
-    def test_stable_dumps_preserves_insertion_order(self):
-        text = stable_json_dumps({"z": 1, "a": 2})
+    @staticmethod
+    def _written(doc, path) -> str:
+        """The text ``write_json`` gives ``doc`` at ``path``."""
+        write_json(doc, path)
+        return path.read_bytes().decode("utf-8")
+
+    def test_stable_dumps_preserves_insertion_order(self, tmp_path):
+        text = self._written({"z": 1, "a": 2}, tmp_path / "doc.json")
         assert text.index('"z"') < text.index('"a"')
 
     @given(_DOCUMENTS)
@@ -128,24 +133,28 @@ class TestJsonHelpers:
               1: float("inf"), 2.5: -float("inf"), True: np.float64(0.1),
               np.float64(-0.0): (), float("nan"): {"": ""},
               False: None, None: [True, False, 0, -7, 2**70]})
-    def test_stable_dumps_equals_indented_json_dumps(self, doc):
-        assert stable_json_dumps(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
+    def test_stable_dumps_equals_indented_json_dumps(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "indented.json"
+        assert self._written(doc, path) == \
+            json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
     @pytest.mark.parametrize("doc", [
         {"a": object()}, [1, {2}], {(1, 2): 3}, {b"key": 1}, [np.int64(3)],
     ], ids=["object", "set", "tuple-key", "bytes-key", "numpy-int"])
-    def test_stable_dumps_rejects_what_json_dumps_rejects(self, doc):
+    def test_stable_dumps_rejects_what_json_dumps_rejects(self, tmp_path, doc):
         with pytest.raises(TypeError) as ours:
-            stable_json_dumps(doc)
+            write_json(doc, tmp_path / "doc.json")
         with pytest.raises(TypeError) as theirs:
             json.dumps(doc, indent=2, ensure_ascii=False)
         assert str(ours.value) == str(theirs.value)
+        assert list(tmp_path.iterdir()) == []
 
-    def test_stable_dumps_reports_cycles_like_json_dumps(self):
+    def test_stable_dumps_reports_cycles_like_json_dumps(self, tmp_path):
         loop = []
         loop.append(loop)
         with pytest.raises(ValueError, match="Circular reference"):
-            stable_json_dumps({"a": loop})
+            write_json({"a": loop}, tmp_path / "doc.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_json_raises(self, tmp_path):
         path = tmp_path / "bad.json"
